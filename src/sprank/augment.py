@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import flow as flow_engine
-from .errors import InvalidKError, PreconditionFailedError
+from .errors import InvalidKError, PreconditionFailedError, VerificationError
 from .flow import Arc, FlowNetwork
 from .pattern import (
     BipartiteGraph,
@@ -20,7 +20,7 @@ from .pattern import (
     is_union_of_k_matchings,
     union_disjoint,
 )
-from .resilience import strong_resilience
+from .resilience import _strong_resilience_value
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,10 @@ class AugmentationPlan:
     b_matching: BMatching | None
 
     def __post_init__(self):
-        assert len(self.added_edges) == self.delta_star
+        if len(self.added_edges) != self.delta_star:
+            raise VerificationError(
+                f"plan adds {len(self.added_edges)} edges but claims delta* = {self.delta_star}"
+            )
 
 
 def _fair_b_matching_network(g: BipartiteGraph, k_star: int) -> FlowNetwork:
@@ -92,12 +95,14 @@ def fair_b_matching(g: BipartiteGraph, k_star: int) -> BMatching:
     f = flow_engine.min_cost_max_flow(net)
     n = g.n_left
     target = (k_star + 1) * n
-    assert f.value == target, "complete graph must admit a full b-matching"
+    if f.value != target:
+        raise VerificationError("complete graph must admit a full b-matching")
     edges = frozenset(
         a.coord for a, v in zip(net.arcs, f.arc_values) if a.coord is not None and v > 0
     )
     overlap = len(edges & g.edges)
-    assert f.cost() + overlap == target, "cost must count exactly the new edges"
+    if f.cost() + overlap != target:
+        raise VerificationError("b-matching cost must count exactly the new edges")
     return BMatching(edges, k_star + 1)
 
 
@@ -107,7 +112,7 @@ def min_edges_for_target(g: BipartiteGraph, k_star: int) -> AugmentationPlan:
         raise InvalidKError(
             f"target resilience {k_star} outside [0, {g.n_right - 1}]"
         )
-    current = strong_resilience(g).strong_resilience
+    current = _strong_resilience_value(g)
     if current >= k_star:
         return AugmentationPlan((), 0, current, g, None)
     bm = fair_b_matching(g, k_star)
@@ -173,7 +178,8 @@ def increment_matchings(
         )
     net = flow_engine.build_augmentation_network(g, k)
     f = flow_engine.max_flow(net)
-    assert f.value == g.n_left, "complement flow must route one unit per row"
+    if f.value != g.n_left:
+        raise VerificationError("complement flow must route one unit per row")
     picked = flow_engine.induced_subgraph(g, f)
     result = union_disjoint(g, picked)
     return result, picked.sorted_edges

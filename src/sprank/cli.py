@@ -40,7 +40,22 @@ def _oracle_budget() -> oracle_mod.OracleBudget:
     raw = os.environ.get("SPRANK_ORACLE_BUDGET")
     if raw is None:
         return oracle_mod.DEFAULT_BUDGET
-    return oracle_mod.OracleBudget(max_subsets=int(raw))
+    try:
+        return oracle_mod.OracleBudget(max_subsets=int(raw))
+    except ValueError:
+        raise _UsageError(
+            f"SPRANK_ORACLE_BUDGET must be a positive integer, got {raw!r}"
+        ) from None
+
+
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
 
 
 def _edges_1based(edges) -> list[list[int]]:
@@ -187,7 +202,7 @@ def build_parser() -> _ArgumentParser:
     p_res = sub.add_parser("resilience", help="strong (default) or weak resilience")
     p_res.add_argument("file")
     p_res.add_argument("--weak", action="store_true")
-    p_res.add_argument("--budget", type=int, default=None)
+    p_res.add_argument("--budget", type=_nonnegative_int, default=None)
     p_res.add_argument("--json", action="store_true")
     p_res.set_defaults(func=_cmd_resilience)
 
@@ -201,7 +216,7 @@ def build_parser() -> _ArgumentParser:
     p_aug.add_argument("file")
     group = p_aug.add_mutually_exclusive_group(required=True)
     group.add_argument("--target", type=int, default=None, metavar="K")
-    group.add_argument("--budget", type=int, default=None, metavar="P")
+    group.add_argument("--budget", type=_nonnegative_int, default=None, metavar="P")
     p_aug.add_argument("--out", default=None, metavar="FILE")
     p_aug.add_argument("--json", action="store_true")
     p_aug.set_defaults(func=_cmd_augment)
@@ -219,11 +234,10 @@ def run(argv, out=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        return args.func(args, out)
     except _UsageError as exc:
         print(f"sprank: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        return args.func(args, out)
     except BudgetExceededError as exc:
         print(f"sprank: budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -37,6 +37,10 @@ class NotMaximalError(SprankError):
     """A flow passed where a maximum flow is required is not maximal."""
 
 
+class VerificationError(SprankError):
+    """A computed result failed its own consistency check (a solver fault, not bad input)."""
+
+
 class TagMismatchError(SprankError):
     """A flow's network carries no pattern-coordinate tags."""
 

@@ -11,6 +11,13 @@ Two network builders are provided:
 
 Solvers are deterministic: nodes and arcs are scanned in ascending index
 order, so repeated runs on the same network produce identical flows.
+
+Structural rank and strong resilience do not build either network.  They
+run :func:`matching_number` and :func:`resilience_sweep`, which keep the
+flow of the resilience network as a b-matching H of g and raise the level
+ell one step at a time.  Raising ell only raises the source and sink
+capacities, so the flow at ell stays feasible at ell+1 and is extended by
+shortest augmenting paths (Hopcroft & Karp 1973) from the rows below ell.
 """
 
 from __future__ import annotations
@@ -19,12 +26,12 @@ from collections import deque
 from dataclasses import dataclass
 import heapq
 
-from .errors import NotMaximalError, TagMismatchError
+from .errors import NotMaximalError, TagMismatchError, VerificationError
 from .pattern import BipartiteGraph
 
-# When enabled (test builds), every max_flow call also extracts a min cut and
-# asserts the max-flow = min-cut identity.  Counters let tests confirm the
-# hook actually fired.
+# When enabled (test builds), every solve also extracts a min cut and checks
+# the max-flow = min-cut identity.  Counters let tests confirm the hook
+# actually fired.
 VERIFY_MIN_CUT = False
 MIN_CUT_CHECKS = 0
 
@@ -240,9 +247,8 @@ def _maybe_verify_min_cut(net: FlowNetwork, flow: Flow) -> None:
     if not VERIFY_MIN_CUT:
         return
     cut = min_cut(net, flow)
-    assert cut.capacity == flow.value, (
-        f"max-flow {flow.value} != min-cut {cut.capacity}"
-    )
+    if cut.capacity != flow.value:
+        raise VerificationError(f"max-flow {flow.value} != min-cut {cut.capacity}")
     MIN_CUT_CHECKS += 1
 
 
@@ -315,3 +321,158 @@ def induced_subgraph(g: BipartiteGraph, f: Flow) -> BipartiteGraph:
         raise TagMismatchError("flow's network carries no pattern-coordinate tags")
     edges = frozenset(coord for (coord, v) in tagged if v > 0)
     return BipartiteGraph(g.n_left, g.n_right, edges)
+
+
+class _LevelFlow:
+    """The flow of ``build_resilience_network(g, level)`` as a b-matching H of g.
+
+    ``row_cols[i]`` and ``col_rows[j]`` hold H's edges at row i and column
+    j, so their sizes are the flows on s -> row i and column j -> t.  The
+    level is not stored: each call names the level whose capacities apply.
+    """
+
+    def __init__(self, g: BipartiteGraph):
+        self.g = g
+        self.adj = [[] for _ in range(g.n_left)]
+        for (i, j) in g.sorted_edges:
+            self.adj[i].append(j)
+        self.row_cols = [set() for _ in range(g.n_left)]
+        self.col_rows = [set() for _ in range(g.n_right)]
+
+    def augment(self, r: int, level: int) -> bool:
+        """Push one unit s -> r -> ... -> t along a shortest path; False if none.
+
+        A row whose search fails stays unaugmentable at this level: any
+        later augmenting path avoids the set the search reached, so that
+        set stays closed.
+        """
+        adj, row_cols, col_rows = self.adj, self.row_cols, self.col_rows
+        via = {}  # column -> the row that reached it over a non-H edge
+        parent = {r: -1}  # row -> the column that reached it over an H edge
+        queue = deque([r])
+        while queue:
+            u = queue.popleft()
+            held = row_cols[u]
+            for j in adj[u]:
+                if j in held or j in via:
+                    continue
+                via[j] = u
+                if len(col_rows[j]) < level:
+                    # Flip the path: each row takes its new column and drops
+                    # the column it was reached through.
+                    while j >= 0:
+                        u = via[j]
+                        row_cols[u].add(j)
+                        col_rows[j].add(u)
+                        j = parent[u]
+                        if j >= 0:
+                            row_cols[u].discard(j)
+                            col_rows[j].discard(u)
+                    return True
+                for w in col_rows[j]:
+                    if w not in parent:
+                        parent[w] = j
+                        queue.append(w)
+        return False
+
+    def fill(self, level: int, stop_early: bool) -> int:
+        """Augment each row below ``level`` once; the number of rows left short.
+
+        With ``stop_early`` the first short row ends the pass, which then
+        need not be a maximum flow.
+        """
+        short = 0
+        for i in range(self.g.n_left):
+            if len(self.row_cols[i]) < level and not self.augment(i, level):
+                short += 1
+                if stop_early:
+                    break
+        return short
+
+    def verify_min_cut(self, level: int, short: bool) -> None:
+        """Check max-flow = min-cut at ``level`` in ``build_resilience_network(g, level)``.
+
+        The source side is s plus the rows and columns s reaches in the
+        residual graph; its capacity is summed from g.  With ``short`` the
+        flow must also fall below n * level, which certifies that level
+        infeasible.
+        """
+        global MIN_CUT_CHECKS
+        g, row_cols = self.g, self.row_cols
+        n = g.n_left
+        rows = {i for i in range(n) if len(row_cols[i]) < level}
+        cols = set()
+        queue = deque(rows)
+        while queue:
+            u = queue.popleft()
+            for j in self.adj[u]:
+                if j in row_cols[u] or j in cols:
+                    continue
+                if len(self.col_rows[j]) < level:
+                    raise VerificationError(
+                        f"an augmenting path remains at level {level}; flow is not maximum"
+                    )
+                cols.add(j)
+                for w in self.col_rows[j]:
+                    if w not in rows:
+                        rows.add(w)
+                        queue.append(w)
+        capacity = level * (n - len(rows) + len(cols))
+        capacity += sum(1 for (i, j) in g.edges if i in rows and j not in cols)
+        value = sum(len(held) for held in row_cols)
+        if capacity != value:
+            raise VerificationError(f"max-flow {value} != min-cut {capacity} at level {level}")
+        if short and value >= n * level:
+            raise VerificationError(f"flow {value} saturates level {level} said to fall short")
+        MIN_CUT_CHECKS += 1
+
+
+@dataclass(frozen=True)
+class ResilienceSweep:
+    """What one ascending sweep over the resilience levels finds.
+
+    ``witness`` is the saturated flow at level ``ell_star`` as a subgraph of
+    g: a union of ell* disjoint left-perfect matchings (empty if ell* = 0).
+    """
+
+    rank: int
+    ell_star: int
+    witness: BipartiteGraph
+
+
+def matching_number(g: BipartiteGraph) -> int:
+    """Maximum matching size: the level-1 flow, by Kuhn's algorithm."""
+    h = _LevelFlow(g)
+    short = h.fill(1, stop_early=False)
+    if VERIFY_MIN_CUT:
+        h.verify_min_cut(1, short=False)
+    return g.n_left - short
+
+
+def resilience_sweep(g: BipartiteGraph) -> ResilienceSweep:
+    """Rank, ell* and a witness from one warm-started ascending sweep.
+
+    Level 1 gives the rank.  With full rank each further level augments
+    every row once more, until a row falls short or ell reaches the
+    minimum left degree, past which no level saturates.  H is copied
+    before each probe because a failed probe changes it.  With
+    ``VERIFY_MIN_CUT`` the failed level is finished to a maximum flow and
+    its min cut is checked.
+    """
+    n = g.n_left
+    h = _LevelFlow(g)
+    rank = n - h.fill(1, stop_early=False)
+    ell, witness = 0, []
+    if rank == n:
+        cap = min(g.left_degrees())
+        ell = 1
+        while True:
+            witness = [(i, j) for i in range(n) for j in h.row_cols[i]]
+            if ell == cap and not VERIFY_MIN_CUT:
+                break
+            if h.fill(ell + 1, stop_early=not VERIFY_MIN_CUT):
+                break
+            ell += 1
+    if VERIFY_MIN_CUT:
+        h.verify_min_cut(ell + 1, short=True)
+    return ResilienceSweep(rank, ell, BipartiteGraph(n, g.n_right, frozenset(witness)))

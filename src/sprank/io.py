@@ -16,6 +16,11 @@ from .pattern import BipartiteGraph, Matching, SparsityPattern, pattern_from_sta
 _PALETTE = ["red", "green", "blue", "orange", "purple", "brown", "cyan", "magenta"]
 
 
+def _is_int(x) -> bool:
+    # JSON true/false load as bool, which is a subclass of int.
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_text(src: str) -> SparsityPattern:
     """Parse the .spm text format."""
     rows: list[tuple[int, str]] = []
@@ -75,7 +80,7 @@ def parse_json(src: str) -> SparsityPattern:
         if key not in doc:
             raise ParseError(f"missing field {key!r}")
     n, m, stars = doc["n"], doc["m"], doc["stars"]
-    if not isinstance(n, int) or not isinstance(m, int):
+    if not _is_int(n) or not _is_int(m):
         raise ParseError("'n' and 'm' must be integers")
     if not isinstance(stars, list):
         raise ParseError("'stars' must be an array of [row, col] pairs")
@@ -84,7 +89,7 @@ def parse_json(src: str) -> SparsityPattern:
         if (
             not isinstance(entry, list)
             or len(entry) != 2
-            or not all(isinstance(x, int) for x in entry)
+            or not all(_is_int(x) for x in entry)
         ):
             raise ParseError(f"bad star entry {entry!r}")
         coords.append((entry[0], entry[1]))

@@ -1,10 +1,12 @@
 """Structural rank and the exact degree of strong resilience.
 
 The degree of strong resilience of a graph is one less than the largest ell
-for which the resilience network admits a saturated flow of value n*ell;
-that flow's induced subgraph decomposes into ell disjoint left-perfect
-matchings.  Weak resilience has no known efficient characterization and is
-computed here by direct subset enumeration under a work budget.
+for which the resilience network admits a saturated flow of value n*ell.
+One ascending sweep of the flow engine finds that ell together with a
+saturated flow, whose subgraph splits into ell disjoint left-perfect
+matchings by Koenig's edge-colouring theorem.  Weak resilience has no known
+efficient characterization and is computed here by direct subset
+enumeration under a work budget.
 """
 
 from __future__ import annotations
@@ -13,7 +15,12 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import flow as flow_engine
-from .errors import BudgetExceededError, NotDecomposableError, ShapeError
+from .errors import (
+    BudgetExceededError,
+    NotDecomposableError,
+    ShapeError,
+    VerificationError,
+)
 from .pattern import BipartiteGraph, Matching, is_union_of_k_matchings
 
 DEFAULT_WEAK_BUDGET = 10**6
@@ -30,110 +37,92 @@ class ResilienceReport:
     witness_subgraph: BipartiteGraph
 
     def __post_init__(self):
-        assert self.strong_resilience == self.ell_star - 1
-        assert len(self.matchings) == self.ell_star
-        union = frozenset().union(*(m.edges for m in self.matchings)) if self.matchings else frozenset()
-        assert union == self.witness_subgraph.edges
-        assert sum(len(m.edges) for m in self.matchings) == len(union)
+        union = frozenset().union(*(m.edges for m in self.matchings))
+        if (
+            self.strong_resilience != self.ell_star - 1
+            or len(self.matchings) != self.ell_star
+            or union != self.witness_subgraph.edges
+            or sum(len(m.edges) for m in self.matchings) != len(union)
+        ):
+            raise VerificationError(
+                "resilience report is inconsistent: ell*, resilience, matchings "
+                "and witness disagree"
+            )
 
 
 def structural_rank(g: BipartiteGraph) -> int:
     """Maximum matching size, i.e. the structural rank of the pattern."""
-    net = flow_engine.build_resilience_network(g, 1)
-    return flow_engine.max_flow(net).value
+    return flow_engine.matching_number(g)
 
 
-def _saturated_flow(g: BipartiteGraph, ell: int):
-    """Max flow at level ell, or None if it falls short of n*ell."""
-    net = flow_engine.build_resilience_network(g, ell)
-    f = flow_engine.max_flow(net)
-    return f if f.value == g.n_left * ell else None
-
-
-def strong_resilience(g: BipartiteGraph, linear_scan: bool = False) -> ResilienceReport:
-    """Exact degree of strong resilience with a decomposition witness.
-
-    The default searches ell by bisection over [0, min left degree], valid
-    because saturated-flow feasibility is monotone decreasing in ell.
-    ``linear_scan=True`` instead decrements ell from m, for cross-checking.
-    """
+def _sweep(g: BipartiteGraph) -> flow_engine.ResilienceSweep:
     if g.n_right < g.n_left:
         raise ShapeError(
             f"graph has {g.n_left} left but only {g.n_right} right nodes"
         )
-    n = g.n_left
-    left_degs = g.left_degrees()
-    rank = structural_rank(g)
-    if rank < n or min(left_degs) == 0:
-        return ResilienceReport(rank, -1, 0, (), BipartiteGraph(n, g.n_right, frozenset()))
-
-    upper = min(min(left_degs), g.n_right)
-    if linear_scan:
-        ell_star = 0
-        for ell in range(upper, 0, -1):
-            if _saturated_flow(g, ell) is not None:
-                ell_star = ell
-                break
-    else:
-        # rank == n makes ell = 1 feasible; bisect for the largest feasible.
-        lo, hi = 1, upper
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if _saturated_flow(g, mid) is not None:
-                lo = mid
-            else:
-                hi = mid - 1
-        ell_star = lo
-
-    f = _saturated_flow(g, ell_star)
-    witness = flow_engine.induced_subgraph(g, f)
-    matchings = extract_disjoint_matchings(witness, ell_star)
-    return ResilienceReport(rank, ell_star - 1, ell_star, tuple(matchings), witness)
+    return flow_engine.resilience_sweep(g)
 
 
-def _peel_matching(h: BipartiteGraph, k: int) -> BipartiteGraph:
-    """A left-perfect matching of h covering every right node of degree k.
+def _strong_resilience_value(g: BipartiteGraph) -> int:
+    """The degree of strong resilience alone, without decomposing the witness."""
+    return _sweep(g).ell_star - 1
 
-    Covering the full-degree right nodes is what keeps the residual graph
-    decomposable into k-1 disjoint matchings; an arbitrary left-perfect
-    matching may miss one of them.  Encoded as a min-cost flow where
-    skipping a full-degree column costs 1.
-    """
-    n, m = h.n_left, h.n_right
-    right_degs = h.right_degrees()
-    arcs = []
-    for i in range(n):
-        arcs.append(flow_engine.Arc(0, 2 + i, 1, kind="E0"))
-    for (i, j) in h.sorted_edges:
-        arcs.append(flow_engine.Arc(2 + i, 2 + n + j, 1, kind="E1", coord=(i, j)))
-    for j in range(m):
-        cost = 0 if right_degs[j] == k else 1
-        arcs.append(flow_engine.Arc(2 + n + j, 1, 1, cost=cost, kind="E0"))
-    net = flow_engine.FlowNetwork(2 + n + m, 0, 1, tuple(arcs))
-    f = flow_engine.min_cost_max_flow(net)
-    assert f.value == n, "residual graph lost its left-perfect matching"
-    full = sum(1 for d in right_degs if d == k)
-    assert f.cost() == n - full, "matching must cover every full-degree column"
-    return flow_engine.induced_subgraph(h, f)
+
+def strong_resilience(g: BipartiteGraph) -> ResilienceReport:
+    """Exact degree of strong resilience with a decomposition witness."""
+    sweep = _sweep(g)
+    matchings = (
+        extract_disjoint_matchings(sweep.witness, sweep.ell_star) if sweep.ell_star else []
+    )
+    return ResilienceReport(
+        sweep.rank, sweep.ell_star - 1, sweep.ell_star, tuple(matchings), sweep.witness
+    )
 
 
 def extract_disjoint_matchings(h: BipartiteGraph, ell: int) -> list[Matching]:
     """Split a union of ell disjoint left-perfect matchings into its parts.
 
-    Peels one left-perfect matching at a time, always covering the columns
-    of maximal degree so each residual graph again satisfies the degree
-    conditions at the next level down.
+    Every left degree is ell and no right degree exceeds ell, so by
+    Koenig's line-colouring theorem h has a proper ell-edge-colouring; each
+    colour class is then a left-perfect matching.  Edges are coloured in
+    sorted order.  An edge (u, v) takes the smallest colour a free at u;
+    if a is taken at v, the a/b path from v, with b the smallest colour
+    free at v, has its two colours swapped first.  In a bipartite graph
+    that path never reaches u.
     """
     if not is_union_of_k_matchings(h, ell):
         raise NotDecomposableError(
             f"graph is not a union of {ell} disjoint left-perfect matchings"
         )
+    # at_row[i][c] / at_col[j][c]: the other end of the colour-c edge, or -1.
+    at_row = [[-1] * ell for _ in range(h.n_left)]
+    at_col = [[-1] * ell for _ in range(h.n_right)]
+    for (u, v) in h.sorted_edges:
+        a = at_row[u].index(-1)
+        if at_col[v][a] >= 0:
+            b = at_col[v].index(-1)
+            # Walk the a/b path from v; a + b - c is the other of the two colours.
+            path = []
+            node, on_col, c = v, True, a
+            while True:
+                nxt = at_col[node][c] if on_col else at_row[node][c]
+                if nxt < 0:
+                    break
+                path.append(((nxt, node) if on_col else (node, nxt), c))
+                node, on_col, c = nxt, not on_col, a + b - c
+            for (i, j), c in path:
+                at_row[i][c] = at_col[j][c] = -1
+            for (i, j), c in path:
+                at_row[i][a + b - c] = j
+                at_col[j][a + b - c] = i
+        at_row[u][a] = v
+        at_col[v][a] = u
     matchings = []
-    current = h
-    for level in range(ell, 0, -1):
-        picked = _peel_matching(current, level)
-        matchings.append(Matching(picked.edges))
-        current = BipartiteGraph(h.n_left, h.n_right, current.edges - picked.edges)
+    for c in range(ell):
+        edges = frozenset((i, at_row[i][c]) for i in range(h.n_left))
+        if len({j for (_, j) in edges}) != h.n_left or not edges <= h.edges:
+            raise VerificationError(f"colour class {c} is not a left-perfect matching of h")
+        matchings.append(Matching(edges))
     return matchings
 
 

@@ -141,6 +141,20 @@ class TestErrorPaths:
         code, _ = invoke(["rank", fig3_file, "--bogus"])
         assert code == 2
 
+    def test_bad_oracle_budget_is_usage_error(self, fig7_file, monkeypatch):
+        for raw in ("abc", "0"):
+            monkeypatch.setenv("SPRANK_ORACLE_BUDGET", raw)
+            code, _ = invoke(["verify", fig7_file])
+            assert code == 2
+
+    def test_negative_augment_budget_is_usage_error(self, fig7_file):
+        code, _ = invoke(["augment", fig7_file, "--budget", "-1"])
+        assert code == 2
+
+    def test_negative_weak_budget_is_usage_error(self, fig3_file):
+        code, _ = invoke(["resilience", fig3_file, "--weak", "--budget", "-5"])
+        assert code == 2
+
     def test_deficient_pattern_exit(self, tmp_path):
         path = tmp_path / "deficient.spm"
         path.write_text(DEFICIENT_TEXT)

@@ -67,6 +67,18 @@ class TestJsonFormat:
         with pytest.raises(ParseError, match="stars"):
             io_mod.parse_json('{"n":1,"m":1}')
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"n":true,"m":2,"stars":[[1,1]]}',
+            '{"n":1,"m":false,"stars":[]}',
+            '{"n":1,"m":2,"stars":[[true,1]]}',
+        ],
+    )
+    def test_booleans_are_not_integers(self, doc):
+        with pytest.raises(ParseError):
+            io_mod.parse_json(doc)
+
     def test_round_trip(self):
         p = io_mod.parse_text(FIG3_TEXT)
         assert io_mod.parse_json(io_mod.serialize_json(p)) == p

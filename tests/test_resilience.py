@@ -1,12 +1,43 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sprank as sp
+from sprank import flow as flow_engine
 from sprank import oracle
-from sprank.errors import BudgetExceededError, NotDecomposableError, ShapeError
+from sprank.errors import (
+    BudgetExceededError,
+    NotDecomposableError,
+    ShapeError,
+    SprankError,
+    VerificationError,
+)
 
 from conftest import random_graph, random_union_of_matchings
+
+
+@st.composite
+def small_graphs(draw):
+    """Graphs with n <= 4 and m <= 5 columns, square (n = m) about half the time."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.one_of(st.just(n), st.integers(n, 5)))
+    cells = [(i, j) for i in range(n) for j in range(m)]
+    edges = draw(st.sets(st.sampled_from(cells)))
+    return sp.BipartiteGraph(n, m, frozenset(edges))
+
+
+differential = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def strong_resilience_unverified(g):
+    # The min-cut hook changes how far the sweep runs, so check the path a
+    # default (unverified) caller takes as well.
+    flow_engine.VERIFY_MIN_CUT = False
+    try:
+        return sp.strong_resilience(g)
+    finally:
+        flow_engine.VERIFY_MIN_CUT = True
 
 
 class TestStructuralRank:
@@ -55,15 +86,51 @@ class TestStrongResilience:
         with pytest.raises(ShapeError):
             sp.strong_resilience(g)
 
-    def test_linear_scan_agrees_with_bisection(self):
-        rng = random.Random(11)
-        for _ in range(20):
-            g = random_graph(rng, rng.randint(1, 4), rng.randint(1, 5))
-            if g.n_right < g.n_left:
-                continue
-            a = sp.strong_resilience(g)
-            b = sp.strong_resilience(g, linear_scan=True)
-            assert a.ell_star == b.ell_star
+    @differential
+    @given(small_graphs())
+    def test_sweep_matches_oracle(self, g):
+        r = sp.strong_resilience(g)
+        assert strong_resilience_unverified(g) == r
+        assert sp.structural_rank(g) == r.structural_rank == oracle.brute_rank(g)
+        assert r.strong_resilience == oracle.brute_strong_resilience(g)
+
+    @differential
+    @given(small_graphs())
+    def test_sweep_matches_generic_max_flow(self, g):
+        r = sp.strong_resilience(g)
+        n, ell = g.n_left, r.ell_star
+        assert sp.max_flow(sp.build_resilience_network(g, 1)).value == r.structural_rank
+        assert sp.max_flow(sp.build_resilience_network(g, ell)).value == n * ell
+        assert sp.max_flow(sp.build_resilience_network(g, ell + 1)).value < n * (ell + 1)
+
+    @differential
+    @given(small_graphs())
+    def test_sweep_witness_is_union_inside_g(self, g):
+        r = sp.strong_resilience(g)
+        assert r.witness_subgraph.edges <= g.edges
+        if r.ell_star:
+            assert sp.is_union_of_k_matchings(r.witness_subgraph, r.ell_star)
+        else:
+            assert not r.witness_subgraph.edges
+
+    def test_sweep_cut_check_rejects_unfinished_flow(self, fig3_graph):
+        level = flow_engine._LevelFlow(fig3_graph)
+        level.fill(1, stop_early=False)
+        with pytest.raises(VerificationError):
+            level.verify_min_cut(2, short=True)
+
+    def test_inconsistent_report_rejected(self, fig3_graph):
+        r = sp.strong_resilience(fig3_graph)
+        with pytest.raises(SprankError):
+            sp.ResilienceReport(
+                r.structural_rank, r.strong_resilience + 1, r.ell_star,
+                r.matchings, r.witness_subgraph,
+            )
+        with pytest.raises(SprankError):
+            sp.ResilienceReport(
+                r.structural_rank, r.strong_resilience, r.ell_star,
+                r.matchings[:1], r.witness_subgraph,
+            )
 
     def test_report_witness_invariants(self, fig3_graph):
         r = sp.strong_resilience(fig3_graph)
@@ -159,6 +226,25 @@ class TestExtractDisjointMatchings:
             union = frozenset().union(*(mm.edges for mm in matchings))
             assert union == g.edges
             assert sum(len(mm.edges) for mm in matchings) == k * n
+
+
+    def test_konig_colouring_at_large_ell(self):
+        # Shifted copies of one column order: 20 disjoint left-perfect matchings.
+        rng = random.Random(71)
+        n, m, ell = 50, 60, 20
+        order = rng.sample(range(m), m)
+        shifts = rng.sample(range(m), ell)
+        g = sp.BipartiteGraph(
+            n, m, frozenset((i, order[(i + s) % m]) for i in range(n) for s in shifts)
+        )
+        matchings = sp.extract_disjoint_matchings(g, ell)
+        assert len(matchings) == ell
+        seen = set()
+        for mm in matchings:
+            assert mm.is_left_perfect(n)
+            assert not (mm.edges & seen)
+            seen |= mm.edges
+        assert seen == g.edges
 
 
 class TestWeakResilience:
