@@ -16,6 +16,7 @@ from .errors import InvalidKError, PreconditionFailedError, VerificationError
 from .flow import Arc, FlowNetwork
 from .pattern import (
     BipartiteGraph,
+    check_dense_size,
     complement,
     is_union_of_k_matchings,
     union_disjoint,
@@ -65,6 +66,7 @@ def _fair_b_matching_network(g: BipartiteGraph, k_star: int) -> FlowNetwork:
     All of K's edges are unit middle arcs; arcs already in g cost 0, the
     rest cost 1, so among maximum flows the cheapest reuses g maximally.
     """
+    check_dense_size(g.n_left, g.n_right)
     n, m = g.n_left, g.n_right
     cap = k_star + 1
     left = lambda i: 2 + i
@@ -112,7 +114,11 @@ def min_edges_for_target(g: BipartiteGraph, k_star: int) -> AugmentationPlan:
         raise InvalidKError(
             f"target resilience {k_star} outside [0, {g.n_right - 1}]"
         )
-    current = _strong_resilience_value(g)
+    return _plan(g, k_star, _strong_resilience_value(g))
+
+
+def _plan(g: BipartiteGraph, k_star: int, current: int) -> AugmentationPlan:
+    """The plan for target k* given g's current strong resilience."""
     if current >= k_star:
         return AugmentationPlan((), 0, current, g, None)
     bm = fair_b_matching(g, k_star)
@@ -131,23 +137,24 @@ def best_within_budget(
 ) -> AugmentationPlan:
     """Best strong resilience reachable by adding at most p edges.
 
-    Evaluates the minimum addition cost for every target k in [0, m-1]
-    (monotonicity in k is not assumed) and keeps the largest affordable
-    target.  With ``exact_spend`` the plan is padded with the
+    A strongly (k+1)-resilient graph is strongly k-resilient, so delta*
+    never decreases in k and the affordable targets form a prefix of
+    [0, m-1]: targets are tried upward until the first one costs more than
+    p.  With ``exact_spend`` the plan is padded with the
     lexicographically-smallest unused complement edges to spend exactly p.
     """
     if p < 0:
         raise ValueError("budget must be nonnegative")
+    current = _strong_resilience_value(g)
     best = None
-    best_k = -1
     for k in range(g.n_right):
-        plan = min_edges_for_target(g, k)
-        if plan.delta_star <= p:
-            best, best_k = plan, k
+        plan = _plan(g, k, current)
+        if plan.delta_star > p:
+            break
+        best = plan
     if best is None:
         # Not even rank can be restored within budget.
         return AugmentationPlan((), 0, -1, g, None)
-    achieved = max(best.achieved_resilience, best_k)
     if exact_spend and best.delta_star < p:
         spare = [
             e
@@ -156,10 +163,10 @@ def best_within_budget(
         ][: p - best.delta_star]
         added = tuple(sorted(best.added_edges + tuple(spare)))
         result = BipartiteGraph(g.n_left, g.n_right, g.edges | set(added))
-        return AugmentationPlan(added, len(added), achieved, result, best.b_matching)
-    return AugmentationPlan(
-        best.added_edges, best.delta_star, achieved, best.result_graph, best.b_matching
-    )
+        return AugmentationPlan(
+            added, len(added), best.achieved_resilience, result, best.b_matching
+        )
+    return best
 
 
 def increment_matchings(

@@ -2,8 +2,9 @@
 
 Subcommands: rank, resilience, decompose, augment, verify.
 
-Exit codes: 0 success; 1 parse/shape errors; 2 invalid flags; 3 computed
-negative/deficient result; 4 budget exceeded.
+Exit codes: 0 success; 1 parse/shape errors, patterns over the dense-size
+cap and failed self-checks; 2 invalid flags; 3 computed negative/deficient
+result; 4 budget exceeded.
 """
 
 from __future__ import annotations
@@ -228,12 +229,15 @@ def build_parser() -> _ArgumentParser:
     return parser
 
 
+# Built once: parse_args returns a fresh namespace on every call.
+_PARSER = build_parser()
+
+
 def run(argv, out=None) -> int:
     """Dispatch a command line; returns the exit code."""
     out = out if out is not None else sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return args.func(args, out)
     except _UsageError as exc:
         print(f"sprank: {exc}", file=sys.stderr)
@@ -248,3 +252,7 @@ def run(argv, out=None) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -10,7 +10,9 @@ Two network builders are provided:
   n complement edges that lift a union of k matchings to k+1.
 
 Solvers are deterministic: nodes and arcs are scanned in ascending index
-order, so repeated runs on the same network produce identical flows.
+order, so repeated runs on the same network produce identical flows.  Every
+solve checks max-flow = min-cut before it returns and raises
+:class:`~sprank.errors.VerificationError` if the two differ.
 
 Structural rank and strong resilience do not build either network.  They
 run :func:`matching_number` and :func:`resilience_sweep`, which keep the
@@ -27,13 +29,7 @@ from dataclasses import dataclass
 import heapq
 
 from .errors import NotMaximalError, TagMismatchError, VerificationError
-from .pattern import BipartiteGraph
-
-# When enabled (test builds), every solve also extracts a min cut and checks
-# the max-flow = min-cut identity.  Counters let tests confirm the hook
-# actually fired.
-VERIFY_MIN_CUT = False
-MIN_CUT_CHECKS = 0
+from .pattern import BipartiteGraph, check_dense_size
 
 
 @dataclass(frozen=True)
@@ -148,6 +144,7 @@ def build_augmentation_network(g: BipartiteGraph, k: int) -> FlowNetwork:
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
+    check_dense_size(g.n_left, g.n_right)
     n, m = g.n_left, g.n_right
     left = lambda i: 2 + i
     right = lambda j: 2 + n + j
@@ -214,13 +211,16 @@ def max_flow(net: FlowNetwork) -> Flow:
             values[idx] += bottleneck if fwd else -bottleneck
         total += bottleneck
     flow = Flow(net, tuple(values), total)
-    _maybe_verify_min_cut(net, flow)
+    _verify_min_cut(net, adj, flow)
     return flow
 
 
 def min_cut(net: FlowNetwork, f: Flow) -> Cut:
     """Source side of a minimum cut: residual-reachable nodes from s."""
-    adj = _residual_adjacency(net)
+    return _min_cut(net, _residual_adjacency(net), f.arc_values)
+
+
+def _min_cut(net: FlowNetwork, adj, values) -> Cut:
     reachable = {net.source}
     queue = deque([net.source])
     while queue:
@@ -228,7 +228,7 @@ def min_cut(net: FlowNetwork, f: Flow) -> Cut:
         for (v, idx, fwd) in adj[u]:
             if v in reachable:
                 continue
-            residual = net.arcs[idx].capacity - f.arc_values[idx] if fwd else f.arc_values[idx]
+            residual = net.arcs[idx].capacity - values[idx] if fwd else values[idx]
             if residual > 0:
                 reachable.add(v)
                 queue.append(v)
@@ -242,14 +242,11 @@ def min_cut(net: FlowNetwork, f: Flow) -> Cut:
     return Cut(frozenset(reachable), capacity)
 
 
-def _maybe_verify_min_cut(net: FlowNetwork, flow: Flow) -> None:
-    global MIN_CUT_CHECKS
-    if not VERIFY_MIN_CUT:
-        return
-    cut = min_cut(net, flow)
+def _verify_min_cut(net: FlowNetwork, adj, flow: Flow) -> None:
+    """Check max-flow = min-cut on the residual adjacency the solver built."""
+    cut = _min_cut(net, adj, flow.arc_values)
     if cut.capacity != flow.value:
         raise VerificationError(f"max-flow {flow.value} != min-cut {cut.capacity}")
-    MIN_CUT_CHECKS += 1
 
 
 def min_cost_max_flow(net: FlowNetwork) -> Flow:
@@ -302,7 +299,7 @@ def min_cost_max_flow(net: FlowNetwork) -> Flow:
             values[idx] += bottleneck if fwd else -bottleneck
         total += bottleneck
     flow = Flow(net, tuple(values), total)
-    _maybe_verify_min_cut(net, flow)
+    _verify_min_cut(net, adj, flow)
     return flow
 
 
@@ -375,18 +372,12 @@ class _LevelFlow:
                         queue.append(w)
         return False
 
-    def fill(self, level: int, stop_early: bool) -> int:
-        """Augment each row below ``level`` once; the number of rows left short.
-
-        With ``stop_early`` the first short row ends the pass, which then
-        need not be a maximum flow.
-        """
+    def fill(self, level: int) -> int:
+        """Augment each row below ``level`` once; the number of rows left short."""
         short = 0
         for i in range(self.g.n_left):
             if len(self.row_cols[i]) < level and not self.augment(i, level):
                 short += 1
-                if stop_early:
-                    break
         return short
 
     def verify_min_cut(self, level: int, short: bool) -> None:
@@ -397,7 +388,6 @@ class _LevelFlow:
         flow must also fall below n * level, which certifies that level
         infeasible.
         """
-        global MIN_CUT_CHECKS
         g, row_cols = self.g, self.row_cols
         n = g.n_left
         rows = {i for i in range(n) if len(row_cols[i]) < level}
@@ -424,7 +414,6 @@ class _LevelFlow:
             raise VerificationError(f"max-flow {value} != min-cut {capacity} at level {level}")
         if short and value >= n * level:
             raise VerificationError(f"flow {value} saturates level {level} said to fall short")
-        MIN_CUT_CHECKS += 1
 
 
 @dataclass(frozen=True)
@@ -443,9 +432,8 @@ class ResilienceSweep:
 def matching_number(g: BipartiteGraph) -> int:
     """Maximum matching size: the level-1 flow, by Kuhn's algorithm."""
     h = _LevelFlow(g)
-    short = h.fill(1, stop_early=False)
-    if VERIFY_MIN_CUT:
-        h.verify_min_cut(1, short=False)
+    short = h.fill(1)
+    h.verify_min_cut(1, short=False)
     return g.n_left - short
 
 
@@ -453,26 +441,19 @@ def resilience_sweep(g: BipartiteGraph) -> ResilienceSweep:
     """Rank, ell* and a witness from one warm-started ascending sweep.
 
     Level 1 gives the rank.  With full rank each further level augments
-    every row once more, until a row falls short or ell reaches the
-    minimum left degree, past which no level saturates.  H is copied
-    before each probe because a failed probe changes it.  With
-    ``VERIFY_MIN_CUT`` the failed level is finished to a maximum flow and
-    its min cut is checked.
+    every row once more, until a row falls short; no level above the
+    minimum left degree saturates, so the sweep ends there at the latest.
+    H is copied before each probe because a failed probe changes it.  The
+    failed level ends as a maximum flow, and its min cut is checked.
     """
     n = g.n_left
     h = _LevelFlow(g)
-    rank = n - h.fill(1, stop_early=False)
+    short = h.fill(1)
+    rank = n - short
     ell, witness = 0, []
-    if rank == n:
-        cap = min(g.left_degrees())
-        ell = 1
-        while True:
-            witness = [(i, j) for i in range(n) for j in h.row_cols[i]]
-            if ell == cap and not VERIFY_MIN_CUT:
-                break
-            if h.fill(ell + 1, stop_early=not VERIFY_MIN_CUT):
-                break
-            ell += 1
-    if VERIFY_MIN_CUT:
-        h.verify_min_cut(ell + 1, short=True)
+    while not short:
+        ell += 1
+        witness = [(i, j) for i in range(n) for j in h.row_cols[i]]
+        short = h.fill(ell + 1)
+    h.verify_min_cut(ell + 1, short=True)
     return ResilienceSweep(rank, ell, BipartiteGraph(n, g.n_right, frozenset(witness)))

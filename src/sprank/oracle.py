@@ -17,8 +17,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import BudgetExceededError
-from .pattern import BipartiteGraph
+from .errors import BudgetExceededError, VerificationError
+from .pattern import BipartiteGraph, check_dense_size, complement
 
 
 @dataclass(frozen=True)
@@ -94,8 +94,10 @@ def brute_rank(g: BipartiteGraph, rng: np.random.Generator | None = None) -> int
     """Maximum matching size, cross-checked against numeric generic rank.
 
     Fills the stars of three random realizations with values in [1, 2] and
-    asserts the row-reduction rank agrees with the matching count.
+    raises VerificationError unless the row-reduction rank agrees with the
+    matching count.
     """
+    check_dense_size(g.n_left, g.n_right)
     size = _max_matching_size(g)
     rng = rng if rng is not None else np.random.default_rng(20240817)
     for _ in range(3):
@@ -103,9 +105,10 @@ def brute_rank(g: BipartiteGraph, rng: np.random.Generator | None = None) -> int
         for (i, j) in g.edges:
             a[i, j] = rng.uniform(1.0, 2.0)
         numeric = _numeric_rank(a)
-        assert numeric == size, (
-            f"generic rank {numeric} disagrees with matching size {size}"
-        )
+        if numeric != size:
+            raise VerificationError(
+                f"generic rank {numeric} disagrees with matching size {size}"
+            )
     return size
 
 
@@ -212,12 +215,7 @@ def brute_min_augmentation(
     g: BipartiteGraph, k_star: int, b: OracleBudget = DEFAULT_BUDGET
 ) -> int:
     """Smallest complement subset whose addition gives strong resilience >= k*."""
-    comp = sorted(
-        (i, j)
-        for i in range(g.n_left)
-        for j in range(g.n_right)
-        if (i, j) not in g.edges
-    )
+    comp = complement(g).sorted_edges
     # Every row needs degree >= k*+1 in the augmented graph, which bounds
     # the answer below without any enumeration.
     left_degs = g.left_degrees()

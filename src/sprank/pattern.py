@@ -17,6 +17,11 @@ from dataclasses import dataclass
 
 from .errors import InvalidKError, NotDisjointError, OutOfRangeError, ShapeError
 
+# Largest n * m for which anything is built cell by cell (the complement, the
+# augmentation networks, the oracle's dense matrices).  A pattern file only
+# has to name n and m, so without a cap a few bytes could demand ~n * m memory.
+MAX_DENSE_CELLS = 10**6
+
 
 @dataclass(frozen=True)
 class SparsityPattern:
@@ -86,10 +91,6 @@ class BipartiteGraph:
         for (_, j) in self.edges:
             degs[j] += 1
         return degs
-
-    def neighbors(self, left: int) -> list[int]:
-        """Right neighbors of a left node, ascending."""
-        return sorted(j for (i, j) in self.edges if i == left)
 
 
 @dataclass(frozen=True)
@@ -180,8 +181,18 @@ def is_union_of_k_matchings(g: BipartiteGraph, k: int) -> bool:
     )
 
 
+def check_dense_size(n: int, m: int) -> None:
+    """Raise ShapeError unless an n x m grid may be built cell by cell."""
+    if n * m > MAX_DENSE_CELLS:
+        raise ShapeError(
+            f"{n} x {m} = {n * m} cells exceeds the dense-size cap of "
+            f"{MAX_DENSE_CELLS} cells"
+        )
+
+
 def complement(g: BipartiteGraph) -> BipartiteGraph:
     """Complement within the complete bipartite graph on the same node sets."""
+    check_dense_size(g.n_left, g.n_right)
     missing = {
         (i, j)
         for i in range(g.n_left)

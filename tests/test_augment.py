@@ -1,12 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given
 
 import sprank as sp
 from sprank import oracle
 from sprank.errors import InvalidKError, PreconditionFailedError
 
-from conftest import random_graph, random_union_of_matchings
+from conftest import differential, random_graph, random_union_of_matchings, small_graphs
 
 
 class TestFairBMatching:
@@ -216,3 +217,18 @@ class TestOracleAgreement:
                 continue
             for k in range(min(3, g.n_right)):
                 assert sp.delta_star(g, k) == oracle.brute_min_augmentation(g, k, budget)
+
+    @differential
+    @given(small_graphs())
+    def test_delta_star_nondecreasing_in_k(self, g):
+        # best_within_budget stops at the first unaffordable target on this.
+        deltas = [sp.delta_star(g, k) for k in range(g.n_right)]
+        assert deltas == sorted(deltas)
+
+    @differential
+    @given(small_graphs())
+    def test_best_within_budget_matches_brute_force(self, g):
+        brute = [oracle.brute_min_augmentation(g, k) for k in range(g.n_right)]
+        for p in range(g.n_left * g.n_right + 1):
+            expected = max((k for k, d in enumerate(brute) if d <= p), default=-1)
+            assert sp.best_within_budget(g, p).achieved_resilience == expected

@@ -1,8 +1,15 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sprank
+from sprank import augment as augment_mod
+from sprank import flow as flow_engine
 from sprank.cli import run
 
 from test_io import FIG3_TEXT
@@ -118,6 +125,16 @@ class TestAugment:
         assert code == 2
 
 
+class TestModuleEntryPoint:
+    def test_python_m_matches_run(self, fig3_file):
+        env = dict(os.environ, PYTHONPATH=str(Path(sprank.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "sprank.cli", "rank", fig3_file],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == invoke(["rank", fig3_file])
+
+
 class TestVerify:
     def test_cross_checks_pass(self, fig7_file):
         code, out = invoke(["verify", fig7_file])
@@ -154,6 +171,20 @@ class TestErrorPaths:
     def test_negative_weak_budget_is_usage_error(self, fig3_file):
         code, _ = invoke(["resilience", fig3_file, "--weak", "--budget", "-5"])
         assert code == 2
+
+    def test_dense_size_cap_is_input_error(self, tmp_path, monkeypatch, capsys):
+        # A few bytes of JSON naming a 10^5 x 10^5 grid; the cap must stop
+        # augment before it builds any arc of the dense network.
+        def no_arcs(*args, **kwargs):
+            raise AssertionError("dense network built past the size cap")
+
+        monkeypatch.setattr(flow_engine, "Arc", no_arcs)
+        monkeypatch.setattr(augment_mod, "Arc", no_arcs)
+        path = tmp_path / "huge.json"
+        path.write_text('{"n": 100000, "m": 100000, "stars": []}')
+        code, _ = invoke(["augment", str(path), "--target", "0"])
+        assert code == 1
+        assert "dense-size cap" in capsys.readouterr().err
 
     def test_deficient_pattern_exit(self, tmp_path):
         path = tmp_path / "deficient.spm"

@@ -4,7 +4,7 @@ import pytest
 
 import sprank as sp
 from sprank import oracle
-from sprank.errors import BudgetExceededError
+from sprank.errors import BudgetExceededError, VerificationError
 
 from conftest import random_graph
 
@@ -26,6 +26,11 @@ class TestBruteRank:
         for _ in range(30):
             g = random_graph(rng, rng.randint(1, 4), rng.randint(1, 5))
             assert oracle.brute_rank(g) == sp.structural_rank(g)
+
+    def test_numeric_disagreement_raises(self, fig3_graph, monkeypatch):
+        monkeypatch.setattr(oracle, "_numeric_rank", lambda a: 0)
+        with pytest.raises(VerificationError):
+            oracle.brute_rank(fig3_graph)
 
 
 class TestBruteWeakResilience:

@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import sprank as sp
+from sprank import oracle
+from sprank import pattern as pattern_mod
 from sprank.errors import InvalidKError, NotDisjointError, OutOfRangeError, ShapeError
 
 from conftest import FIG3_STARS
@@ -120,6 +122,31 @@ class TestComplement:
         comp = sp.complement(fig3_graph)
         assert sp.complement(comp) == fig3_graph
         assert len(fig3_graph.edges) + len(comp.edges) == 4 * 5
+
+
+class TestDenseSizeCap:
+    # Lowering the cap below Fig 7's 2 x 3 = 6 cells shows each per-cell
+    # builder checks it without allocating anything large.
+    @pytest.mark.parametrize(
+        "build",
+        [
+            sp.complement,
+            lambda g: sp.build_augmentation_network(g, 0),
+            lambda g: sp.fair_b_matching(g, 1),
+            lambda g: oracle.brute_min_augmentation(g, 1),
+            oracle.brute_rank,
+        ],
+        ids=["complement", "augmentation_network", "fair_b_matching",
+             "brute_min_augmentation", "brute_rank"],
+    )
+    def test_over_cap_rejected(self, build, fig7_graph, monkeypatch):
+        monkeypatch.setattr(pattern_mod, "MAX_DENSE_CELLS", 5)
+        with pytest.raises(ShapeError):
+            build(fig7_graph)
+
+    def test_at_cap_allowed(self, fig7_graph, monkeypatch):
+        monkeypatch.setattr(pattern_mod, "MAX_DENSE_CELLS", 6)
+        assert sp.complement(fig7_graph).edges == {(0, 2), (1, 2)}
 
 
 class TestUnionDisjoint:

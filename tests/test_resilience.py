@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given
 
 import sprank as sp
 from sprank import flow as flow_engine
@@ -14,30 +14,7 @@ from sprank.errors import (
     VerificationError,
 )
 
-from conftest import random_graph, random_union_of_matchings
-
-
-@st.composite
-def small_graphs(draw):
-    """Graphs with n <= 4 and m <= 5 columns, square (n = m) about half the time."""
-    n = draw(st.integers(1, 4))
-    m = draw(st.one_of(st.just(n), st.integers(n, 5)))
-    cells = [(i, j) for i in range(n) for j in range(m)]
-    edges = draw(st.sets(st.sampled_from(cells)))
-    return sp.BipartiteGraph(n, m, frozenset(edges))
-
-
-differential = settings(max_examples=150, deadline=None, derandomize=True, database=None)
-
-
-def strong_resilience_unverified(g):
-    # The min-cut hook changes how far the sweep runs, so check the path a
-    # default (unverified) caller takes as well.
-    flow_engine.VERIFY_MIN_CUT = False
-    try:
-        return sp.strong_resilience(g)
-    finally:
-        flow_engine.VERIFY_MIN_CUT = True
+from conftest import differential, random_graph, random_union_of_matchings, small_graphs
 
 
 class TestStructuralRank:
@@ -90,7 +67,6 @@ class TestStrongResilience:
     @given(small_graphs())
     def test_sweep_matches_oracle(self, g):
         r = sp.strong_resilience(g)
-        assert strong_resilience_unverified(g) == r
         assert sp.structural_rank(g) == r.structural_rank == oracle.brute_rank(g)
         assert r.strong_resilience == oracle.brute_strong_resilience(g)
 
@@ -115,7 +91,7 @@ class TestStrongResilience:
 
     def test_sweep_cut_check_rejects_unfinished_flow(self, fig3_graph):
         level = flow_engine._LevelFlow(fig3_graph)
-        level.fill(1, stop_early=False)
+        level.fill(1)
         with pytest.raises(VerificationError):
             level.verify_min_cut(2, short=True)
 
