@@ -4,7 +4,17 @@ The target problem reduces to a fair b-matching on the complete bipartite
 graph: pick a maximum-cardinality edge set with every node used at most
 k*+1 times, preferring edges the graph already has.  With two priority
 classes and constant node capacities this is exactly a 0/1-cost
-min-cost max-flow, which is how it is solved here.
+min-cost max-flow.  :func:`sprank.flow.min_cost_b_matching` solves it by
+the primal-dual method without building the n*m-arc network:
+
+* phase 0, at zero potentials, is the maximum (k*+1)-matching of g itself,
+  a warm start that uses only edges g already has;
+* while a row is short, one Dijkstra in reduced costs raises the
+  potentials, and the next phase augments over the pairs whose reduced
+  cost is now 0 (a new edge is a pair one potential step up);
+* the final potentials are a dual certificate: every row at degree k*+1
+  makes the flow maximum, and no residual pair of negative reduced cost
+  makes it of minimum cost.  A failed check raises VerificationError.
 """
 
 from __future__ import annotations
@@ -13,10 +23,8 @@ from dataclasses import dataclass
 
 from . import flow as flow_engine
 from .errors import InvalidKError, PreconditionFailedError, VerificationError
-from .flow import Arc, FlowNetwork
 from .pattern import (
     BipartiteGraph,
-    check_dense_size,
     complement,
     is_union_of_k_matchings,
     union_disjoint,
@@ -60,29 +68,6 @@ class AugmentationPlan:
             )
 
 
-def _fair_b_matching_network(g: BipartiteGraph, k_star: int) -> FlowNetwork:
-    """Min-cost-flow encoding of the fair b-matching over K(n,m).
-
-    All of K's edges are unit middle arcs; arcs already in g cost 0, the
-    rest cost 1, so among maximum flows the cheapest reuses g maximally.
-    """
-    check_dense_size(g.n_left, g.n_right)
-    n, m = g.n_left, g.n_right
-    cap = k_star + 1
-    left = lambda i: 2 + i
-    right = lambda j: 2 + n + j
-    arcs = []
-    for i in range(n):
-        arcs.append(Arc(0, left(i), cap, kind="E0"))
-    for i in range(n):
-        for j in range(m):
-            cost = 0 if (i, j) in g.edges else 1
-            arcs.append(Arc(left(i), right(j), 1, cost=cost, kind="E1", coord=(i, j)))
-    for j in range(m):
-        arcs.append(Arc(right(j), 1, cap, kind="E0"))
-    return FlowNetwork(2 + n + m, 0, 1, tuple(arcs))
-
-
 def fair_b_matching(g: BipartiteGraph, k_star: int) -> BMatching:
     """A maximum b-matching of K(n,m) with budget k*+1 maximizing overlap with g.
 
@@ -93,17 +78,12 @@ def fair_b_matching(g: BipartiteGraph, k_star: int) -> BMatching:
         raise InvalidKError(
             f"target resilience {k_star} outside [0, {g.n_right - 1}]"
         )
-    net = _fair_b_matching_network(g, k_star)
-    f = flow_engine.min_cost_max_flow(net)
-    n = g.n_left
-    target = (k_star + 1) * n
-    if f.value != target:
+    edges, cost = flow_engine.min_cost_b_matching(g, k_star + 1)
+    target = (k_star + 1) * g.n_left
+    if len(edges) != target:
         raise VerificationError("complete graph must admit a full b-matching")
-    edges = frozenset(
-        a.coord for a, v in zip(net.arcs, f.arc_values) if a.coord is not None and v > 0
-    )
     overlap = len(edges & g.edges)
-    if f.cost() + overlap != target:
+    if cost + overlap != target:
         raise VerificationError("b-matching cost must count exactly the new edges")
     return BMatching(edges, k_star + 1)
 

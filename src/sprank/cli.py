@@ -19,7 +19,7 @@ from . import io as io_mod
 from . import oracle as oracle_mod
 from . import resilience as resilience_mod
 from .errors import BudgetExceededError, SprankError
-from .pattern import from_bipartite, to_bipartite
+from .pattern import check_dense_size, from_bipartite, to_bipartite
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -136,6 +136,9 @@ def _cmd_decompose(args, out) -> int:
 
 def _cmd_augment(args, out) -> int:
     g = to_bipartite(io_mod.load_pattern(args.file))
+    if args.out:
+        # The written pattern has n * m tokens.
+        check_dense_size(g.n_left, g.n_right)
     if args.target is not None:
         plan = augment_mod.min_edges_for_target(g, args.target)
     else:
@@ -171,7 +174,7 @@ def _cmd_verify(args, out) -> int:
     checks = []
 
     rank_flow = resilience_mod.structural_rank(g)
-    rank_brute = oracle_mod.brute_rank(g)
+    rank_brute = oracle_mod.brute_rank(g, b=budget)
     checks.append(("rank flow vs oracle", rank_flow == rank_brute))
 
     report = resilience_mod.strong_resilience(g)

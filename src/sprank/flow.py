@@ -20,6 +20,12 @@ flow of the resilience network as a b-matching H of g and raise the level
 ell one step at a time.  Raising ell only raises the source and sink
 capacities, so the flow at ell stays feasible at ell+1 and is extended by
 shortest augmenting paths (Hopcroft & Karp 1973) from the rows below ell.
+
+Augmentation does not build a network either.  :func:`min_cost_b_matching`
+solves the 0/1-cost fair b-matching on the implicit complete graph by the
+primal-dual method: max flows over the arcs of zero reduced cost, starting
+from the maximum b-matching of g itself, alternate with one Dijkstra each,
+and the final dual potentials certify the result.
 """
 
 from __future__ import annotations
@@ -457,3 +463,197 @@ def resilience_sweep(g: BipartiteGraph) -> ResilienceSweep:
         short = h.fill(ell + 1)
     h.verify_min_cut(ell + 1, short=True)
     return ResilienceSweep(rank, ell, BipartiteGraph(n, g.n_right, frozenset(witness)))
+
+
+class _FairFlow:
+    """The fair b-matching of K(n, m) as a min-cost flow, by the primal-dual method.
+
+    The network routes s -> row -> column -> t with capacity ``b`` on the
+    source and sink arcs and a unit arc for every pair (i, j), of cost 0 if
+    g has the edge and 1 if not.  The flow is a b-matching H of K(n, m),
+    kept in per-row and per-column sets as in :class:`_LevelFlow`, beside
+    integer potentials for the rows, the columns and t; s stays at 0.
+    Every residual arc keeps a reduced cost c(u, v) + pi(u) - pi(v) >= 0.
+    """
+
+    def __init__(self, g: BipartiteGraph, b: int):
+        n, m = g.n_left, g.n_right
+        self.n, self.m, self.b = n, m, b
+        self.adj = [[] for _ in range(n)]
+        for (i, j) in g.sorted_edges:
+            self.adj[i].append(j)
+        self.in_g = [set(cols) for cols in self.adj]
+        self.row_cols = [set() for _ in range(n)]
+        self.col_rows = [set() for _ in range(m)]
+        self.pi_row = [0] * n
+        self.pi_col = [0] * m
+        self.pi_t = 0
+
+    def solve(self) -> None:
+        """Alternate phases and potential raises until no row is short or t is out of reach."""
+        while self.phase() and self.raise_potentials():
+            pass
+
+    def phase(self) -> int:
+        """Max flow over the arcs of zero reduced cost; the number of rows left short.
+
+        Row u reaches column j when c(u, j) + pi(u) = pi(j): one of g's
+        columns at u's potential, or a column one above it that g lacks.
+        No column rises above t, and one below t is full (its sink arc has
+        a negative reduced cost), so a column with room reaches t at
+        reduced cost 0.  A row whose search fails stays failed for the rest
+        of the phase, as in :meth:`_LevelFlow.augment`.  With all
+        potentials 0 this is the maximum b-matching of g itself.
+        """
+        n, b, in_g, pi_row, pi_col = self.n, self.b, self.in_g, self.pi_row, self.pi_col
+        by_pi = {}
+        for j, p in enumerate(pi_col):
+            by_pi.setdefault(p, []).append(j)
+        reach = [
+            [j for j in self.adj[u] if pi_col[j] == pi_row[u]]
+            + [j for j in by_pi.get(pi_row[u] + 1, ()) if j not in in_g[u]]
+            for u in range(n)
+        ]
+        short = 0
+        for i in range(n):
+            while len(self.row_cols[i]) < b:
+                if not self._augment(i, reach):
+                    short += 1
+                    break
+        return short
+
+    def _augment(self, r: int, reach) -> bool:
+        """Push one unit s -> r -> ... -> t over zero-reduced-cost arcs; False if none."""
+        b, row_cols, col_rows, in_g = self.b, self.row_cols, self.col_rows, self.in_g
+        pi_row, pi_col = self.pi_row, self.pi_col
+        via = {}  # column -> the row that reached it over a pair outside H
+        parent = {r: -1}  # row -> the column that reached it over a pair of H
+        queue = deque([r])
+        while queue:
+            u = queue.popleft()
+            held = row_cols[u]
+            for j in reach[u]:
+                if j in held or j in via:
+                    continue
+                via[j] = u
+                if len(col_rows[j]) < b:
+                    # Flip the path, as in _LevelFlow.augment.
+                    while j >= 0:
+                        u = via[j]
+                        row_cols[u].add(j)
+                        col_rows[j].add(u)
+                        j = parent[u]
+                        if j >= 0:
+                            row_cols[u].discard(j)
+                            col_rows[j].discard(u)
+                    return True
+                for w in col_rows[j]:
+                    # Back over the pair (w, j) of H only at reduced cost 0.
+                    if w not in parent and pi_col[j] - pi_row[w] == (j not in in_g[w]):
+                        parent[w] = j
+                        queue.append(w)
+        return False
+
+    def raise_potentials(self) -> bool:
+        """One Dijkstra from the short rows in reduced costs; False if t is out of reach.
+
+        Each potential rises by min(dist, dist(t)), which keeps every
+        reduced cost >= 0 and brings a shortest path to t to reduced cost 0.
+        Arcs out of t are left out: what they reach lies at least dist(t)
+        away, and the update never adds more than dist(t).
+        """
+        n, m, b = self.n, self.m, self.b
+        row_cols, col_rows, in_g = self.row_cols, self.col_rows, self.in_g
+        pi_row, pi_col, pi_t = self.pi_row, self.pi_col, self.pi_t
+        inf = float("inf")
+        d_row = [0 if len(held) < b else inf for held in row_cols]
+        d_col = [inf] * m
+        d_t = inf
+        heap = [(0, 0, i) for i in range(n) if d_row[i] == 0]  # (dist, 0 row/1 column/2 t, index)
+        while heap:
+            d, side, x = heapq.heappop(heap)
+            if side == 2:
+                break
+            if side == 0:
+                if d > d_row[x]:
+                    continue
+                held, mine, base = row_cols[x], in_g[x], d + pi_row[x]
+                for j in range(m):
+                    if j not in held:
+                        nd = base + (j not in mine) - pi_col[j]
+                        if nd < d_col[j]:
+                            d_col[j] = nd
+                            heapq.heappush(heap, (nd, 1, j))
+                continue
+            if d > d_col[x]:
+                continue
+            rows, base = col_rows[x], d + pi_col[x]
+            if len(rows) < b and base - pi_t < d_t:
+                d_t = base - pi_t
+                heapq.heappush(heap, (d_t, 2, 0))
+            for w in rows:
+                nd = base - (x not in in_g[w]) - pi_row[w]
+                if nd < d_row[w]:
+                    d_row[w] = nd
+                    heapq.heappush(heap, (nd, 0, w))
+        if d_t == inf:
+            return False
+        self.pi_row = [p + min(d, d_t) for p, d in zip(pi_row, d_row)]
+        self.pi_col = [p + min(d, d_t) for p, d in zip(pi_col, d_col)]
+        self.pi_t = pi_t + d_t
+        return True
+
+    def certify(self) -> int:
+        """Prove H a minimum-cost maximum flow by its potentials; return its cost.
+
+        Every row at degree b saturates the cut {s}, so the flow is maximum,
+        and no residual arc leaves s.  It is of minimum cost if no residual
+        arc has a negative reduced cost: a pair outside H (forward) needs
+        c + pi(i) - pi(j) >= 0 and a pair of H (backward) <= 0; a column
+        below degree b (forward to t) needs pi(j) >= pi(t) and a column
+        above degree 0 (backward from t) pi(j) <= pi(t).  H is read from
+        the rows alone.  Raises VerificationError if any condition fails.
+        """
+        b, in_g, pi_row, pi_col, pi_t = self.b, self.in_g, self.pi_row, self.pi_col, self.pi_t
+        col_deg = [0] * self.m
+        cost = 0
+        for i, held in enumerate(self.row_cols):
+            if len(held) != b:
+                raise VerificationError(
+                    f"row {i} has degree {len(held)}, not {b}: the flow is not maximum"
+                )
+            mine, p = in_g[i], pi_row[i]
+            for j, q in enumerate(pi_col):
+                reduced = (j not in mine) + p - q
+                if (reduced > 0) if j in held else (reduced < 0):
+                    raise VerificationError(
+                        f"pair ({i}, {j}) has reduced cost {reduced}: the flow is not of minimum cost"
+                    )
+            for j in held:
+                col_deg[j] += 1
+                cost += j not in mine
+        for j, (deg, q) in enumerate(zip(col_deg, pi_col)):
+            if deg > b or (deg < b and q < pi_t) or (deg > 0 and q > pi_t):
+                raise VerificationError(
+                    f"column {j} at degree {deg} breaks complementary slackness "
+                    f"(potential {q}, sink {pi_t}, capacity {b})"
+                )
+        return cost
+
+
+def min_cost_b_matching(
+    g: BipartiteGraph, b: int
+) -> tuple[frozenset[tuple[int, int]], int]:
+    """A b-matching of K(n, m) with every row at degree b and fewest pairs outside g.
+
+    Returns the pairs and how many lie outside g.  Phases of max flow over
+    the zero-reduced-cost arcs alternate with one Dijkstra each until no
+    row is short; the first phase, at zero potentials, is the maximum
+    b-matching of g, so only the rows it leaves short cost a Dijkstra.
+    The final potentials certify the result.
+    """
+    check_dense_size(g.n_left, g.n_right)
+    h = _FairFlow(g, b)
+    h.solve()
+    cost = h.certify()
+    return frozenset((i, j) for i, held in enumerate(h.row_cols) for j in held), cost

@@ -5,9 +5,9 @@ backtracking, resilience by subset enumeration, augmentation by trying
 complement subsets in increasing size.  It is deliberately independent of
 the flow-based algorithms so the two routes can check each other.
 
-All searches are budget-bounded by counting work units (subset tests or
-enumerated matchings), never wall-clock, so budget failures are
-deterministic.
+All searches are budget-bounded by counting work units (subset tests,
+enumerated matchings or matching-search nodes), never wall-clock, so budget
+failures are deterministic.
 """
 
 from __future__ import annotations
@@ -43,20 +43,44 @@ def _adjacency(g: BipartiteGraph) -> list[list[int]]:
     return adj
 
 
-def _max_matching_size(g: BipartiteGraph) -> int:
-    """Maximum matching cardinality by exhaustive augmenting search."""
-    adj = _adjacency(g)
+def _max_matching_size(g: BipartiteGraph, max_nodes: int) -> int:
+    """Maximum matching cardinality by exhaustive search over every row's choices.
 
-    def best_from(i: int, used: frozenset[int]) -> int:
-        if i == g.n_left:
-            return 0
-        score = best_from(i + 1, used)  # leave row i unmatched
-        for j in adj[i]:
-            if j not in used:
-                score = max(score, 1 + best_from(i + 1, used | {j}))
-        return score
-
-    return best_from(0, frozenset())
+    Each row in turn is matched to a free column or left unmatched, in every
+    combination.  Every search node is charged to ``max_nodes``.  The search
+    keeps its own stack instead of recursing, so no row count reaches
+    Python's recursion limit.
+    """
+    options = [cols + [-1] for cols in _adjacency(g)]  # -1: leave the row unmatched
+    n = g.n_left
+    used: set[int] = set()
+    taken: list[int] = []  # the column of each decided row
+    choices = [iter(options[0])]  # the options left at each open row
+    best, nodes = 0, 1
+    while choices:
+        j = next(choices[-1], None)
+        if j is None:
+            choices.pop()
+            if taken:
+                used.discard(taken.pop())
+            continue
+        if j in used:
+            continue
+        nodes += 1
+        if nodes > max_nodes:
+            raise BudgetExceededError(
+                f"matching search exceeded {max_nodes} nodes; rank >= {best}",
+                lower_bound=best,
+            )
+        row = len(taken)
+        if row + 1 == n:
+            best = max(best, len(used) + (j >= 0))
+            continue
+        taken.append(j)
+        if j >= 0:
+            used.add(j)
+        choices.append(iter(options[row + 1]))
+    return best
 
 
 def _has_left_perfect_matching(g: BipartiteGraph) -> bool:
@@ -90,15 +114,20 @@ def _numeric_rank(matrix: np.ndarray, tol: float = 1e-9) -> int:
     return rank
 
 
-def brute_rank(g: BipartiteGraph, rng: np.random.Generator | None = None) -> int:
+def brute_rank(
+    g: BipartiteGraph,
+    rng: np.random.Generator | None = None,
+    b: OracleBudget = DEFAULT_BUDGET,
+) -> int:
     """Maximum matching size, cross-checked against numeric generic rank.
 
-    Fills the stars of three random realizations with values in [1, 2] and
-    raises VerificationError unless the row-reduction rank agrees with the
+    The matching search may visit at most ``b.max_matchings`` nodes.  Fills
+    the stars of three random realizations with values in [1, 2] and raises
+    VerificationError unless the row-reduction rank agrees with the
     matching count.
     """
     check_dense_size(g.n_left, g.n_right)
-    size = _max_matching_size(g)
+    size = _max_matching_size(g, b.max_matchings)
     rng = rng if rng is not None else np.random.default_rng(20240817)
     for _ in range(3):
         a = np.zeros((g.n_left, g.n_right))
@@ -141,7 +170,7 @@ def brute_weak_resilience(
     g: BipartiteGraph, b: OracleBudget = DEFAULT_BUDGET
 ) -> int:
     """Exact weak resilience by testing every removal subset."""
-    if _max_matching_size(g) < g.n_left:
+    if _max_matching_size(g, b.max_matchings) < g.n_left:
         return -1
     edges = g.sorted_edges
     remaining = b.max_subsets

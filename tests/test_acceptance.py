@@ -204,6 +204,10 @@ def test_criterion_9_min_cut_hook(monkeypatch):
             "verify_min_cut",
             spy("sweep", flow_engine._LevelFlow.verify_min_cut),
         )
+        # The fair b-matching's dual certificate proves the cut {s} tight.
+        monkeypatch.setattr(
+            flow_engine._FairFlow, "certify", spy("dual", flow_engine._FairFlow.certify)
+        )
         g = fig3_graph()
         net = sp.build_resilience_network(g, 2)
         for solve, kind in [
@@ -211,6 +215,7 @@ def test_criterion_9_min_cut_hook(monkeypatch):
             (sp.strong_resilience, "sweep"),
             (lambda _: sp.max_flow(net), "network"),
             (lambda _: sp.min_cost_max_flow(net), "network"),
+            (lambda g: sp.fair_b_matching(g, 2), "dual"),
         ]:
             checked.clear()
             solve(g)

@@ -6,6 +6,7 @@ from hypothesis import given
 import sprank as sp
 from sprank import oracle
 from sprank.errors import InvalidKError, PreconditionFailedError
+from sprank.flow import Arc, FlowNetwork
 
 from conftest import differential, random_graph, random_union_of_matchings, small_graphs
 
@@ -42,6 +43,33 @@ class TestFairBMatching:
             bm = sp.fair_b_matching(g, k)
             got = sp.BipartiteGraph(g.n_left, g.n_right, bm.edges)
             assert sp.is_union_of_k_matchings(got, k + 1)
+
+
+def dense_fair_network(g, b):
+    """The fair b-matching of K(n, m) as an explicit 0/1-cost network."""
+    n, m = g.n_left, g.n_right
+    arcs = [Arc(0, 2 + i, b) for i in range(n)]
+    arcs += [
+        Arc(2 + i, 2 + n + j, 1, cost=0 if (i, j) in g.edges else 1)
+        for i in range(n)
+        for j in range(m)
+    ]
+    arcs += [Arc(2 + n + j, 1, b) for j in range(m)]
+    return FlowNetwork(2 + n + m, 0, 1, tuple(arcs))
+
+
+class TestFairBMatchingDifferential:
+    @differential
+    @given(small_graphs())
+    def test_matches_oracle_and_dense_min_cost_flow(self, g):
+        n, m = g.n_left, g.n_right
+        for k in range(m):
+            bm = sp.fair_b_matching(g, k)
+            added = len(bm.edges - g.edges)
+            assert added == oracle.brute_min_augmentation(g, k)
+            f = sp.min_cost_max_flow(dense_fair_network(g, k + 1))
+            assert (f.value, f.cost()) == ((k + 1) * n, added)
+            assert sp.is_union_of_k_matchings(sp.BipartiteGraph(n, m, bm.edges), k + 1)
 
 
 class TestMinEdgesForTarget:

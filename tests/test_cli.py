@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 import sprank
-from sprank import augment as augment_mod
 from sprank import flow as flow_engine
+from sprank import pattern as pattern_mod
 from sprank.cli import run
 
 from test_io import FIG3_TEXT
@@ -174,17 +174,43 @@ class TestErrorPaths:
 
     def test_dense_size_cap_is_input_error(self, tmp_path, monkeypatch, capsys):
         # A few bytes of JSON naming a 10^5 x 10^5 grid; the cap must stop
-        # augment before it builds any arc of the dense network.
+        # augment before the fair b-matching solver does any per-cell work.
+        class NoSolve:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("fair b-matching solved past the size cap")
+
         def no_arcs(*args, **kwargs):
             raise AssertionError("dense network built past the size cap")
 
+        monkeypatch.setattr(flow_engine, "_FairFlow", NoSolve)
         monkeypatch.setattr(flow_engine, "Arc", no_arcs)
-        monkeypatch.setattr(augment_mod, "Arc", no_arcs)
         path = tmp_path / "huge.json"
         path.write_text('{"n": 100000, "m": 100000, "stars": []}')
         code, _ = invoke(["augment", str(path), "--target", "0"])
         assert code == 1
         assert "dense-size cap" in capsys.readouterr().err
+
+    def test_augment_out_over_cap_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        # The written pattern has n * m tokens, so --out is under the cap
+        # even when the plan itself needs no dense work (target 0 is met).
+        monkeypatch.setattr(pattern_mod, "MAX_DENSE_CELLS", 5)
+        path = tmp_path / "d3.spm"
+        path.write_text("3 3\n* 0 0\n0 * 0\n0 0 *\n")
+        out = tmp_path / "f"
+        code, _ = invoke(["augment", str(path), "--target", "0", "--out", str(out)])
+        assert code == 1
+        assert "dense-size cap" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_verify_deep_diagonal_is_budget_error(self, tmp_path, capsys):
+        # 990 rows: the oracle's matching search must run out of budget,
+        # not into Python's recursion limit.
+        stars = [[i, i] for i in range(1, 991)]
+        path = tmp_path / "d990.json"
+        path.write_text(json.dumps({"n": 990, "m": 990, "stars": stars}))
+        code, _ = invoke(["verify", str(path)])
+        assert code == 4
+        assert "budget exceeded" in capsys.readouterr().err
 
     def test_deficient_pattern_exit(self, tmp_path):
         path = tmp_path / "deficient.spm"

@@ -4,8 +4,8 @@ import random
 import pytest
 
 import sprank as sp
-from sprank.errors import NotMaximalError, TagMismatchError
-from sprank.flow import Arc, FlowNetwork
+from sprank.errors import NotMaximalError, TagMismatchError, VerificationError
+from sprank.flow import Arc, FlowNetwork, _FairFlow
 
 from conftest import random_graph
 
@@ -160,6 +160,58 @@ class TestMinCostMaxFlow:
                 except ValueError:
                     continue
                 assert f.cost() >= best.cost()
+
+
+class TestFairFlowCertificate:
+    # Fig 3 at b = 3 ends with potentials rows (0, 1, 1, 0), every column 1
+    # and t at 1, after one Dijkstra.
+    def solved(self, g, b):
+        h = _FairFlow(g, b)
+        h.solve()
+        return h
+
+    def test_fig3_certified(self, fig3_graph):
+        h = self.solved(fig3_graph, 3)
+        assert h.pi_t == 1
+        assert h.certify() == 2
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda h: h.pi_row.__setitem__(0, h.pi_row[0] + 1),  # (0, 2) of H gets reduced cost 1
+            lambda h: setattr(h, "pi_t", 0),  # used columns sit above t
+            lambda h: h.pi_col.__setitem__(4, 0),  # column 4 has room but sits below t
+        ],
+        ids=["row", "sink", "column"],
+    )
+    def test_tampered_potential_rejected(self, fig3_graph, tamper):
+        h = self.solved(fig3_graph, 3)
+        tamper(h)
+        with pytest.raises(VerificationError):
+            h.certify()
+
+    def test_costlier_b_matching_rejected(self, fig7_graph):
+        # At b = 2, H is g itself at zero potentials; trading (0, 1) for the
+        # non-edge (0, 2) keeps every degree legal but costs one more.
+        h = self.solved(fig7_graph, 2)
+        assert h.certify() == 0
+        h.row_cols[0] = {0, 2}
+        with pytest.raises(VerificationError, match="reduced cost"):
+            h.certify()
+
+    def test_short_row_rejected(self, fig7_graph):
+        h = self.solved(fig7_graph, 2)
+        h.row_cols[1].discard(0)
+        with pytest.raises(VerificationError, match="not maximum"):
+            h.certify()
+
+    def test_overfull_column_rejected(self, fig7_graph):
+        # Both rows on column 0 at b = 1: every pair passes, but the column
+        # exceeds its capacity.
+        h = _FairFlow(fig7_graph, 1)
+        h.row_cols = [{0}, {0}]
+        with pytest.raises(VerificationError, match="column 0"):
+            h.certify()
 
 
 class TestInducedSubgraph:

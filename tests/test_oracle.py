@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -26,6 +27,29 @@ class TestBruteRank:
         for _ in range(30):
             g = random_graph(rng, rng.randint(1, 4), rng.randint(1, 5))
             assert oracle.brute_rank(g) == sp.structural_rank(g)
+
+    @pytest.mark.parametrize(
+        "g, rank",
+        [
+            (sp.complete_graph(9, 9), 9),
+            (sp.BipartiteGraph(30, 30, frozenset((i, i) for i in range(30))), 30),
+        ],
+        ids=["complete_9x9", "diagonal_30x30"],
+    )
+    def test_search_budget_exceeded(self, g, rank):
+        # Both branches at every row make the search exponential; the node
+        # budget stops it, and the first leaf already certifies the rank.
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError) as info:
+            oracle.brute_rank(g)
+        assert time.perf_counter() - start < 1.0
+        assert info.value.lower_bound == rank
+
+    def test_search_budget_counts_nodes(self, fig3_graph):
+        # Fig 3's search tree has more than 10 nodes and fewer than 1000.
+        with pytest.raises(BudgetExceededError):
+            oracle.brute_rank(fig3_graph, b=oracle.OracleBudget(max_matchings=10))
+        assert oracle.brute_rank(fig3_graph, b=oracle.OracleBudget(max_matchings=1000)) == 4
 
     def test_numeric_disagreement_raises(self, fig3_graph, monkeypatch):
         monkeypatch.setattr(oracle, "_numeric_rank", lambda a: 0)
