@@ -11,21 +11,25 @@ Two network builders are provided:
 
 Solvers are deterministic: nodes and arcs are scanned in ascending index
 order, so repeated runs on the same network produce identical flows.  Every
-solve checks max-flow = min-cut before it returns and raises
+network solve checks max-flow = min-cut before it returns and raises
 :class:`~sprank.errors.VerificationError` if the two differ.
 
-Structural rank and strong resilience do not build either network.  They
-run :func:`matching_number` and :func:`resilience_sweep`, which keep the
-flow of the resilience network as a b-matching H of g and raise the level
-ell one step at a time.  Raising ell only raises the source and sink
-capacities, so the flow at ell stays feasible at ell+1 and is extended by
-shortest augmenting paths (Hopcroft & Karp 1973) from the rows below ell.
+Structural rank, strong resilience and augmentation build neither network.
+They share one b-matching engine: the flow of s -> rows -> columns -> t
+with capacity b on every source and sink arc, kept as a b-matching H and
+grown by shortest augmenting paths (Hopcroft & Karp 1973) over the arcs of
+zero reduced cost.  At zero potentials those arcs are g's own edges, so
+the flow is the flow of the resilience network at level b:
 
-Augmentation does not build a network either.  :func:`min_cost_b_matching`
-solves the 0/1-cost fair b-matching on the implicit complete graph by the
-primal-dual method: max flows over the arcs of zero reduced cost, starting
-from the maximum b-matching of g itself, alternate with one Dijkstra each,
-and the final dual potentials certify the result.
+* :func:`matching_number` fills level 1 and checks its min cut;
+* :func:`resilience_sweep` raises the level one step at a time.  Raising
+  the level only raises the source and sink capacities, so the flow at
+  ell stays feasible at ell+1 and is extended from the rows below it;
+* :func:`min_cost_b_matching` solves the 0/1-cost fair b-matching on the
+  implicit complete graph by the primal-dual method: fills over the arcs
+  of zero reduced cost, starting from the maximum b-matching of g itself,
+  alternate with one Dijkstra each, and the final dual potentials certify
+  the result.
 """
 
 from __future__ import annotations
@@ -326,12 +330,20 @@ def induced_subgraph(g: BipartiteGraph, f: Flow) -> BipartiteGraph:
     return BipartiteGraph(g.n_left, g.n_right, edges)
 
 
-class _LevelFlow:
-    """The flow of ``build_resilience_network(g, level)`` as a b-matching H of g.
+class _BMatching:
+    """A b-matching H of K(n, m): the flow of s -> rows -> columns -> t.
 
-    ``row_cols[i]`` and ``col_rows[j]`` hold H's edges at row i and column
-    j, so their sizes are the flows on s -> row i and column j -> t.  The
-    level is not stored: each call names the level whose capacities apply.
+    Each call names b, the capacity of every source and sink arc; the unit
+    arc of a pair (i, j) costs 0 if g has the edge and 1 if not.
+    ``row_cols[i]`` and ``col_rows[j]`` hold H's pairs at row i and column
+    j.  Potentials for the rows, the columns and t (s stays at 0) keep
+    every residual arc at reduced cost c(u, v) + pi(u) - pi(v) >= 0, and
+    ``reach[u]`` lists the columns row u reaches at reduced cost 0.
+
+    Before the first raise every potential is 0, ``reach`` is g's own
+    adjacency and H is the flow of ``build_resilience_network(g, b)``.
+    Rank and the sweep never raise, so the potentials and g's column sets
+    are built on first use; ``pi_row`` is None until then.
     """
 
     def __init__(self, g: BipartiteGraph):
@@ -339,28 +351,39 @@ class _LevelFlow:
         self.adj = [[] for _ in range(g.n_left)]
         for (i, j) in g.sorted_edges:
             self.adj[i].append(j)
+        self.reach = self.adj
         self.row_cols = [set() for _ in range(g.n_left)]
         self.col_rows = [set() for _ in range(g.n_right)]
+        self.pi_row = self.pi_col = self.in_g = None
 
-    def augment(self, r: int, level: int) -> bool:
-        """Push one unit s -> r -> ... -> t along a shortest path; False if none.
+    def _build_potentials(self) -> None:
+        """Zero potentials and g's column set per row, unless already built."""
+        if self.pi_row is None:
+            self.in_g = [set(cols) for cols in self.adj]
+            self.pi_row = [0] * self.g.n_left
+            self.pi_col = [0] * self.g.n_right
+            self.pi_t = 0
 
-        A row whose search fails stays unaugmentable at this level: any
-        later augmenting path avoids the set the search reached, so that
-        set stays closed.
+    def _augment(self, r: int, b: int) -> bool:
+        """Push one unit s -> r -> ... -> t over arcs of zero reduced cost; False if none.
+
+        A row whose search fails stays unaugmentable until b or the
+        potentials change: any later augmenting path avoids the set the
+        search reached, so that set stays closed.
         """
-        adj, row_cols, col_rows = self.adj, self.row_cols, self.col_rows
-        via = {}  # column -> the row that reached it over a non-H edge
-        parent = {r: -1}  # row -> the column that reached it over an H edge
+        reach, row_cols, col_rows = self.reach, self.row_cols, self.col_rows
+        pi_row, pi_col, in_g = self.pi_row, self.pi_col, self.in_g
+        via = {}  # column -> the row that reached it over a pair outside H
+        parent = {r: -1}  # row -> the column that reached it over a pair of H
         queue = deque([r])
         while queue:
             u = queue.popleft()
             held = row_cols[u]
-            for j in adj[u]:
+            for j in reach[u]:
                 if j in held or j in via:
                     continue
                 via[j] = u
-                if len(col_rows[j]) < level:
+                if len(col_rows[j]) < b:
                     # Flip the path: each row takes its new column and drops
                     # the column it was reached through.
                     while j >= 0:
@@ -373,30 +396,44 @@ class _LevelFlow:
                             col_rows[j].discard(u)
                     return True
                 for w in col_rows[j]:
-                    if w not in parent:
+                    # Back over the pair (w, j) of H only at reduced cost 0,
+                    # which every pair has at zero potentials.
+                    if w not in parent and (
+                        pi_row is None or pi_col[j] - pi_row[w] == (j not in in_g[w])
+                    ):
                         parent[w] = j
                         queue.append(w)
         return False
 
-    def fill(self, level: int) -> int:
-        """Augment each row below ``level`` once; the number of rows left short."""
+    def fill(self, b: int) -> int:
+        """Augment every row up to degree b, in row order; the number of rows left short.
+
+        This is a max flow over the arcs of zero reduced cost.  A column
+        never rises above t, and one below t is full (its sink arc has a
+        negative reduced cost), so a column with room reaches t at reduced
+        cost 0.  On a fresh engine it is the maximum b-matching of g.
+        """
+        row_cols = self.row_cols
         short = 0
         for i in range(self.g.n_left):
-            if len(self.row_cols[i]) < level and not self.augment(i, level):
-                short += 1
+            while len(row_cols[i]) < b:
+                if not self._augment(i, b):
+                    short += 1
+                    break
         return short
 
-    def verify_min_cut(self, level: int, short: bool) -> None:
-        """Check max-flow = min-cut at ``level`` in ``build_resilience_network(g, level)``.
+    def verify_min_cut(self, b: int, short: bool) -> None:
+        """Check max-flow = min-cut in ``build_resilience_network(g, b)``.
 
-        The source side is s plus the rows and columns s reaches in the
+        Valid before any raise, while H is a flow of that network.  The
+        source side is s plus the rows and columns s reaches in the
         residual graph; its capacity is summed from g.  With ``short`` the
-        flow must also fall below n * level, which certifies that level
+        flow must also fall below n * b, which certifies level b
         infeasible.
         """
-        g, row_cols = self.g, self.row_cols
+        g, row_cols, col_rows = self.g, self.row_cols, self.col_rows
         n = g.n_left
-        rows = {i for i in range(n) if len(row_cols[i]) < level}
+        rows = {i for i in range(n) if len(row_cols[i]) < b}
         cols = set()
         queue = deque(rows)
         while queue:
@@ -404,165 +441,35 @@ class _LevelFlow:
             for j in self.adj[u]:
                 if j in row_cols[u] or j in cols:
                     continue
-                if len(self.col_rows[j]) < level:
+                if len(col_rows[j]) < b:
                     raise VerificationError(
-                        f"an augmenting path remains at level {level}; flow is not maximum"
+                        f"an augmenting path remains at level {b}; flow is not maximum"
                     )
                 cols.add(j)
-                for w in self.col_rows[j]:
+                for w in col_rows[j]:
                     if w not in rows:
                         rows.add(w)
                         queue.append(w)
-        capacity = level * (n - len(rows) + len(cols))
+        capacity = b * (n - len(rows) + len(cols))
         capacity += sum(1 for (i, j) in g.edges if i in rows and j not in cols)
         value = sum(len(held) for held in row_cols)
         if capacity != value:
-            raise VerificationError(f"max-flow {value} != min-cut {capacity} at level {level}")
-        if short and value >= n * level:
-            raise VerificationError(f"flow {value} saturates level {level} said to fall short")
+            raise VerificationError(f"max-flow {value} != min-cut {capacity} at level {b}")
+        if short and value >= n * b:
+            raise VerificationError(f"flow {value} saturates level {b} said to fall short")
 
-
-@dataclass(frozen=True)
-class ResilienceSweep:
-    """What one ascending sweep over the resilience levels finds.
-
-    ``witness`` is the saturated flow at level ``ell_star`` as a subgraph of
-    g: a union of ell* disjoint left-perfect matchings (empty if ell* = 0).
-    """
-
-    rank: int
-    ell_star: int
-    witness: BipartiteGraph
-
-
-def matching_number(g: BipartiteGraph) -> int:
-    """Maximum matching size: the level-1 flow, by Kuhn's algorithm."""
-    h = _LevelFlow(g)
-    short = h.fill(1)
-    h.verify_min_cut(1, short=False)
-    return g.n_left - short
-
-
-def resilience_sweep(g: BipartiteGraph) -> ResilienceSweep:
-    """Rank, ell* and a witness from one warm-started ascending sweep.
-
-    Level 1 gives the rank.  With full rank each further level augments
-    every row once more, until a row falls short; no level above the
-    minimum left degree saturates, so the sweep ends there at the latest.
-    H is copied before each probe because a failed probe changes it.  The
-    failed level ends as a maximum flow, and its min cut is checked.
-    """
-    n = g.n_left
-    h = _LevelFlow(g)
-    short = h.fill(1)
-    rank = n - short
-    ell, witness = 0, []
-    while not short:
-        ell += 1
-        witness = [(i, j) for i in range(n) for j in h.row_cols[i]]
-        short = h.fill(ell + 1)
-    h.verify_min_cut(ell + 1, short=True)
-    return ResilienceSweep(rank, ell, BipartiteGraph(n, g.n_right, frozenset(witness)))
-
-
-class _FairFlow:
-    """The fair b-matching of K(n, m) as a min-cost flow, by the primal-dual method.
-
-    The network routes s -> row -> column -> t with capacity ``b`` on the
-    source and sink arcs and a unit arc for every pair (i, j), of cost 0 if
-    g has the edge and 1 if not.  The flow is a b-matching H of K(n, m),
-    kept in per-row and per-column sets as in :class:`_LevelFlow`, beside
-    integer potentials for the rows, the columns and t; s stays at 0.
-    Every residual arc keeps a reduced cost c(u, v) + pi(u) - pi(v) >= 0.
-    """
-
-    def __init__(self, g: BipartiteGraph, b: int):
-        n, m = g.n_left, g.n_right
-        self.n, self.m, self.b = n, m, b
-        self.adj = [[] for _ in range(n)]
-        for (i, j) in g.sorted_edges:
-            self.adj[i].append(j)
-        self.in_g = [set(cols) for cols in self.adj]
-        self.row_cols = [set() for _ in range(n)]
-        self.col_rows = [set() for _ in range(m)]
-        self.pi_row = [0] * n
-        self.pi_col = [0] * m
-        self.pi_t = 0
-
-    def solve(self) -> None:
-        """Alternate phases and potential raises until no row is short or t is out of reach."""
-        while self.phase() and self.raise_potentials():
-            pass
-
-    def phase(self) -> int:
-        """Max flow over the arcs of zero reduced cost; the number of rows left short.
-
-        Row u reaches column j when c(u, j) + pi(u) = pi(j): one of g's
-        columns at u's potential, or a column one above it that g lacks.
-        No column rises above t, and one below t is full (its sink arc has
-        a negative reduced cost), so a column with room reaches t at
-        reduced cost 0.  A row whose search fails stays failed for the rest
-        of the phase, as in :meth:`_LevelFlow.augment`.  With all
-        potentials 0 this is the maximum b-matching of g itself.
-        """
-        n, b, in_g, pi_row, pi_col = self.n, self.b, self.in_g, self.pi_row, self.pi_col
-        by_pi = {}
-        for j, p in enumerate(pi_col):
-            by_pi.setdefault(p, []).append(j)
-        reach = [
-            [j for j in self.adj[u] if pi_col[j] == pi_row[u]]
-            + [j for j in by_pi.get(pi_row[u] + 1, ()) if j not in in_g[u]]
-            for u in range(n)
-        ]
-        short = 0
-        for i in range(n):
-            while len(self.row_cols[i]) < b:
-                if not self._augment(i, reach):
-                    short += 1
-                    break
-        return short
-
-    def _augment(self, r: int, reach) -> bool:
-        """Push one unit s -> r -> ... -> t over zero-reduced-cost arcs; False if none."""
-        b, row_cols, col_rows, in_g = self.b, self.row_cols, self.col_rows, self.in_g
-        pi_row, pi_col = self.pi_row, self.pi_col
-        via = {}  # column -> the row that reached it over a pair outside H
-        parent = {r: -1}  # row -> the column that reached it over a pair of H
-        queue = deque([r])
-        while queue:
-            u = queue.popleft()
-            held = row_cols[u]
-            for j in reach[u]:
-                if j in held or j in via:
-                    continue
-                via[j] = u
-                if len(col_rows[j]) < b:
-                    # Flip the path, as in _LevelFlow.augment.
-                    while j >= 0:
-                        u = via[j]
-                        row_cols[u].add(j)
-                        col_rows[j].add(u)
-                        j = parent[u]
-                        if j >= 0:
-                            row_cols[u].discard(j)
-                            col_rows[j].discard(u)
-                    return True
-                for w in col_rows[j]:
-                    # Back over the pair (w, j) of H only at reduced cost 0.
-                    if w not in parent and pi_col[j] - pi_row[w] == (j not in in_g[w]):
-                        parent[w] = j
-                        queue.append(w)
-        return False
-
-    def raise_potentials(self) -> bool:
+    def raise_potentials(self, b: int) -> bool:
         """One Dijkstra from the short rows in reduced costs; False if t is out of reach.
 
         Each potential rises by min(dist, dist(t)), which keeps every
         reduced cost >= 0 and brings a shortest path to t to reduced cost 0.
         Arcs out of t are left out: what they reach lies at least dist(t)
-        away, and the update never adds more than dist(t).
+        away, and the update never adds more than dist(t).  ``reach`` is
+        rebuilt from the new potentials: row u reaches one of g's columns
+        at u's potential, or a column one above it that g lacks.
         """
-        n, m, b = self.n, self.m, self.b
+        self._build_potentials()
+        n, m = self.g.n_left, self.g.n_right
         row_cols, col_rows, in_g = self.row_cols, self.col_rows, self.in_g
         pi_row, pi_col, pi_t = self.pi_row, self.pi_col, self.pi_t
         inf = float("inf")
@@ -598,12 +505,20 @@ class _FairFlow:
                     heapq.heappush(heap, (nd, 0, w))
         if d_t == inf:
             return False
-        self.pi_row = [p + min(d, d_t) for p, d in zip(pi_row, d_row)]
-        self.pi_col = [p + min(d, d_t) for p, d in zip(pi_col, d_col)]
+        self.pi_row = pi_row = [p + min(d, d_t) for p, d in zip(pi_row, d_row)]
+        self.pi_col = pi_col = [p + min(d, d_t) for p, d in zip(pi_col, d_col)]
         self.pi_t = pi_t + d_t
+        by_pi = {}
+        for j, p in enumerate(pi_col):
+            by_pi.setdefault(p, []).append(j)
+        self.reach = [
+            [j for j in self.adj[u] if pi_col[j] == pi_row[u]]
+            + [j for j in by_pi.get(pi_row[u] + 1, ()) if j not in in_g[u]]
+            for u in range(n)
+        ]
         return True
 
-    def certify(self) -> int:
+    def certify(self, b: int) -> int:
         """Prove H a minimum-cost maximum flow by its potentials; return its cost.
 
         Every row at degree b saturates the cut {s}, so the flow is maximum,
@@ -614,8 +529,9 @@ class _FairFlow:
         above degree 0 (backward from t) pi(j) <= pi(t).  H is read from
         the rows alone.  Raises VerificationError if any condition fails.
         """
-        b, in_g, pi_row, pi_col, pi_t = self.b, self.in_g, self.pi_row, self.pi_col, self.pi_t
-        col_deg = [0] * self.m
+        self._build_potentials()
+        in_g, pi_row, pi_col, pi_t = self.in_g, self.pi_row, self.pi_col, self.pi_t
+        col_deg = [0] * self.g.n_right
         cost = 0
         for i, held in enumerate(self.row_cols):
             if len(held) != b:
@@ -641,6 +557,49 @@ class _FairFlow:
         return cost
 
 
+@dataclass(frozen=True)
+class ResilienceSweep:
+    """What one ascending sweep over the resilience levels finds.
+
+    ``witness`` is the saturated flow at level ``ell_star`` as a subgraph of
+    g: a union of ell* disjoint left-perfect matchings (empty if ell* = 0).
+    """
+
+    rank: int
+    ell_star: int
+    witness: BipartiteGraph
+
+
+def matching_number(g: BipartiteGraph) -> int:
+    """Maximum matching size: the level-1 flow, by Kuhn's algorithm."""
+    h = _BMatching(g)
+    short = h.fill(1)
+    h.verify_min_cut(1, short=False)
+    return g.n_left - short
+
+
+def resilience_sweep(g: BipartiteGraph) -> ResilienceSweep:
+    """Rank, ell* and a witness from one warm-started ascending sweep.
+
+    Level 1 gives the rank.  With full rank each further level augments
+    every row once more, until a row falls short; no level above the
+    minimum left degree saturates, so the sweep ends there at the latest.
+    H is copied before each probe because a failed probe changes it.  The
+    failed level ends as a maximum flow, and its min cut is checked.
+    """
+    n = g.n_left
+    h = _BMatching(g)
+    short = h.fill(1)
+    rank = n - short
+    ell, witness = 0, []
+    while not short:
+        ell += 1
+        witness = [(i, j) for i in range(n) for j in h.row_cols[i]]
+        short = h.fill(ell + 1)
+    h.verify_min_cut(ell + 1, short=True)
+    return ResilienceSweep(rank, ell, BipartiteGraph(n, g.n_right, frozenset(witness)))
+
+
 def min_cost_b_matching(
     g: BipartiteGraph, b: int
 ) -> tuple[frozenset[tuple[int, int]], int]:
@@ -653,7 +612,8 @@ def min_cost_b_matching(
     The final potentials certify the result.
     """
     check_dense_size(g.n_left, g.n_right)
-    h = _FairFlow(g, b)
-    h.solve()
-    cost = h.certify()
+    h = _BMatching(g)
+    while h.fill(b) and h.raise_potentials(b):
+        pass
+    cost = h.certify(b)
     return frozenset((i, j) for i, held in enumerate(h.row_cols) for j in held), cost

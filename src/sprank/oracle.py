@@ -17,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import BudgetExceededError, VerificationError
+from .errors import BudgetExceededError, InvalidKError, VerificationError
 from .pattern import BipartiteGraph, check_dense_size, complement
 
 
@@ -83,15 +83,39 @@ def _max_matching_size(g: BipartiteGraph, max_nodes: int) -> int:
     return best
 
 
-def _has_left_perfect_matching(g: BipartiteGraph) -> bool:
+def _left_perfect_matchings(g: BipartiteGraph):
+    """Yield every left-perfect matching as its columns, one per row in index order.
+
+    Rows choose their columns in turn, each from its sorted adjacency, so
+    the matchings come in lexicographic order.  The search keeps its own
+    stack instead of recursing, so no row count reaches Python's recursion
+    limit.
+    """
     adj = _adjacency(g)
+    n = g.n_left
+    used: set[int] = set()
+    taken: list[int] = []  # the column of each decided row
+    choices = [iter(adj[0])]  # the columns left to try at each open row
+    while choices:
+        j = next(choices[-1], None)
+        if j is None:
+            choices.pop()
+            if taken:
+                used.discard(taken.pop())
+            continue
+        if j in used:
+            continue
+        taken.append(j)
+        if len(taken) == n:
+            yield tuple(taken)
+            taken.pop()
+            continue
+        used.add(j)
+        choices.append(iter(adj[len(taken)]))
 
-    def extend(i: int, used: frozenset[int]) -> bool:
-        if i == g.n_left:
-            return True
-        return any(extend(i + 1, used | {j}) for j in adj[i] if j not in used)
 
-    return extend(0, frozenset())
+def _has_left_perfect_matching(g: BipartiteGraph) -> bool:
+    return next(_left_perfect_matchings(g), None) is not None
 
 
 def _numeric_rank(matrix: np.ndarray, tol: float = 1e-9) -> int:
@@ -145,24 +169,11 @@ def enumerate_left_perfect_matchings(
     g: BipartiteGraph, cap: int | None = None
 ) -> list[frozenset[tuple[int, int]]]:
     """All left-perfect matchings, rows matched in index order."""
-    adj = _adjacency(g)
     found: list[frozenset[tuple[int, int]]] = []
-
-    def extend(i: int, used: frozenset[int], picked: list[tuple[int, int]]):
-        if cap is not None and len(found) > cap:
-            return
-        if i == g.n_left:
-            found.append(frozenset(picked))
-            return
-        for j in adj[i]:
-            if j not in used:
-                picked.append((i, j))
-                extend(i + 1, used | {j}, picked)
-                picked.pop()
-
-    extend(0, frozenset(), [])
-    if cap is not None and len(found) > cap:
-        raise BudgetExceededError(f"more than {cap} left-perfect matchings")
+    for cols in _left_perfect_matchings(g):
+        if cap is not None and len(found) == cap:
+            raise BudgetExceededError(f"more than {cap} left-perfect matchings")
+        found.append(frozenset(enumerate(cols)))
     return found
 
 
@@ -244,6 +255,10 @@ def brute_min_augmentation(
     g: BipartiteGraph, k_star: int, b: OracleBudget = DEFAULT_BUDGET
 ) -> int:
     """Smallest complement subset whose addition gives strong resilience >= k*."""
+    if not 0 <= k_star <= g.n_right - 1:
+        raise InvalidKError(
+            f"target resilience {k_star} outside [0, {g.n_right - 1}]"
+        )
     comp = complement(g).sorted_edges
     # Every row needs degree >= k*+1 in the augmented graph, which bounds
     # the answer below without any enumeration.
@@ -260,7 +275,9 @@ def brute_min_augmentation(
             candidate = BipartiteGraph(g.n_left, g.n_right, g.edges | set(extra))
             if has_disjoint_matchings(candidate, k_star + 1, cap=b.max_matchings):
                 return d
-    raise AssertionError("complete graph always reaches the target")
+    raise VerificationError(
+        f"even the complete graph has no {k_star + 1} disjoint left-perfect matchings"
+    )
 
 
 def find_weak_gt_strong_witness(

@@ -200,13 +200,13 @@ def test_criterion_9_min_cut_hook(monkeypatch):
             flow_engine, "_verify_min_cut", spy("network", flow_engine._verify_min_cut)
         )
         monkeypatch.setattr(
-            flow_engine._LevelFlow,
+            flow_engine._BMatching,
             "verify_min_cut",
-            spy("sweep", flow_engine._LevelFlow.verify_min_cut),
+            spy("sweep", flow_engine._BMatching.verify_min_cut),
         )
         # The fair b-matching's dual certificate proves the cut {s} tight.
         monkeypatch.setattr(
-            flow_engine._FairFlow, "certify", spy("dual", flow_engine._FairFlow.certify)
+            flow_engine._BMatching, "certify", spy("dual", flow_engine._BMatching.certify)
         )
         g = fig3_graph()
         net = sp.build_resilience_network(g, 2)

@@ -175,14 +175,16 @@ class TestErrorPaths:
     def test_dense_size_cap_is_input_error(self, tmp_path, monkeypatch, capsys):
         # A few bytes of JSON naming a 10^5 x 10^5 grid; the cap must stop
         # augment before the fair b-matching solver does any per-cell work.
-        class NoSolve:
-            def __init__(self, *args, **kwargs):
-                raise AssertionError("fair b-matching solved past the size cap")
+        # The engine itself also serves the rank sweep, so only its
+        # per-cell steps are barred.
+        def no_cells(*args, **kwargs):
+            raise AssertionError("fair b-matching solved past the size cap")
 
         def no_arcs(*args, **kwargs):
             raise AssertionError("dense network built past the size cap")
 
-        monkeypatch.setattr(flow_engine, "_FairFlow", NoSolve)
+        monkeypatch.setattr(flow_engine._BMatching, "raise_potentials", no_cells)
+        monkeypatch.setattr(flow_engine._BMatching, "certify", no_cells)
         monkeypatch.setattr(flow_engine, "Arc", no_arcs)
         path = tmp_path / "huge.json"
         path.write_text('{"n": 100000, "m": 100000, "stars": []}')

@@ -2,12 +2,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
 
 import sprank as sp
 from sprank.errors import NotMaximalError, TagMismatchError, VerificationError
-from sprank.flow import Arc, FlowNetwork, _FairFlow
+from sprank.flow import Arc, FlowNetwork, _BMatching
 
-from conftest import random_graph
+from conftest import differential, random_graph, small_graphs
 
 
 class TestResilienceNetwork:
@@ -166,14 +167,15 @@ class TestFairFlowCertificate:
     # Fig 3 at b = 3 ends with potentials rows (0, 1, 1, 0), every column 1
     # and t at 1, after one Dijkstra.
     def solved(self, g, b):
-        h = _FairFlow(g, b)
-        h.solve()
+        h = _BMatching(g)
+        while h.fill(b) and h.raise_potentials(b):
+            pass
         return h
 
     def test_fig3_certified(self, fig3_graph):
         h = self.solved(fig3_graph, 3)
         assert h.pi_t == 1
-        assert h.certify() == 2
+        assert h.certify(3) == 2
 
     @pytest.mark.parametrize(
         "tamper",
@@ -188,30 +190,47 @@ class TestFairFlowCertificate:
         h = self.solved(fig3_graph, 3)
         tamper(h)
         with pytest.raises(VerificationError):
-            h.certify()
+            h.certify(3)
 
     def test_costlier_b_matching_rejected(self, fig7_graph):
         # At b = 2, H is g itself at zero potentials; trading (0, 1) for the
         # non-edge (0, 2) keeps every degree legal but costs one more.
         h = self.solved(fig7_graph, 2)
-        assert h.certify() == 0
+        assert h.pi_row is None
+        assert h.certify(2) == 0
         h.row_cols[0] = {0, 2}
         with pytest.raises(VerificationError, match="reduced cost"):
-            h.certify()
+            h.certify(2)
 
     def test_short_row_rejected(self, fig7_graph):
         h = self.solved(fig7_graph, 2)
         h.row_cols[1].discard(0)
         with pytest.raises(VerificationError, match="not maximum"):
-            h.certify()
+            h.certify(2)
 
     def test_overfull_column_rejected(self, fig7_graph):
         # Both rows on column 0 at b = 1: every pair passes, but the column
         # exceeds its capacity.
-        h = _FairFlow(fig7_graph, 1)
+        h = _BMatching(fig7_graph)
         h.row_cols = [{0}, {0}]
         with pytest.raises(VerificationError, match="column 0"):
-            h.certify()
+            h.certify(1)
+
+
+class TestFirstFill:
+    @differential
+    @given(small_graphs())
+    def test_first_fill_is_maximum_b_matching_of_g(self, g):
+        # The sweep's levels and the fair b-matching's warm start both rest
+        # on this: at zero potentials, fill(b) finds a maximum b-matching of g.
+        for b in range(1, g.n_right + 1):
+            h = _BMatching(g)
+            h.fill(b)
+            held = {(i, j) for i, cols in enumerate(h.row_cols) for j in cols}
+            assert held == {(i, j) for j, rows in enumerate(h.col_rows) for i in rows}
+            assert held <= g.edges
+            assert all(len(rows) <= b for rows in h.col_rows)
+            assert len(held) == sp.max_flow(sp.build_resilience_network(g, b)).value
 
 
 class TestInducedSubgraph:

@@ -5,7 +5,7 @@ import pytest
 
 import sprank as sp
 from sprank import oracle
-from sprank.errors import BudgetExceededError, VerificationError
+from sprank.errors import BudgetExceededError, InvalidKError, VerificationError
 
 from conftest import random_graph
 
@@ -87,6 +87,12 @@ class TestBruteStrongResilience:
         g = sp.BipartiteGraph(2, 2, frozenset({(0, 0), (1, 0)}))
         assert oracle.brute_strong_resilience(g) == -1
 
+    def test_rows_beyond_recursion_limit(self):
+        # One search frame per row would exceed Python's default recursion
+        # limit of 1000.
+        g = sp.BipartiteGraph(1100, 1100, frozenset((i, i) for i in range(1100)))
+        assert oracle.brute_strong_resilience(g) == 0
+
     def test_weak_dominates_strong(self):
         rng = random.Random(89)
         for _ in range(25):
@@ -112,6 +118,13 @@ class TestBruteMinAugmentation:
     def test_empty_2x2(self):
         g = sp.BipartiteGraph(2, 2, frozenset())
         assert oracle.brute_min_augmentation(g, 1) == 4
+
+    @pytest.mark.parametrize("k_star", [-1, 1])
+    def test_target_out_of_range(self, k_star):
+        # A 1x1 graph has at most one matching, so only k* = 0 is reachable.
+        g = sp.BipartiteGraph(1, 1, frozenset())
+        with pytest.raises(InvalidKError):
+            oracle.brute_min_augmentation(g, k_star)
 
 
 class TestWitnessSearch:

@@ -90,7 +90,7 @@ class TestStrongResilience:
             assert not r.witness_subgraph.edges
 
     def test_sweep_cut_check_rejects_unfinished_flow(self, fig3_graph):
-        level = flow_engine._LevelFlow(fig3_graph)
+        level = flow_engine._BMatching(fig3_graph)
         level.fill(1)
         with pytest.raises(VerificationError):
             level.verify_min_cut(2, short=True)
