@@ -9,10 +9,10 @@ Two network builders are provided:
   edges, with sink capacities (k+1) - deg(column); a flow of value n picks
   n complement edges that lift a union of k matchings to k+1.
 
-Solvers are deterministic: nodes and arcs are scanned in ascending index
-order, so repeated runs on the same network produce identical flows.  Every
-network solve checks max-flow = min-cut before it returns and raises
-:class:`~sprank.errors.VerificationError` if the two differ.
+:func:`max_flow`, the one network solver, is deterministic: nodes and arcs
+are scanned in ascending index order, so repeated runs on the same network
+produce identical flows.  It checks max-flow = min-cut before it returns
+and raises :class:`~sprank.errors.VerificationError` if the two differ.
 
 Structural rank, strong resilience and augmentation build neither network.
 They share one b-matching engine: the flow of s -> rows -> columns -> t
@@ -257,60 +257,6 @@ def _verify_min_cut(net: FlowNetwork, adj, flow: Flow) -> None:
     cut = _min_cut(net, adj, flow.arc_values)
     if cut.capacity != flow.value:
         raise VerificationError(f"max-flow {flow.value} != min-cut {cut.capacity}")
-
-
-def min_cost_max_flow(net: FlowNetwork) -> Flow:
-    """Minimum-cost maximum flow via successive shortest paths.
-
-    Costs must be nonnegative (true for all networks built here), so
-    Dijkstra with potentials suffices; no negative-cycle handling.
-    """
-    adj = _residual_adjacency(net)
-    values = [0] * len(net.arcs)
-    potential = [0] * net.node_count
-    total = 0
-    inf = float("inf")
-    while True:
-        dist = [inf] * net.node_count
-        prev = [None] * net.node_count
-        dist[net.source] = 0
-        heap = [(0, net.source)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist[u]:
-                continue
-            for (v, idx, fwd) in adj[u]:
-                arc = net.arcs[idx]
-                residual = arc.capacity - values[idx] if fwd else values[idx]
-                if residual <= 0:
-                    continue
-                cost = arc.cost if fwd else -arc.cost
-                nd = d + cost + potential[u] - potential[v]
-                if nd < dist[v]:
-                    dist[v] = nd
-                    prev[v] = (u, idx, fwd)
-                    heapq.heappush(heap, (nd, v))
-        if dist[net.sink] == inf:
-            break
-        for node in range(net.node_count):
-            if dist[node] < inf:
-                potential[node] += dist[node]
-        path = []
-        v = net.sink
-        while v != net.source:
-            u, idx, fwd = prev[v]
-            path.append((idx, fwd))
-            v = u
-        bottleneck = min(
-            net.arcs[idx].capacity - values[idx] if fwd else values[idx]
-            for (idx, fwd) in path
-        )
-        for (idx, fwd) in path:
-            values[idx] += bottleneck if fwd else -bottleneck
-        total += bottleneck
-    flow = Flow(net, tuple(values), total)
-    _verify_min_cut(net, adj, flow)
-    return flow
 
 
 def induced_subgraph(g: BipartiteGraph, f: Flow) -> BipartiteGraph:

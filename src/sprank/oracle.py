@@ -6,8 +6,8 @@ complement subsets in increasing size.  It is deliberately independent of
 the flow-based algorithms so the two routes can check each other.
 
 All searches are budget-bounded by counting work units (subset tests,
-enumerated matchings or matching-search nodes), never wall-clock, so budget
-failures are deterministic.
+enumerated matchings, matching-search nodes or disjointness tests), never
+wall-clock, so budget failures are deterministic.
 """
 
 from __future__ import annotations
@@ -201,54 +201,72 @@ def brute_weak_resilience(
     return len(edges) - 1
 
 
-def _max_disjoint_family(
-    matchings: list[frozenset[tuple[int, int]]]
+def _disjoint_family(
+    matchings: list[frozenset[tuple[int, int]]], stop: int, max_tests: int | None
 ) -> int:
-    """Largest pairwise-disjoint subfamily, by DFS with count pruning."""
+    """Size of a largest pairwise-disjoint subfamily, or ``stop`` once one that large is found.
+
+    Depth-first over the matchings in list order, with its own stack
+    instead of recursion.  A level is left as soon as the matchings after
+    it cannot beat the best family found so far.  Every disjointness test
+    is charged to ``max_tests`` (None: no cap); running out raises
+    BudgetExceededError with the best family minus one, a certified lower
+    bound on strong resilience.
+    """
     total = len(matchings)
-    best = 0
-
-    def extend(start: int, chosen_union: frozenset, count: int):
-        nonlocal best
-        best = max(best, count)
-        if count + (total - start) <= best:
-            return
-        for idx in range(start, total):
-            if not (matchings[idx] & chosen_union):
-                extend(idx + 1, chosen_union | matchings[idx], count + 1)
-
-    extend(0, frozenset(), 0)
-    return best
+    union: set[tuple[int, int]] = set()  # the edges of the chosen matchings
+    chosen: list[int] = []
+    start = best = tests = 0  # start: the next matching to try at this level
+    while True:
+        if len(chosen) > best:
+            best = len(chosen)
+            if best >= stop:
+                return best
+        if len(chosen) + total - start > best:
+            tests += 1
+            if max_tests is not None and tests > max_tests:
+                raise BudgetExceededError(
+                    f"disjoint-family search exceeded {max_tests} tests; "
+                    f"strong resilience >= {best - 1}",
+                    lower_bound=best - 1,
+                )
+            if union.isdisjoint(matchings[start]):
+                chosen.append(start)
+                union |= matchings[start]
+            start += 1
+            continue
+        if not chosen:
+            return best
+        last = chosen.pop()
+        union -= matchings[last]
+        start = last + 1
 
 
 def brute_strong_resilience(
     g: BipartiteGraph, b: OracleBudget = DEFAULT_BUDGET
 ) -> int:
-    """Exact strong resilience: max disjoint family of left-perfect matchings, minus one."""
+    """Exact strong resilience: max disjoint family of left-perfect matchings, minus one.
+
+    Each matching takes its own edge at every row, so no family outgrows
+    the smallest row degree, and the search stops once it reaches it.
+    """
     matchings = enumerate_left_perfect_matchings(g, cap=b.max_matchings)
     if not matchings:
         return -1
-    return _max_disjoint_family(matchings) - 1
+    return _disjoint_family(matchings, min(g.left_degrees()), b.max_matchings) - 1
 
 
 def has_disjoint_matchings(g: BipartiteGraph, k: int, cap: int | None = None) -> bool:
-    """Early-exit test for k pairwise-disjoint left-perfect matchings."""
+    """Early-exit test for k pairwise-disjoint left-perfect matchings.
+
+    ``cap`` bounds both the matchings enumerated and the disjointness tests.
+    """
     if k <= 0:
         return True
-    matchings = enumerate_left_perfect_matchings(g, cap=cap)
-
-    def extend(start: int, chosen_union: frozenset, count: int) -> bool:
-        if count == k:
-            return True
-        if count + (len(matchings) - start) < k:
-            return False
-        for idx in range(start, len(matchings)):
-            if not (matchings[idx] & chosen_union):
-                if extend(idx + 1, chosen_union | matchings[idx], count + 1):
-                    return True
+    if min(g.left_degrees()) < k:
         return False
-
-    return extend(0, frozenset(), 0)
+    matchings = enumerate_left_perfect_matchings(g, cap=cap)
+    return _disjoint_family(matchings, k, cap) >= k
 
 
 def brute_min_augmentation(

@@ -214,7 +214,6 @@ def test_criterion_9_min_cut_hook(monkeypatch):
             (sp.structural_rank, "sweep"),
             (sp.strong_resilience, "sweep"),
             (lambda _: sp.max_flow(net), "network"),
-            (lambda _: sp.min_cost_max_flow(net), "network"),
             (lambda g: sp.fair_b_matching(g, 2), "dual"),
         ]:
             checked.clear()

@@ -9,6 +9,7 @@ from sprank.errors import InvalidKError, PreconditionFailedError
 from sprank.flow import Arc, FlowNetwork
 
 from conftest import differential, random_graph, random_union_of_matchings, small_graphs
+from reference_flow import min_cost_max_flow
 
 
 class TestFairBMatching:
@@ -67,7 +68,7 @@ class TestFairBMatchingDifferential:
             bm = sp.fair_b_matching(g, k)
             added = len(bm.edges - g.edges)
             assert added == oracle.brute_min_augmentation(g, k)
-            f = sp.min_cost_max_flow(dense_fair_network(g, k + 1))
+            f = min_cost_max_flow(dense_fair_network(g, k + 1))
             assert (f.value, f.cost()) == ((k + 1) * n, added)
             assert sp.is_union_of_k_matchings(sp.BipartiteGraph(n, m, bm.edges), k + 1)
 

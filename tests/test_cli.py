@@ -142,6 +142,22 @@ class TestVerify:
         assert "all checks passed" in out
         assert out.count("PASS") == 4
 
+    def test_complete_6x6_ends_in_budget_error(self, tmp_path):
+        # The oracle's disjoint-family search stops at six matchings; the
+        # 1000 subset tests then run out in weak resilience.
+        path = tmp_path / "k66.spm"
+        path.write_text("6 6\n" + "* * * * * *\n" * 6)
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(sprank.__file__).parents[1]),
+            SPRANK_ORACLE_BUDGET="1000",
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "sprank.cli", "verify", str(path)],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert proc.returncode == 4, proc.stderr
+
 
 class TestErrorPaths:
     def test_missing_file(self):

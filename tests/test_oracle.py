@@ -93,6 +93,36 @@ class TestBruteStrongResilience:
         g = sp.BipartiteGraph(1100, 1100, frozenset((i, i) for i in range(1100)))
         assert oracle.brute_strong_resilience(g) == 0
 
+    def test_complete_row_beyond_recursion_limit(self):
+        # 1100 single-edge matchings, all disjoint: one search frame per
+        # chosen matching would exceed Python's default recursion limit.
+        g = sp.complete_graph(1, 1100)
+        assert oracle.brute_strong_resilience(g) == 1099
+        assert oracle.has_disjoint_matchings(g, 1050)
+
+    def test_complete_6x6_stops_at_min_degree(self):
+        # Of 720 matchings, six disjoint ones end the search: no row has a
+        # seventh edge for a seventh matching.
+        start = time.perf_counter()
+        assert oracle.brute_strong_resilience(sp.complete_graph(6, 6)) == 5
+        assert time.perf_counter() - start < 1.0
+
+    def test_family_search_budget_carries_lower_bound(self):
+        # Six rows on three shared hub columns plus two private columns
+        # each: ell* is 4 but every row has degree 5, so the search must
+        # rule out five disjoint matchings among 3,040.
+        hub = sp.BipartiteGraph(
+            6, 15, frozenset((i, j) for i in range(6) for j in (0, 1, 2, 3 + 2 * i, 4 + 2 * i))
+        )
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError) as info:
+            oracle.brute_strong_resilience(hub)
+        with pytest.raises(BudgetExceededError):
+            oracle.has_disjoint_matchings(hub, 5, cap=10**4)
+        assert not oracle.has_disjoint_matchings(hub, 6)  # above the row degree
+        assert time.perf_counter() - start < 1.0
+        assert 0 <= info.value.lower_bound <= sp.strong_resilience(hub).strong_resilience
+
     def test_weak_dominates_strong(self):
         rng = random.Random(89)
         for _ in range(25):

@@ -22,3 +22,34 @@ def test_no_assert_statements_in_library():
             or (isinstance(node, ast.Raise) and _raises_assertion_error(node))
         ]
     assert not found, f"asserts or AssertionError raises in sprank: {found}"
+
+
+def _calls_itself(fn) -> bool:
+    for node in ast.walk(fn):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Name) and f.id == fn.name:
+            return True
+        if (
+            isinstance(f, ast.Attribute)
+            and f.attr == fn.name
+            and isinstance(f.value, ast.Name)
+            and f.value.id in ("self", "cls")
+        ):
+            return True
+    return False
+
+
+def test_no_directly_recursive_functions_in_library():
+    # Every search keeps its own stack, so no input can reach Python's
+    # recursion limit.
+    found = []
+    for path in sorted(Path(sprank.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno} {node.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _calls_itself(node)
+        ]
+    assert not found, f"directly recursive functions in sprank: {found}"
