@@ -79,6 +79,8 @@ def _cmd_rank(args, out) -> int:
 
 
 def _cmd_resilience(args, out) -> int:
+    if args.budget is not None and not args.weak:
+        raise _UsageError("--budget needs --weak: it caps the weak-resilience subset tests")
     g = to_bipartite(io_mod.load_pattern(args.file))
     if args.weak:
         budget = args.budget if args.budget is not None else resilience_mod.DEFAULT_WEAK_BUDGET

@@ -29,7 +29,10 @@ the flow is the flow of the resilience network at level b:
   implicit complete graph by the primal-dual method: fills over the arcs
   of zero reduced cost, starting from the maximum b-matching of g itself,
   alternate with one Dijkstra each, and the final dual potentials certify
-  the result.
+  the result;
+* weak resilience fills level 1 once and, per removal subset, resets H to
+  that matching less the removed pairs and re-augments the rows that lost
+  their column (:meth:`_BMatching.repair`).
 """
 
 from __future__ import annotations
@@ -289,7 +292,8 @@ class _BMatching:
     Before the first raise every potential is 0, ``reach`` is g's own
     adjacency and H is the flow of ``build_resilience_network(g, b)``.
     Rank and the sweep never raise, so the potentials and g's column sets
-    are built on first use; ``pi_row`` is None until then.
+    are built on first use; ``pi_row`` is None until then.  ``repair``
+    never raises either; it narrows ``reach`` to a subgraph of g.
     """
 
     def __init__(self, g: BipartiteGraph):
@@ -367,6 +371,35 @@ class _BMatching:
                     short += 1
                     break
         return short
+
+    def repair(self, match: list[int], removed) -> bool:
+        """Whether g minus ``removed`` keeps a left-perfect matching, by repairing one of g.
+
+        ``match[i]`` is row i's column in a left-perfect matching M of g.
+        H is reset to M less the removed pairs and ``reach`` to g's
+        adjacency less them; then each row that lost its column augments
+        once.  A failed search proves there is none: H then leaves that row
+        unmatched, and if g minus ``removed`` had a left-perfect matching P,
+        the component of H xor P through the row would be an augmenting
+        path from it.
+        """
+        reach = self.reach = self.adj[:]
+        lost = []
+        for (i, j) in removed:
+            reach[i] = [c for c in reach[i] if c != j]
+            if match[i] == j:
+                lost.append(i)
+        self.row_cols = row_cols = [{j} for j in match]
+        self.col_rows = col_rows = [set() for _ in range(self.g.n_right)]
+        for i, j in enumerate(match):
+            col_rows[j].add(i)
+        for i in lost:
+            row_cols[i] = set()
+            col_rows[match[i]] = set()
+        for i in lost:
+            if not self._augment(i, 1):
+                return False
+        return True
 
     def verify_min_cut(self, b: int, short: bool) -> None:
         """Check max-flow = min-cut in ``build_resilience_network(g, b)``.

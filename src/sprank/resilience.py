@@ -6,7 +6,11 @@ One ascending sweep of the flow engine finds that ell together with a
 saturated flow, whose subgraph splits into ell disjoint left-perfect
 matchings by Koenig's edge-colouring theorem.  Weak resilience has no known
 efficient characterization and is computed here by direct subset
-enumeration under a work budget.
+enumeration under a work budget: one solve of g gives a left-perfect
+matching M, and each removal subset that hits M is checked by repairing M
+in the reduced graph rather than by solving it again.  Only the subset
+that decides the answer, the first whose repair fails, gets a certified
+solve of its own.
 """
 
 from __future__ import annotations
@@ -130,13 +134,23 @@ def weak_resilience(g: BipartiteGraph, budget: int = DEFAULT_WEAK_BUDGET) -> int
     """Exact weak resilience by enumerating removal subsets.
 
     Largest k such that removing ANY k edges leaves a left-perfect matching;
-    -1 if the graph has none to begin with.  Raises BudgetExceededError
-    (carrying the certified lower bound) once ``budget`` subset tests are
-    spent.
+    -1 if the graph has none to begin with.  Subsets S are tested in
+    increasing size, edges in sorted order, one budget unit each; once
+    ``budget`` tests are spent, BudgetExceededError carries the certified
+    lower bound.  g is solved once, for a left-perfect matching M.  An S
+    that misses M passes at once; otherwise M less S is repaired in g - S,
+    and the repaired matching is the witness that S passes.  The first S
+    whose repair fails decides the answer, and is confirmed by one
+    certified ``structural_rank`` of g - S.
     """
     n = g.n_left
-    if structural_rank(g) < n:
+    h = flow_engine._BMatching(g)
+    short = h.fill(1)
+    h.verify_min_cut(1, short=bool(short))
+    if short:
         return -1
+    match = [next(iter(held)) for held in h.row_cols]
+    in_m = frozenset(enumerate(match))
     edges = g.sorted_edges
     remaining = budget
     verified = 0
@@ -148,9 +162,15 @@ def weak_resilience(g: BipartiteGraph, budget: int = DEFAULT_WEAK_BUDGET) -> int
                     lower_bound=verified,
                 )
             remaining -= 1
+            if in_m.isdisjoint(removed) or h.repair(match, removed):
+                continue
             reduced = BipartiteGraph(n, g.n_right, g.edges - set(removed))
-            if structural_rank(reduced) < n:
-                return size - 1
+            if structural_rank(reduced) == n:
+                raise VerificationError(
+                    f"repair failed after removing {removed}, yet a left-perfect "
+                    "matching remains"
+                )
+            return size - 1
         verified = size
     # Unreachable for nonempty graphs: removing all edges kills the matching.
     return len(edges) - 1

@@ -188,6 +188,11 @@ class TestErrorPaths:
         code, _ = invoke(["resilience", fig3_file, "--weak", "--budget", "-5"])
         assert code == 2
 
+    def test_budget_without_weak_is_usage_error(self, fig7_file, capsys):
+        code, out = invoke(["resilience", fig7_file, "--budget", "1"])
+        assert (code, out) == (2, "")
+        assert "--budget needs --weak" in capsys.readouterr().err
+
     def test_dense_size_cap_is_input_error(self, tmp_path, monkeypatch, capsys):
         # A few bytes of JSON naming a 10^5 x 10^5 grid; the cap must stop
         # augment before the fair b-matching solver does any per-cell work.

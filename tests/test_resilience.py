@@ -1,4 +1,6 @@
+import math
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -247,3 +249,48 @@ class TestWeakResilience:
             if g.n_right < g.n_left:
                 continue
             assert sp.weak_resilience(g) >= sp.strong_resilience(g).strong_resilience
+
+    @differential
+    @given(small_graphs())
+    def test_budget_contract_matches_oracle(self, g):
+        # One unit per enumerated subset, hit or miss, in the oracle's
+        # order: both routes answer or run out at the same budgets, with
+        # the same certified lower bound.  B0 tests every subset up to the
+        # answer w, plus the first of size w + 1.
+        w = oracle.brute_weak_resilience(g)
+        b0 = sum(math.comb(len(g.edges), s) for s in range(w + 1))
+        for budget in sorted({1, len(g.edges), b0, b0 + 1} - {0}):
+            outcomes = []
+            for solve in (
+                lambda: sp.weak_resilience(g, budget),
+                lambda: oracle.brute_weak_resilience(
+                    g, oracle.OracleBudget(max_subsets=budget)
+                ),
+            ):
+                try:
+                    outcomes.append(("value", solve()))
+                except BudgetExceededError as exc:
+                    outcomes.append(("lower_bound", exc.lower_bound))
+            assert outcomes[0] == outcomes[1], (budget, outcomes)
+
+    def test_forged_repair_failure_is_caught(self, fig3_graph, monkeypatch):
+        # Removing one edge keeps a left-perfect matching in Fig 3, so the
+        # certified solve of the first subset that hits M contradicts a
+        # repair that reports failure.
+        monkeypatch.setattr(flow_engine._BMatching, "repair", lambda self, match, removed: False)
+        with pytest.raises(VerificationError):
+            sp.weak_resilience(fig3_graph)
+
+    def test_complete_6x6(self):
+        start = time.perf_counter()
+        assert sp.weak_resilience(sp.complete_graph(6, 6)) == 5
+        assert time.perf_counter() - start < 10.0
+
+    def test_zero_budget(self):
+        # A one-row graph must test its first subset, which a zero budget
+        # does not allow; a rank-deficient graph tests none.
+        with pytest.raises(BudgetExceededError) as exc:
+            sp.weak_resilience(sp.complete_graph(1, 3), budget=0)
+        assert exc.value.lower_bound == 0
+        deficient = sp.BipartiteGraph(2, 3, frozenset({(0, 0), (1, 0)}))
+        assert sp.weak_resilience(deficient, budget=0) == -1
