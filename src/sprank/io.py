@@ -1,9 +1,13 @@
 """Text/JSON pattern formats and DOT export.
 
 The text format (``.spm``) is a header line "n m" followed by n rows of m
-tokens, ``*`` for a star and ``0`` (or ``.``) for a zero.  Lines starting
-with ``#`` are comments.  All serialized indices are 1-based to match the
-row/column labels used in documentation.
+tokens.  Every token is a single ``*`` (a star), ``0`` or ``.`` (a zero);
+tokens are separated by any whitespace that ``str.split`` accepts (spaces,
+tabs, ...), and a line may end in LF or CRLF.  Lines starting with ``#``
+are comments; they still count in the line numbers of a ``ParseError``,
+whose column is the index of the offending token in its row.  All
+serialized indices are 1-based to match the row/column labels used in
+documentation.
 """
 
 from __future__ import annotations
@@ -12,6 +16,9 @@ import json
 
 from .errors import NotSubsetError, ParseError
 from .pattern import BipartiteGraph, Matching, SparsityPattern, pattern_from_stars
+
+# str.translate table deleting the three cell characters.
+_DROP_CELLS = str.maketrans("", "", "*0.")
 
 _PALETTE = ["red", "green", "blue", "orange", "purple", "brown", "cyan", "magenta"]
 
@@ -50,21 +57,32 @@ def parse_text(src: str) -> SparsityPattern:
             raise ParseError(
                 f"expected {m} entries, found {len(tokens)}", line=lineno
             )
-        for c, tok in enumerate(tokens, start=1):
-            if tok == "*":
-                stars.append((r, c))
-            elif tok in ("0", "."):
-                continue
-            else:
-                raise ParseError(f"unexpected token {tok!r}", line=lineno, column=c)
+        # m tokens joined into m characters, none outside "*0.", means
+        # every token is exactly one of "*", "0" and ".".
+        cells = "".join(tokens)
+        if len(cells) != m or cells.translate(_DROP_CELLS):
+            for c, tok in enumerate(tokens, start=1):
+                if tok not in ("*", "0", "."):
+                    raise ParseError(
+                        f"unexpected token {tok!r}", line=lineno, column=c
+                    )
+        c = cells.find("*")
+        while c >= 0:
+            stars.append((r, c + 1))
+            c = cells.find("*", c + 1)
     return pattern_from_stars(n, m, stars)
 
 
 def serialize_text(p: SparsityPattern) -> str:
+    cols_of: list[list[int]] = [[] for _ in range(p.n)]
+    for (i, j) in p.stars:
+        cols_of[i].append(j)
     lines = [f"{p.n} {p.m}"]
-    stars = p.stars
-    for i in range(p.n):
-        lines.append(" ".join("*" if (i, j) in stars else "0" for j in range(p.m)))
+    for cols in cols_of:
+        row = ["0"] * p.m
+        for j in cols:
+            row[j] = "*"
+        lines.append(" ".join(row))
     return "\n".join(lines) + "\n"
 
 
@@ -136,8 +154,15 @@ def export_dot(g: BipartiteGraph, matchings: list[Matching] | None = None) -> st
 
 def load_pattern(path: str) -> SparsityPattern:
     """Load a pattern file, dispatching on a .json suffix."""
-    with open(path, "r", encoding="utf-8") as fh:
-        src = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            src = fh.read()
+    except UnicodeDecodeError as exc:
+        # read() decodes the whole file in one call, so exc.start is the
+        # byte offset in the file.
+        raise ParseError(
+            f"not valid UTF-8: byte {exc.object[exc.start]:#04x} at offset {exc.start}"
+        ) from None
     if path.endswith(".json"):
         return parse_json(src)
     return parse_text(src)

@@ -1,0 +1,58 @@
+"""Reference ``.spm`` parser and serializer for the tests.
+
+These are the plain per-token and per-cell loops that ``sprank.io`` once
+used.  The library now tokenizes each row with str methods; the tests
+require it to give the same pattern, the same ``ParseError`` and the same
+bytes as these loops.
+"""
+
+from sprank.errors import ParseError
+from sprank.pattern import SparsityPattern, pattern_from_stars
+
+
+def parse_text(src: str) -> SparsityPattern:
+    """Parse the .spm text format, one token at a time."""
+    rows: list[tuple[int, str]] = []
+    for lineno, raw in enumerate(src.splitlines(), start=1):
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        rows.append((lineno, stripped))
+    if not rows:
+        raise ParseError("empty document")
+    header_line, header = rows[0]
+    parts = header.split()
+    if len(parts) != 2:
+        raise ParseError("header must be 'n m'", line=header_line)
+    try:
+        n, m = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ParseError("header must contain two integers", line=header_line)
+    if len(rows) - 1 < n:
+        raise ParseError(f"missing row: expected {n} rows, found {len(rows) - 1}")
+    if len(rows) - 1 > n:
+        raise ParseError(f"too many rows: expected {n}, found {len(rows) - 1}")
+    stars = []
+    for r, (lineno, line) in enumerate(rows[1:], start=1):
+        tokens = line.split()
+        if len(tokens) != m:
+            raise ParseError(
+                f"expected {m} entries, found {len(tokens)}", line=lineno
+            )
+        for c, tok in enumerate(tokens, start=1):
+            if tok == "*":
+                stars.append((r, c))
+            elif tok in ("0", "."):
+                continue
+            else:
+                raise ParseError(f"unexpected token {tok!r}", line=lineno, column=c)
+    return pattern_from_stars(n, m, stars)
+
+
+def serialize_text(p: SparsityPattern) -> str:
+    """Write the .spm text format, one star lookup per cell."""
+    lines = [f"{p.n} {p.m}"]
+    stars = p.stars
+    for i in range(p.n):
+        lines.append(" ".join("*" if (i, j) in stars else "0" for j in range(p.m)))
+    return "\n".join(lines) + "\n"

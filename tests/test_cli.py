@@ -170,6 +170,25 @@ class TestErrorPaths:
         code, _ = invoke(["rank", str(path)])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "name, data, offset",
+        [
+            ("bad.spm", b"1 2\n* \xff\n", 6),
+            ("bad.json", b'{"n": 1, "m": 1, "stars": [[1, 1]]}\xff', 35),
+        ],
+    )
+    def test_invalid_utf8_is_input_error(self, tmp_path, name, data, offset):
+        path = tmp_path / name
+        path.write_bytes(data)
+        env = dict(os.environ, PYTHONPATH=str(Path(sprank.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "sprank.cli", "rank", str(path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"sprank: not valid UTF-8: byte 0xff at offset {offset}\n"
+        assert "Traceback" not in proc.stderr
+
     def test_unknown_flag(self, fig3_file):
         code, _ = invoke(["rank", fig3_file, "--bogus"])
         assert code == 2
