@@ -5,9 +5,14 @@ backtracking, resilience by subset enumeration, augmentation by trying
 complement subsets in increasing size.  It is deliberately independent of
 the flow-based algorithms so the two routes can check each other.
 
-All searches are budget-bounded by counting work units (subset tests,
-enumerated matchings, matching-search nodes or disjointness tests), never
-wall-clock, so budget failures are deterministic.
+The maximum-matching search and the disjoint-family search are
+branch-and-bound: each skips a choice that cannot beat the best answer
+found so far, so both stop as soon as an answer reaches its upper bound.
+Every backtracking search charges its nodes to ``OracleBudget.max_matchings``
+(a matching search charges every partial and complete matching it visits,
+the family search every disjointness test).  Subset enumerations charge one
+unit per subset to ``max_subsets``.  Budgets count work, never wall-clock,
+so budget failures are deterministic.
 """
 
 from __future__ import annotations
@@ -44,12 +49,14 @@ def _adjacency(g: BipartiteGraph) -> list[list[int]]:
 
 
 def _max_matching_size(g: BipartiteGraph, max_nodes: int) -> int:
-    """Maximum matching cardinality by exhaustive search over every row's choices.
+    """Maximum matching cardinality by branch-and-bound over every row's choices.
 
-    Each row in turn is matched to a free column or left unmatched, in every
-    combination.  Every search node is charged to ``max_nodes``.  The search
-    keeps its own stack instead of recursing, so no row count reaches
-    Python's recursion limit.
+    Each row in turn is matched to a free column or left unmatched.  A
+    choice is skipped when matching every later row as well could still not
+    beat the best size found, so the search ends once all rows are matched.
+    Every search node is charged to ``max_nodes``.  The search keeps its own
+    stack instead of recursing, so no row count reaches Python's recursion
+    limit.
     """
     options = [cols + [-1] for cols in _adjacency(g)]  # -1: leave the row unmatched
     n = g.n_left
@@ -64,7 +71,9 @@ def _max_matching_size(g: BipartiteGraph, max_nodes: int) -> int:
             if taken:
                 used.discard(taken.pop())
             continue
-        if j in used:
+        row = len(taken)
+        size = len(used) + (j >= 0)  # rows matched once this row takes j
+        if j in used or size + (n - 1 - row) <= best:
             continue
         nodes += 1
         if nodes > max_nodes:
@@ -72,9 +81,8 @@ def _max_matching_size(g: BipartiteGraph, max_nodes: int) -> int:
                 f"matching search exceeded {max_nodes} nodes; rank >= {best}",
                 lower_bound=best,
             )
-        row = len(taken)
         if row + 1 == n:
-            best = max(best, len(used) + (j >= 0))
+            best = size
             continue
         taken.append(j)
         if j >= 0:
@@ -83,19 +91,20 @@ def _max_matching_size(g: BipartiteGraph, max_nodes: int) -> int:
     return best
 
 
-def _left_perfect_matchings(g: BipartiteGraph):
-    """Yield every left-perfect matching as its columns, one per row in index order.
+def _left_perfect_matchings(adj: list[list[int]], max_nodes: int | None):
+    """Yield every left-perfect matching of ``adj`` as its columns, one per row in index order.
 
-    Rows choose their columns in turn, each from its sorted adjacency, so
-    the matchings come in lexicographic order.  The search keeps its own
-    stack instead of recursing, so no row count reaches Python's recursion
-    limit.
+    Rows choose their columns in turn, each from its adjacency list in
+    order, so sorted lists give the matchings in lexicographic order.
+    Every search node, each matching included, is charged to ``max_nodes``
+    (None: no cap).  The search keeps its own stack instead of recursing,
+    so no row count reaches Python's recursion limit.
     """
-    adj = _adjacency(g)
-    n = g.n_left
+    n = len(adj)
     used: set[int] = set()
     taken: list[int] = []  # the column of each decided row
     choices = [iter(adj[0])]  # the columns left to try at each open row
+    nodes = 1
     while choices:
         j = next(choices[-1], None)
         if j is None:
@@ -105,6 +114,9 @@ def _left_perfect_matchings(g: BipartiteGraph):
             continue
         if j in used:
             continue
+        nodes += 1
+        if max_nodes is not None and nodes > max_nodes:
+            raise BudgetExceededError(f"matching search exceeded {max_nodes} nodes")
         taken.append(j)
         if len(taken) == n:
             yield tuple(taken)
@@ -114,13 +126,28 @@ def _left_perfect_matchings(g: BipartiteGraph):
         choices.append(iter(adj[len(taken)]))
 
 
-def _has_left_perfect_matching(g: BipartiteGraph) -> bool:
-    return next(_left_perfect_matchings(g), None) is not None
+def _has_left_perfect_matching(adj: list[list[int]], max_nodes: int, certified: int) -> bool:
+    """Whether ``adj`` has a left-perfect matching, within ``max_nodes`` search nodes.
+
+    Running out raises BudgetExceededError with ``certified``, the weak
+    resilience proven so far, as its lower bound.
+    """
+    try:
+        return next(_left_perfect_matchings(adj, max_nodes), None) is not None
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(
+            f"{exc}; weak resilience >= {certified}", lower_bound=certified
+        ) from None
 
 
 def _numeric_rank(matrix: np.ndarray, tol: float = 1e-9) -> int:
-    """Rank by floating row reduction with partial pivoting."""
-    a = matrix.astype(float).copy()
+    """Rank by floating Gauss-Jordan elimination with partial pivoting.
+
+    Each pivot clears its column in every other row by one rank-1 update
+    of the columns from the pivot rightward; the columns to its left are
+    never read again.
+    """
+    a = matrix.astype(float)
     rows, cols = a.shape
     rank = 0
     for col in range(cols):
@@ -130,10 +157,10 @@ def _numeric_rank(matrix: np.ndarray, tol: float = 1e-9) -> int:
         if abs(a[pivot, col]) < tol:
             continue
         a[[rank, pivot]] = a[[pivot, rank]]
-        a[rank] /= a[rank, col]
-        for r in range(rows):
-            if r != rank:
-                a[r] -= a[r, col] * a[rank]
+        a[rank, col:] /= a[rank, col]
+        factors = a[:, col].copy()
+        factors[rank] = 0.0
+        a[:, col:] -= np.outer(factors, a[rank, col:])
         rank += 1
     return rank
 
@@ -153,10 +180,10 @@ def brute_rank(
     check_dense_size(g.n_left, g.n_right)
     size = _max_matching_size(g, b.max_matchings)
     rng = rng if rng is not None else np.random.default_rng(20240817)
+    stars = tuple(np.array(list(g.edges), dtype=np.intp).reshape(-1, 2).T)
     for _ in range(3):
         a = np.zeros((g.n_left, g.n_right))
-        for (i, j) in g.edges:
-            a[i, j] = rng.uniform(1.0, 2.0)
+        a[stars] = rng.uniform(1.0, 2.0, len(g.edges))
         numeric = _numeric_rank(a)
         if numeric != size:
             raise VerificationError(
@@ -168,20 +195,29 @@ def brute_rank(
 def enumerate_left_perfect_matchings(
     g: BipartiteGraph, cap: int | None = None
 ) -> list[frozenset[tuple[int, int]]]:
-    """All left-perfect matchings, rows matched in index order."""
-    found: list[frozenset[tuple[int, int]]] = []
-    for cols in _left_perfect_matchings(g):
-        if cap is not None and len(found) == cap:
-            raise BudgetExceededError(f"more than {cap} left-perfect matchings")
-        found.append(frozenset(enumerate(cols)))
-    return found
+    """All left-perfect matchings, rows matched in index order.
+
+    The search may visit at most ``cap`` nodes, each matching included
+    (None: no cap).
+    """
+    return [frozenset(enumerate(cols)) for cols in _left_perfect_matchings(_adjacency(g), cap)]
 
 
 def brute_weak_resilience(
     g: BipartiteGraph, b: OracleBudget = DEFAULT_BUDGET
 ) -> int:
-    """Exact weak resilience by testing every removal subset."""
-    if _max_matching_size(g, b.max_matchings) < g.n_left:
+    """Exact weak resilience by testing every removal subset.
+
+    g's sorted adjacency is built once.  Each subset drops its edges from
+    the rows they touch, and a backtracking search of at most
+    ``b.max_matchings`` nodes tests what is left for a left-perfect
+    matching.  Subsets come in increasing size, edges in sorted order, one
+    unit of ``b.max_subsets`` each.  Running out of either budget raises
+    BudgetExceededError with the certified lower bound: -1 while g itself
+    is untested.
+    """
+    adj = _adjacency(g)
+    if not _has_left_perfect_matching(adj, b.max_matchings, -1):
         return -1
     edges = g.sorted_edges
     remaining = b.max_subsets
@@ -194,8 +230,10 @@ def brute_weak_resilience(
                     lower_bound=verified,
                 )
             remaining -= 1
-            reduced = BipartiteGraph(g.n_left, g.n_right, g.edges - set(removed))
-            if not _has_left_perfect_matching(reduced):
+            reduced = adj.copy()
+            for (i, j) in removed:
+                reduced[i] = [c for c in reduced[i] if c != j]
+            if not _has_left_perfect_matching(reduced, b.max_matchings, verified):
                 return size - 1
         verified = size
     return len(edges) - 1
@@ -248,7 +286,9 @@ def brute_strong_resilience(
     """Exact strong resilience: max disjoint family of left-perfect matchings, minus one.
 
     Each matching takes its own edge at every row, so no family outgrows
-    the smallest row degree, and the search stops once it reaches it.
+    the smallest row degree, and the search stops once it reaches it.  The
+    matching enumeration and the family search may each spend
+    ``b.max_matchings`` units.
     """
     matchings = enumerate_left_perfect_matchings(g, cap=b.max_matchings)
     if not matchings:
@@ -259,7 +299,7 @@ def brute_strong_resilience(
 def has_disjoint_matchings(g: BipartiteGraph, k: int, cap: int | None = None) -> bool:
     """Early-exit test for k pairwise-disjoint left-perfect matchings.
 
-    ``cap`` bounds both the matchings enumerated and the disjointness tests.
+    ``cap`` bounds both the matching-search nodes and the disjointness tests.
     """
     if k <= 0:
         return True

@@ -41,6 +41,28 @@ def random_graph(rng: random.Random, n: int, m: int, p: float = 0.5) -> sp.Bipar
     return sp.BipartiteGraph(n, m, edges)
 
 
+def upper_triangle(n: int) -> sp.BipartiteGraph:
+    """Row i holds columns i..n-1: one left-perfect matching, and a tree of
+    dead ends that grows exponentially with n."""
+    return sp.BipartiteGraph(n, n, frozenset((i, j) for i in range(n) for j in range(i, n)))
+
+
+def pruning_proof_block(n: int) -> sp.BipartiteGraph:
+    """Rank n - 1 with a matching-search tree that no bound can prune.
+
+    A diagonal on the first n - 12 rows, then K(9,9), then the last three
+    rows on two shared columns.  Once the first leaf has matched n - 1
+    rows, the bound cuts a branch as soon as a row is left unmatched; only
+    the last row must be, so the search still walks all 9! matchings of
+    K(9,9).
+    """
+    d = n - 12
+    edges = {(i, i) for i in range(d)}
+    edges |= {(d + i, d + j) for i in range(9) for j in range(9)}
+    edges |= {(d + 9 + i, d + 9 + j) for i in range(3) for j in range(2)}
+    return sp.BipartiteGraph(n, n, frozenset(edges))
+
+
 def random_union_of_matchings(
     rng: random.Random, n: int, m: int, k: int
 ) -> sp.BipartiteGraph:

@@ -11,7 +11,9 @@ import sprank
 from sprank import flow as flow_engine
 from sprank import pattern as pattern_mod
 from sprank.cli import run
+from sprank.io import serialize_json
 
+from conftest import pruning_proof_block, upper_triangle
 from test_io import FIG3_TEXT
 
 FIG7_TEXT = "2 3\n* * 0\n* * 0\n"
@@ -158,6 +160,19 @@ class TestVerify:
         )
         assert proc.returncode == 4, proc.stderr
 
+    def test_triangle_dead_ends_end_in_budget_error(self, tmp_path):
+        # One matching under an exponential tree of dead ends: the oracle's
+        # matching enumeration must run out of nodes, not hang.
+        path = tmp_path / "tri24.json"
+        path.write_text(serialize_json(sprank.from_bipartite(upper_triangle(24))))
+        env = dict(os.environ, PYTHONPATH=str(Path(sprank.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "sprank.cli", "verify", str(path)],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert proc.returncode == 4, proc.stderr
+        assert "budget exceeded" in proc.stderr
+
 
 class TestErrorPaths:
     def test_missing_file(self):
@@ -244,12 +259,21 @@ class TestErrorPaths:
         assert "dense-size cap" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_verify_deep_diagonal_is_budget_error(self, tmp_path, capsys):
-        # 990 rows: the oracle's matching search must run out of budget,
-        # not into Python's recursion limit.
+    def test_verify_deep_diagonal_passes(self, tmp_path):
+        # 990 rows: every oracle search must keep its own stack, not run
+        # into Python's recursion limit.
         stars = [[i, i] for i in range(1, 991)]
         path = tmp_path / "d990.json"
         path.write_text(json.dumps({"n": 990, "m": 990, "stars": stars}))
+        code, out = invoke(["verify", str(path)])
+        assert code == 0
+        assert out.endswith("all checks passed\n")
+
+    def test_verify_deep_block_is_budget_error(self, tmp_path, capsys):
+        # 990 rows whose matching search the bound cannot prune: it must
+        # run out of budget, not into Python's recursion limit.
+        path = tmp_path / "b990.json"
+        path.write_text(serialize_json(sprank.from_bipartite(pruning_proof_block(990))))
         code, _ = invoke(["verify", str(path)])
         assert code == 4
         assert "budget exceeded" in capsys.readouterr().err

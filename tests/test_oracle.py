@@ -1,13 +1,34 @@
 import random
 import time
 
+import numpy as np
 import pytest
 
 import sprank as sp
 from sprank import oracle
 from sprank.errors import BudgetExceededError, InvalidKError, VerificationError
 
-from conftest import random_graph
+from conftest import pruning_proof_block, random_graph, upper_triangle
+
+
+def _row_loop_rank(matrix, tol=1e-9):
+    """The oracle's earlier numeric rank: one Python step per row and pivot."""
+    a = matrix.astype(float).copy()
+    rows, cols = a.shape
+    rank = 0
+    for col in range(cols):
+        if rank == rows:
+            break
+        pivot = rank + int(np.argmax(np.abs(a[rank:, col])))
+        if abs(a[pivot, col]) < tol:
+            continue
+        a[[rank, pivot]] = a[[pivot, rank]]
+        a[rank] /= a[rank, col]
+        for r in range(rows):
+            if r != rank:
+                a[r] -= a[r, col] * a[rank]
+        rank += 1
+    return rank
 
 
 class TestBruteRank:
@@ -36,20 +57,56 @@ class TestBruteRank:
         ],
         ids=["complete_9x9", "diagonal_30x30"],
     )
-    def test_search_budget_exceeded(self, g, rank):
-        # Both branches at every row make the search exponential; the node
-        # budget stops it, and the first leaf already certifies the rank.
+    def test_search_stops_at_perfect_matching(self, g, rank):
+        # Both branches at every row make the tree exponential, but once
+        # every row is matched no choice can beat the best.
+        start = time.perf_counter()
+        assert oracle.brute_rank(g) == rank
+        assert time.perf_counter() - start < 1.0
+
+    def test_search_budget_exceeded(self):
+        # The bound prunes nothing below K(9,9); the node budget stops the
+        # search, and the first leaf already certifies the rank.
+        g = pruning_proof_block(12)
         start = time.perf_counter()
         with pytest.raises(BudgetExceededError) as info:
             oracle.brute_rank(g)
         assert time.perf_counter() - start < 1.0
-        assert info.value.lower_bound == rank
+        assert info.value.lower_bound == 11 == sp.structural_rank(g)
 
     def test_search_budget_counts_nodes(self, fig3_graph):
-        # Fig 3's search tree has more than 10 nodes and fewer than 1000.
+        # The root and one node per row: the greedy first branch matches
+        # all four rows, and the bound cuts every other choice.
         with pytest.raises(BudgetExceededError):
-            oracle.brute_rank(fig3_graph, b=oracle.OracleBudget(max_matchings=10))
-        assert oracle.brute_rank(fig3_graph, b=oracle.OracleBudget(max_matchings=1000)) == 4
+            oracle.brute_rank(fig3_graph, b=oracle.OracleBudget(max_matchings=4))
+        assert oracle.brute_rank(fig3_graph, b=oracle.OracleBudget(max_matchings=5)) == 4
+
+    def test_numeric_rank_matches_row_loop(self):
+        # The rank-1 update per pivot does the row loop's arithmetic on the
+        # columns it still reads, so the pivots and the rank are the same.
+        rng = np.random.default_rng(101)
+        for t in range(2000):
+            n = int(rng.integers(1, 7))
+            m = int(rng.integers(n, 9))
+            mask = rng.random((n, m)) < rng.random()
+            a = mask * (rng.uniform(1.0, 2.0, (n, m)) if t % 2 else rng.integers(-2, 3, (n, m)))
+            if t % 3 == 0 and n > 1:
+                a[-1] = 1.5 * a[0]
+            assert oracle._numeric_rank(a) == _row_loop_rank(a)
+
+    def test_realizations_match_per_star_draws(self, fig3_graph, monkeypatch):
+        # One draw per star, in g.edges order: the random stream and the
+        # matrices are those of one scalar draw per star.
+        seen = []
+        monkeypatch.setattr(oracle, "_numeric_rank", lambda a: seen.append(a.copy()) or 4)
+        oracle.brute_rank(fig3_graph, rng=np.random.default_rng(7))
+        rng = np.random.default_rng(7)
+        assert len(seen) == 3
+        for a in seen:
+            expected = np.zeros_like(a)
+            for (i, j) in fig3_graph.edges:
+                expected[i, j] = rng.uniform(1.0, 2.0)
+            assert np.array_equal(a, expected)
 
     def test_numeric_disagreement_raises(self, fig3_graph, monkeypatch):
         monkeypatch.setattr(oracle, "_numeric_rank", lambda a: 0)
@@ -75,6 +132,23 @@ class TestBruteWeakResilience:
                 fig3_graph, oracle.OracleBudget(max_subsets=3)
             )
 
+    def test_precheck_budget_certifies_nothing(self):
+        # g itself runs out of nodes before it passes, so no bound above
+        # -1 is certified; -1 is in fact the answer.
+        g = pruning_proof_block(12)
+        with pytest.raises(BudgetExceededError) as info:
+            oracle.brute_weak_resilience(g)
+        assert info.value.lower_bound == -1 == sp.weak_resilience(g)
+
+    def test_subset_search_is_node_capped(self):
+        # Without (0, 0) the triangle has no left-perfect matching, but
+        # only an exponential tree of dead ends shows it.
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError) as info:
+            oracle.brute_weak_resilience(upper_triangle(24))
+        assert time.perf_counter() - start < 2.0
+        assert info.value.lower_bound == 0
+
 
 class TestBruteStrongResilience:
     def test_fig4(self, fig3_graph):
@@ -99,6 +173,20 @@ class TestBruteStrongResilience:
         g = sp.complete_graph(1, 1100)
         assert oracle.brute_strong_resilience(g) == 1099
         assert oracle.has_disjoint_matchings(g, 1050)
+
+    def test_matching_enumeration_is_node_capped(self):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError):
+            oracle.brute_strong_resilience(upper_triangle(24))
+        assert time.perf_counter() - start < 2.0
+
+    def test_enumeration_cap_counts_every_matching(self):
+        # K(2,2): the root, then each row's choice on both branches; the
+        # two matchings are the last nodes of their branches.
+        g = sp.complete_graph(2, 2)
+        assert len(oracle.enumerate_left_perfect_matchings(g, cap=5)) == 2
+        with pytest.raises(BudgetExceededError):
+            oracle.enumerate_left_perfect_matchings(g, cap=4)
 
     def test_complete_6x6_stops_at_min_degree(self):
         # Of 720 matchings, six disjoint ones end the search: no row has a

@@ -53,3 +53,36 @@ def test_no_directly_recursive_functions_in_library():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _calls_itself(node)
         ]
     assert not found, f"directly recursive functions in sprank: {found}"
+
+
+def _sprank_modules_imported(tree) -> list[str]:
+    """The sprank modules a parsed module imports, named relative to the package."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # The oracle sits at the package's top level, so a relative
+            # import names a sprank module.
+            module = ".".join(filter(None, ["sprank" if node.level else "", node.module]))
+            names = [module] if module != "sprank" else [f"sprank.{a.name}" for a in node.names]
+        else:
+            continue
+        found += [
+            name.removeprefix("sprank").lstrip(".")
+            for name in names
+            if name.split(".")[0] == "sprank"
+        ]
+    return found
+
+
+def test_oracle_is_independent_of_the_flow_algorithms():
+    # The oracle is the independent route that verify checks the flow
+    # results against, so it may share only the error types and the
+    # pattern data model with them.
+    path = Path(sprank.__file__).parent / "oracle.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = _sprank_modules_imported(tree)
+    assert "errors" in imported and "pattern" in imported
+    outside = [name for name in imported if name.split(".")[0] not in ("errors", "pattern")]
+    assert not outside, f"oracle.py imports sprank modules beyond errors and pattern: {outside}"
