@@ -15,6 +15,10 @@ the primal-dual method without building the n*m-arc network:
 * the final potentials are a dual certificate: every row at degree k*+1
   makes the flow maximum, and no residual pair of negative reduced cost
   makes it of minimum cost.  A failed check raises VerificationError.
+
+Lifting a union of k disjoint left-perfect matchings to k+ell
+(Proposition 2, :func:`boost_by` and :func:`increment_matchings`) is the
+same solve at b = k+ell, whose certified cost must be exactly ell*n.
 """
 
 from __future__ import annotations
@@ -23,12 +27,7 @@ from dataclasses import dataclass
 
 from . import flow as flow_engine
 from .errors import InvalidKError, PreconditionFailedError, VerificationError
-from .pattern import (
-    BipartiteGraph,
-    complement,
-    is_union_of_k_matchings,
-    union_disjoint,
-)
+from .pattern import BipartiteGraph, complement, is_union_of_k_matchings
 from .resilience import _strong_resilience_value
 
 
@@ -152,40 +151,36 @@ def best_within_budget(
 def increment_matchings(
     g: BipartiteGraph, k: int
 ) -> tuple[BipartiteGraph, list[tuple[int, int]]]:
-    """Add n complement edges lifting a union of k matchings to k+1.
-
-    Solves max flow on the complement network; its value is guaranteed to
-    be n whenever the preconditions hold.
-    """
+    """Add n complement edges lifting a union of k matchings to k+1 (Proposition 2)."""
     if k >= g.n_right:
         raise InvalidKError(f"k = {k} must be below the column count {g.n_right}")
-    if not is_union_of_k_matchings(g, k):
-        raise PreconditionFailedError(
-            f"graph is not a union of {k} disjoint left-perfect matchings"
-        )
-    net = flow_engine.build_augmentation_network(g, k)
-    f = flow_engine.max_flow(net)
-    if f.value != g.n_left:
-        raise VerificationError("complement flow must route one unit per row")
-    picked = flow_engine.induced_subgraph(g, f)
-    result = union_disjoint(g, picked)
-    return result, picked.sorted_edges
+    return boost_by(g, k, 1)
 
 
 def boost_by(
     g: BipartiteGraph, k: int, ell: int
 ) -> tuple[BipartiteGraph, list[tuple[int, int]]]:
-    """Iterate the k -> k+1 step ell times, adding exactly ell*n edges."""
+    """Add ell*n complement edges lifting a union of k matchings to k+ell.
+
+    One fair b-matching at b = k+ell: each row already holds its k edges
+    of g, so the certified cost is at least ell*n, and Proposition 2
+    applied ell times reaches it.  Cost ell*n forces the b-matching to
+    contain g.
+    """
     if not 1 <= ell <= g.n_right - k:
         raise InvalidKError(
             f"ell = {ell} outside [1, {g.n_right - k}] for k = {k}"
         )
-    current = g
-    added: list[tuple[int, int]] = []
-    for step in range(ell):
-        current, new_edges = increment_matchings(current, k + step)
-        added.extend(new_edges)
-    return current, sorted(added)
+    if not is_union_of_k_matchings(g, k):
+        raise PreconditionFailedError(
+            f"graph is not a union of {k} disjoint left-perfect matchings"
+        )
+    edges, cost = flow_engine.min_cost_b_matching(g, k + ell)
+    if cost != ell * g.n_left:
+        raise VerificationError(
+            f"lifting by {ell} must add exactly {ell * g.n_left} edges, not {cost}"
+        )
+    return BipartiteGraph(g.n_left, g.n_right, edges), sorted(edges - g.edges)
 
 
 def complement_matching_structure(g: BipartiteGraph) -> int:

@@ -41,10 +41,6 @@ class VerificationError(SprankError):
     """A computed result failed its own consistency check (a solver fault, not bad input)."""
 
 
-class TagMismatchError(SprankError):
-    """A flow's network carries no pattern-coordinate tags."""
-
-
 class NotSubsetError(SprankError):
     """A matching contains edges outside the host graph."""
 

@@ -1,6 +1,7 @@
 """Integer-capacity flow networks and the two resilience constructions.
 
-Two network builders are provided:
+The paper's two networks share one node layout: 0 = s, 1 = t, 2 + i =
+row i and 2 + n + j = column j.
 
 * :func:`build_resilience_network` routes flow s -> rows -> columns -> t
   through the pattern's own edges, with source/sink capacity ``ell``.  A
@@ -14,8 +15,10 @@ are scanned in ascending index order, so repeated runs on the same network
 produce identical flows.  It checks max-flow = min-cut before it returns
 and raises :class:`~sprank.errors.VerificationError` if the two differ.
 
-Structural rank, strong resilience and augmentation build neither network.
-They share one b-matching engine: the flow of s -> rows -> columns -> t
+No library solve builds either network: they are the paper's constructions
+and the reference the tests check the engine below against.  Structural
+rank, strong resilience, weak resilience and augmentation share one
+b-matching engine: the flow of s -> rows -> columns -> t
 with capacity b on every source and sink arc, kept as a b-matching H and
 grown by shortest augmenting paths (Hopcroft & Karp 1973) over the arcs of
 zero reduced cost.  At zero potentials those arcs are g's own edges, so
@@ -29,7 +32,8 @@ the flow is the flow of the resilience network at level b:
   implicit complete graph by the primal-dual method: fills over the arcs
   of zero reduced cost, starting from the maximum b-matching of g itself,
   alternate with one Dijkstra each, and the final dual potentials certify
-  the result;
+  the result; lifting a union of k matchings by ell is the same solve at
+  b = k+ell;
 * weak resilience fills level 1 once and, per removal subset, resets H to
   that matching less the removed pairs and re-augments the rows that lost
   their column (:meth:`_BMatching.repair`).
@@ -41,25 +45,18 @@ from collections import deque
 from dataclasses import dataclass
 import heapq
 
-from .errors import NotMaximalError, TagMismatchError, VerificationError
+from .errors import NotMaximalError, VerificationError
 from .pattern import BipartiteGraph, check_dense_size
 
 
 @dataclass(frozen=True)
 class Arc:
-    """A directed arc with integer capacity and cost.
-
-    ``kind`` is "E0" or "E1" following the network construction that made the
-    arc; ``coord`` carries the 0-based pattern coordinate for arcs that
-    correspond to (non-)edges of the underlying bipartite graph.
-    """
+    """A directed arc with integer capacity and cost."""
 
     tail: int
     head: int
     capacity: int
     cost: int = 0
-    kind: str = ""
-    coord: tuple[int, int] | None = None
 
     def __post_init__(self):
         if self.capacity < 0 or self.cost < 0:
@@ -132,7 +129,7 @@ def build_resilience_network(g: BipartiteGraph, ell: int) -> FlowNetwork:
 
     Node layout: 0 = s, 1 = t, 2..2+n-1 = left nodes, then right nodes.
     Source and sink arcs have capacity ell; each pattern edge becomes a
-    unit-capacity middle arc tagged with its coordinate.
+    unit-capacity middle arc.
     """
     if ell < 0:
         raise ValueError("ell must be nonnegative")
@@ -141,11 +138,11 @@ def build_resilience_network(g: BipartiteGraph, ell: int) -> FlowNetwork:
     right = lambda j: 2 + n + j
     arcs = []
     for i in range(n):
-        arcs.append(Arc(0, left(i), ell, kind="E0"))
+        arcs.append(Arc(0, left(i), ell))
     for (i, j) in g.sorted_edges:
-        arcs.append(Arc(left(i), right(j), 1, kind="E1", coord=(i, j)))
+        arcs.append(Arc(left(i), right(j), 1))
     for j in range(m):
-        arcs.append(Arc(right(j), 1, ell, kind="E0"))
+        arcs.append(Arc(right(j), 1, ell))
     return FlowNetwork(2 + n + m, 0, 1, tuple(arcs))
 
 
@@ -164,14 +161,14 @@ def build_augmentation_network(g: BipartiteGraph, k: int) -> FlowNetwork:
     right_deg = g.right_degrees()
     arcs = []
     for i in range(n):
-        arcs.append(Arc(0, left(i), 1, kind="E0"))
+        arcs.append(Arc(0, left(i), 1))
     for i in range(n):
         for j in range(m):
             if (i, j) not in g.edges:
-                arcs.append(Arc(left(i), right(j), 1, kind="E0", coord=(i, j)))
+                arcs.append(Arc(left(i), right(j), 1))
     for j in range(m):
         cap = max(0, (k + 1) - right_deg[j])
-        arcs.append(Arc(right(j), 1, cap, kind="E1"))
+        arcs.append(Arc(right(j), 1, cap))
     return FlowNetwork(2 + n + m, 0, 1, tuple(arcs))
 
 
@@ -260,23 +257,6 @@ def _verify_min_cut(net: FlowNetwork, adj, flow: Flow) -> None:
     cut = _min_cut(net, adj, flow.arc_values)
     if cut.capacity != flow.value:
         raise VerificationError(f"max-flow {flow.value} != min-cut {cut.capacity}")
-
-
-def induced_subgraph(g: BipartiteGraph, f: Flow) -> BipartiteGraph:
-    """Edges whose tagged arcs carry nonzero flow, as a graph on g's nodes.
-
-    For resilience networks this is a subgraph of g; for augmentation
-    networks it is a subgraph of g's complement.
-    """
-    tagged = [
-        (a.coord, v)
-        for a, v in zip(f.network.arcs, f.arc_values)
-        if a.coord is not None
-    ]
-    if not tagged:
-        raise TagMismatchError("flow's network carries no pattern-coordinate tags")
-    edges = frozenset(coord for (coord, v) in tagged if v > 0)
-    return BipartiteGraph(g.n_left, g.n_right, edges)
 
 
 class _BMatching:

@@ -91,13 +91,13 @@ def _max_matching_size(g: BipartiteGraph, max_nodes: int) -> int:
     return best
 
 
-def _left_perfect_matchings(adj: list[list[int]], max_nodes: int | None):
+def _left_perfect_matchings(adj: list[list[int]], max_nodes: int):
     """Yield every left-perfect matching of ``adj`` as its columns, one per row in index order.
 
     Rows choose their columns in turn, each from its adjacency list in
     order, so sorted lists give the matchings in lexicographic order.
-    Every search node, each matching included, is charged to ``max_nodes``
-    (None: no cap).  The search keeps its own stack instead of recursing,
+    Every search node, each matching included, is charged to ``max_nodes``.
+    The search keeps its own stack instead of recursing,
     so no row count reaches Python's recursion limit.
     """
     n = len(adj)
@@ -115,7 +115,7 @@ def _left_perfect_matchings(adj: list[list[int]], max_nodes: int | None):
         if j in used:
             continue
         nodes += 1
-        if max_nodes is not None and nodes > max_nodes:
+        if nodes > max_nodes:
             raise BudgetExceededError(f"matching search exceeded {max_nodes} nodes")
         taken.append(j)
         if len(taken) == n:
@@ -144,8 +144,8 @@ def _numeric_rank(matrix: np.ndarray, tol: float = 1e-9) -> int:
     """Rank by floating Gauss-Jordan elimination with partial pivoting.
 
     Each pivot clears its column in every other row by one rank-1 update
-    of the columns from the pivot rightward; the columns to its left are
-    never read again.
+    of the columns from the pivot rightward, skipped when every other row
+    already holds 0 there; the columns to its left are never read again.
     """
     a = matrix.astype(float)
     rows, cols = a.shape
@@ -160,7 +160,8 @@ def _numeric_rank(matrix: np.ndarray, tol: float = 1e-9) -> int:
         a[rank, col:] /= a[rank, col]
         factors = a[:, col].copy()
         factors[rank] = 0.0
-        a[:, col:] -= np.outer(factors, a[rank, col:])
+        if factors.any():
+            a[:, col:] -= np.outer(factors, a[rank, col:])
         rank += 1
     return rank
 
@@ -193,12 +194,11 @@ def brute_rank(
 
 
 def enumerate_left_perfect_matchings(
-    g: BipartiteGraph, cap: int | None = None
+    g: BipartiteGraph, cap: int = DEFAULT_BUDGET.max_matchings
 ) -> list[frozenset[tuple[int, int]]]:
     """All left-perfect matchings, rows matched in index order.
 
-    The search may visit at most ``cap`` nodes, each matching included
-    (None: no cap).
+    The search may visit at most ``cap`` nodes, each matching included.
     """
     return [frozenset(enumerate(cols)) for cols in _left_perfect_matchings(_adjacency(g), cap)]
 
@@ -240,14 +240,14 @@ def brute_weak_resilience(
 
 
 def _disjoint_family(
-    matchings: list[frozenset[tuple[int, int]]], stop: int, max_tests: int | None
+    matchings: list[frozenset[tuple[int, int]]], stop: int, max_tests: int
 ) -> int:
     """Size of a largest pairwise-disjoint subfamily, or ``stop`` once one that large is found.
 
     Depth-first over the matchings in list order, with its own stack
     instead of recursion.  A level is left as soon as the matchings after
     it cannot beat the best family found so far.  Every disjointness test
-    is charged to ``max_tests`` (None: no cap); running out raises
+    is charged to ``max_tests``; running out raises
     BudgetExceededError with the best family minus one, a certified lower
     bound on strong resilience.
     """
@@ -262,7 +262,7 @@ def _disjoint_family(
                 return best
         if len(chosen) + total - start > best:
             tests += 1
-            if max_tests is not None and tests > max_tests:
+            if tests > max_tests:
                 raise BudgetExceededError(
                     f"disjoint-family search exceeded {max_tests} tests; "
                     f"strong resilience >= {best - 1}",
@@ -296,7 +296,9 @@ def brute_strong_resilience(
     return _disjoint_family(matchings, min(g.left_degrees()), b.max_matchings) - 1
 
 
-def has_disjoint_matchings(g: BipartiteGraph, k: int, cap: int | None = None) -> bool:
+def has_disjoint_matchings(
+    g: BipartiteGraph, k: int, cap: int = DEFAULT_BUDGET.max_matchings
+) -> bool:
     """Early-exit test for k pairwise-disjoint left-perfect matchings.
 
     ``cap`` bounds both the matching-search nodes and the disjointness tests.
@@ -331,7 +333,16 @@ def brute_min_augmentation(
                 )
             remaining -= 1
             candidate = BipartiteGraph(g.n_left, g.n_right, g.edges | set(extra))
-            if has_disjoint_matchings(candidate, k_star + 1, cap=b.max_matchings):
+            try:
+                found = has_disjoint_matchings(candidate, k_star + 1, cap=b.max_matchings)
+            except BudgetExceededError:
+                # Every smaller size was refuted, so only delta* >= d is certified.
+                raise BudgetExceededError(
+                    f"matching search on a size-{d} candidate exceeded the budget; "
+                    f"delta* >= {d}",
+                    lower_bound=d,
+                ) from None
+            if found:
                 return d
     raise VerificationError(
         f"even the complete graph has no {k_star + 1} disjoint left-perfect matchings"

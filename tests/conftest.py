@@ -81,6 +81,20 @@ def random_union_of_matchings(
             return sp.BipartiteGraph(n, m, frozenset(edges))
 
 
+def shifted_union(rng: random.Random, n: int, m: int, k: int) -> sp.BipartiteGraph:
+    """A union of k disjoint left-perfect matchings, built directly.
+
+    Under a random row order and column permutation, row i takes the
+    columns i + s (mod m) for k distinct shifts s: distinct shifts keep the
+    matchings disjoint, and each column meets each shift at most once.
+    """
+    rows = rng.sample(range(n), n)
+    cols = rng.sample(range(m), m)
+    shifts = rng.sample(range(m), k)
+    edges = frozenset((rows[i], cols[(i + s) % m]) for i in range(n) for s in shifts)
+    return sp.BipartiteGraph(n, m, edges)
+
+
 @st.composite
 def small_graphs(draw):
     """Graphs with n <= 4 and m <= 5 columns, square (n = m) about half the time."""

@@ -1,4 +1,4 @@
-"""Reference minimum-cost maximum flow for the tests.
+"""Reference flow routines for the tests.
 
 The library solves its one min-cost problem, the fair b-matching, with the
 primal-dual engine in ``sprank.flow``.  This generic successive-shortest-path
@@ -8,6 +8,22 @@ solver on an explicit ``FlowNetwork`` is what the tests compare it against.
 import heapq
 
 from sprank.flow import Flow, FlowNetwork, _residual_adjacency, _verify_min_cut
+from sprank.pattern import BipartiteGraph
+
+
+def flow_subgraph(g: BipartiteGraph, f: Flow) -> BipartiteGraph:
+    """The row -> column arcs that carry flow, as a graph on g's node sets.
+
+    Reads the node layout of the resilience and augmentation networks:
+    0 = s, 1 = t, 2 + i = row i and 2 + n + j = column j.
+    """
+    net, n = f.network, g.n_left
+    edges = frozenset(
+        (a.tail - 2, a.head - 2 - n)
+        for a, v in zip(net.arcs, f.arc_values)
+        if v > 0 and a.tail != net.source and a.head != net.sink
+    )
+    return BipartiteGraph(n, g.n_right, edges)
 
 
 def min_cost_max_flow(net: FlowNetwork) -> Flow:

@@ -210,13 +210,17 @@ def test_criterion_9_min_cut_hook(monkeypatch):
         )
         g = fig3_graph()
         net = sp.build_resilience_network(g, 2)
+        union = random_union_of_matchings(random.Random(9), 4, 5, 2)
         # Weak resilience checks the min cut of g's rank fill, then the
-        # certified solve of the one subset whose repair fails.
+        # certified solve of the one subset whose repair fails.  A lift
+        # is one certified solve, whatever ell is.
         for solve, kinds in [
             (sp.structural_rank, ["sweep"]),
             (sp.strong_resilience, ["sweep"]),
             (lambda _: sp.max_flow(net), ["network"]),
             (lambda g: sp.fair_b_matching(g, 2), ["dual"]),
+            (lambda _: sp.increment_matchings(union, 2), ["dual"]),
+            (lambda _: sp.boost_by(union, 2, 3), ["dual"]),
             (sp.weak_resilience, ["sweep", "sweep"]),
         ]:
             checked.clear()

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -8,8 +9,14 @@ from sprank import oracle
 from sprank.errors import InvalidKError, PreconditionFailedError
 from sprank.flow import Arc, FlowNetwork
 
-from conftest import differential, random_graph, random_union_of_matchings, small_graphs
-from reference_flow import min_cost_max_flow
+from conftest import (
+    differential,
+    random_graph,
+    random_union_of_matchings,
+    shifted_union,
+    small_graphs,
+)
+from reference_flow import flow_subgraph, min_cost_max_flow
 
 
 class TestFairBMatching:
@@ -194,6 +201,14 @@ class TestIncrementMatchings:
             net = sp.build_augmentation_network(g, k)
             assert sp.max_flow(net).value == n
 
+    def test_500x500_union_of_three(self):
+        g = shifted_union(random.Random(71), 500, 500, 3)
+        start = time.perf_counter()
+        result, added = sp.increment_matchings(g, 3)
+        assert time.perf_counter() - start < 5.0
+        assert len(added) == 500 and not (set(added) & g.edges)
+        assert sp.is_union_of_k_matchings(result, 4)
+
 
 class TestBoostBy:
     def test_matching_to_complete_3x3(self):
@@ -213,6 +228,26 @@ class TestBoostBy:
     def test_ell_too_large(self, fig7_graph):
         with pytest.raises(InvalidKError):
             sp.boost_by(fig7_graph, 2, 2)
+
+    def test_every_ell_matches_reference_lifts(self):
+        # The reference lifts one step at a time: a max flow of value n on
+        # the augmentation network, whose flow subgraph joins the union.
+        rng = random.Random(67)
+        for _ in range(60):
+            n = rng.randint(1, 6)
+            m = rng.randint(max(n, 2), 8)
+            k = rng.randint(1, m - 1)
+            g = shifted_union(rng, n, m, k)
+            current = g
+            for ell in range(1, m - k + 1):
+                f = sp.max_flow(sp.build_augmentation_network(current, k + ell - 1))
+                assert f.value == n
+                current = sp.union_disjoint(current, flow_subgraph(current, f))
+                assert sp.is_union_of_k_matchings(current, k + ell)
+                result, added = sp.boost_by(g, k, ell)
+                assert len(added) == ell * n and not (set(added) & g.edges)
+                assert result.edges == g.edges | set(added)
+                assert sp.is_union_of_k_matchings(result, k + ell)
 
 
 class TestComplementMatchingStructure:

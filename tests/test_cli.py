@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -265,7 +266,9 @@ class TestErrorPaths:
         stars = [[i, i] for i in range(1, 991)]
         path = tmp_path / "d990.json"
         path.write_text(json.dumps({"n": 990, "m": 990, "stars": stars}))
+        start = time.perf_counter()
         code, out = invoke(["verify", str(path)])
+        assert time.perf_counter() - start < 2.0
         assert code == 0
         assert out.endswith("all checks passed\n")
 

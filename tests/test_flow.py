@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given
 
 import sprank as sp
-from sprank.errors import NotMaximalError, TagMismatchError, VerificationError
+from sprank.errors import NotMaximalError, VerificationError
 from sprank.flow import Arc, FlowNetwork, _BMatching
 
 from conftest import differential, random_graph, small_graphs
-from reference_flow import min_cost_max_flow
+from reference_flow import flow_subgraph, min_cost_max_flow
 
 
 class TestResilienceNetwork:
@@ -17,7 +17,7 @@ class TestResilienceNetwork:
         net = sp.build_resilience_network(fig3_graph, 2)
         source_arcs = [a for a in net.arcs if a.tail == net.source]
         sink_arcs = [a for a in net.arcs if a.head == net.sink]
-        middle = [a for a in net.arcs if a.coord is not None]
+        middle = [a for a in net.arcs if a.tail != net.source and a.head != net.sink]
         assert len(source_arcs) == 4 and all(a.capacity == 2 for a in source_arcs)
         assert len(sink_arcs) == 5 and all(a.capacity == 2 for a in sink_arcs)
         assert len(middle) == 10 and all(a.capacity == 1 for a in middle)
@@ -49,7 +49,7 @@ class TestAugmentationNetwork:
     def test_complete_graph_has_no_middle_arcs(self):
         g = sp.complete_graph(2, 3)
         net = sp.build_augmentation_network(g, 1)
-        assert not [a for a in net.arcs if a.coord is not None]
+        assert not [a for a in net.arcs if a.tail != net.source and a.head != net.sink]
         assert sp.max_flow(net).value == 0
 
     def test_saturated_columns_give_zero_flow(self):
@@ -147,8 +147,7 @@ class TestMinCostMaxFlow:
             costed = FlowNetwork(
                 net.node_count, net.source, net.sink,
                 tuple(
-                    Arc(a.tail, a.head, a.capacity, cost=rng.randint(0, 2),
-                        kind=a.kind, coord=a.coord)
+                    Arc(a.tail, a.head, a.capacity, cost=rng.randint(0, 2))
                     for a in net.arcs
                 ),
             )
@@ -238,27 +237,21 @@ class TestInducedSubgraph:
     def test_fig6_saturated_flow_subgraph(self, fig3_graph):
         net = sp.build_resilience_network(fig3_graph, 2)
         f = sp.max_flow(net)
-        sub = sp.induced_subgraph(fig3_graph, f)
+        sub = flow_subgraph(fig3_graph, f)
         assert len(sub.edges) == 8
         assert sub.edges <= fig3_graph.edges
         assert sp.is_union_of_k_matchings(sub, 2)
 
     def test_ell1_flow_gives_matching(self, fig3_graph):
         net = sp.build_resilience_network(fig3_graph, 1)
-        sub = sp.induced_subgraph(fig3_graph, sp.max_flow(net))
+        sub = flow_subgraph(fig3_graph, sp.max_flow(net))
         assert len(sub.edges) == 4
         sp.Matching(sub.edges)  # validates distinct endpoints
 
     def test_zero_flow_gives_empty_subgraph(self, fig3_graph):
         net = sp.build_resilience_network(fig3_graph, 0)
-        sub = sp.induced_subgraph(fig3_graph, sp.max_flow(net))
+        sub = flow_subgraph(fig3_graph, sp.max_flow(net))
         assert sub.edges == frozenset()
-
-    def test_untagged_network_rejected(self):
-        net = FlowNetwork(3, 0, 1, (Arc(0, 2, 1), Arc(2, 1, 1)))
-        f = sp.max_flow(net)
-        with pytest.raises(TagMismatchError):
-            sp.induced_subgraph(sp.BipartiteGraph(1, 1, frozenset()), f)
 
 
 class TestFlowInvariants:

@@ -211,6 +211,12 @@ class TestBruteStrongResilience:
         assert time.perf_counter() - start < 1.0
         assert 0 <= info.value.lower_bound <= sp.strong_resilience(hub).strong_resilience
 
+    def test_default_cap_stops_family_search(self):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError):
+            oracle.has_disjoint_matchings(upper_triangle(24), 1)
+        assert time.perf_counter() - start < 2.0
+
     def test_weak_dominates_strong(self):
         rng = random.Random(89)
         for _ in range(25):
@@ -236,6 +242,18 @@ class TestBruteMinAugmentation:
     def test_empty_2x2(self):
         g = sp.BipartiteGraph(2, 2, frozenset())
         assert oracle.brute_min_augmentation(g, 1) == 4
+
+    def test_budget_error_bounds_delta_star(self):
+        # The hub graph of the family-search test: k* = 4 asks for five
+        # disjoint matchings, and the search on the graph itself (d = 0)
+        # runs out of budget, so only delta* >= 0 is certified.
+        hub = sp.BipartiteGraph(
+            6, 15, frozenset((i, j) for i in range(6) for j in (0, 1, 2, 3 + 2 * i, 4 + 2 * i))
+        )
+        with pytest.raises(BudgetExceededError) as info:
+            oracle.brute_min_augmentation(hub, 4)
+        assert info.value.lower_bound == 0
+        assert "delta* >= 0" in str(info.value)
 
     @pytest.mark.parametrize("k_star", [-1, 1])
     def test_target_out_of_range(self, k_star):

@@ -133,11 +133,12 @@ class TestDenseSizeCap:
             sp.complement,
             lambda g: sp.build_augmentation_network(g, 0),
             lambda g: sp.fair_b_matching(g, 1),
+            lambda g: sp.increment_matchings(g, 2),
             lambda g: oracle.brute_min_augmentation(g, 1),
             oracle.brute_rank,
         ],
         ids=["complement", "augmentation_network", "fair_b_matching",
-             "brute_min_augmentation", "brute_rank"],
+             "increment_matchings", "brute_min_augmentation", "brute_rank"],
     )
     def test_over_cap_rejected(self, build, fig7_graph, monkeypatch):
         monkeypatch.setattr(pattern_mod, "MAX_DENSE_CELLS", 5)

@@ -17,6 +17,7 @@ from sprank.errors import (
 )
 
 from conftest import differential, random_graph, random_union_of_matchings, small_graphs
+from reference_flow import flow_subgraph
 
 
 class TestStructuralRank:
@@ -171,7 +172,7 @@ class TestStrongResilience:
 class TestExtractDisjointMatchings:
     def test_fig6_subgraph(self, fig3_graph):
         net = sp.build_resilience_network(fig3_graph, 2)
-        sub = sp.induced_subgraph(fig3_graph, sp.max_flow(net))
+        sub = flow_subgraph(fig3_graph, sp.max_flow(net))
         matchings = sp.extract_disjoint_matchings(sub, 2)
         assert len(matchings) == 2
         assert matchings[0].edges | matchings[1].edges == sub.edges

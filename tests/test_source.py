@@ -86,3 +86,24 @@ def test_oracle_is_independent_of_the_flow_algorithms():
     assert "errors" in imported and "pattern" in imported
     outside = [name for name in imported if name.split(".")[0] not in ("errors", "pattern")]
     assert not outside, f"oracle.py imports sprank modules beyond errors and pattern: {outside}"
+
+
+NETWORK_SOLVERS = {"max_flow", "build_resilience_network", "build_augmentation_network"}
+
+
+def test_library_solves_stay_on_the_b_matching_engine():
+    # The explicit networks and their generic solver are the paper's
+    # constructions and the tests' reference; every library solve runs on
+    # flow._BMatching instead.  The package's __init__ only re-exports them.
+    found = []
+    for path in sorted(Path(sprank.__file__).parent.glob("*.py")):
+        if path.name == "flow.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Name) and node.id in NETWORK_SOLVERS)
+            or (isinstance(node, ast.Attribute) and node.attr in NETWORK_SOLVERS)
+        ]
+    assert not found, f"library code outside flow.py uses the network solvers: {found}"
