@@ -2,9 +2,11 @@
 
 Subcommands: rank, resilience, decompose, augment, verify.
 
-Exit codes: 0 success; 1 parse/shape errors, patterns over the dense-size
-cap and failed self-checks; 2 invalid flags; 3 computed negative/deficient
-result; 4 budget exceeded.
+Exit codes: 0 success; 1 parse/shape errors, JSON headers claiming more
+rows and columns than their stars allow, patterns over the dense-size cap
+(n*m cells where they are built one by one, as by augment --out; n*(K+1)
+pairs for each target K augment plans) and failed self-checks; 2 invalid
+flags; 3 computed negative/deficient result; 4 budget exceeded.
 """
 
 from __future__ import annotations

@@ -33,14 +33,24 @@ the flow is the flow of the resilience network at level b:
   of zero reduced cost, starting from the maximum b-matching of g itself,
   alternate with one Dijkstra each, and the final dual potentials certify
   the result; lifting a union of k matchings by ell is the same solve at
-  b = k+ell;
+  b = k+ell.  The complement of g is never listed: a pair outside g costs
+  1, so its column matters only through its potential, and the columns
+  are grouped into potential classes.  The Dijkstra, the fills and the
+  certificate each treat a class as a whole, skipping only the row's own
+  columns in g and H, so a solve costs about (|E| + n*b) per class rather
+  than n*m;
 * weak resilience fills level 1 once and, per removal subset, resets H to
   that matching less the removed pairs and re-augments the rows that lost
   their column (:meth:`_BMatching.repair`).
+
+Within one fill, the columns a failed search reached stay closed, and
+later searches of that fill skip them, so a level where many rows fall
+short costs about one pass over g rather than one per short row.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 import heapq
@@ -259,6 +269,14 @@ def _verify_min_cut(net: FlowNetwork, adj, flow: Flow) -> None:
         raise VerificationError(f"max-flow {flow.value} != min-cut {cut.capacity}")
 
 
+def _classes(pi_col: list[int]) -> dict[int, list[int]]:
+    """Column potential -> the columns at that potential, ascending."""
+    classes = {}
+    for j, q in enumerate(pi_col):
+        classes.setdefault(q, []).append(j)
+    return classes
+
+
 class _BMatching:
     """A b-matching H of K(n, m): the flow of s -> rows -> columns -> t.
 
@@ -266,14 +284,23 @@ class _BMatching:
     arc of a pair (i, j) costs 0 if g has the edge and 1 if not.
     ``row_cols[i]`` and ``col_rows[j]`` hold H's pairs at row i and column
     j.  Potentials for the rows, the columns and t (s stays at 0) keep
-    every residual arc at reduced cost c(u, v) + pi(u) - pi(v) >= 0, and
-    ``reach[u]`` lists the columns row u reaches at reduced cost 0.
+    every residual arc at reduced cost c(u, v) + pi(u) - pi(v) >= 0.
+
+    The complement of g is never listed.  A pair outside g costs 1, so all
+    a search needs to know of such a column is its potential: ``classes``
+    maps each column potential to its columns, ascending.  Row u reaches at
+    reduced cost 0 the columns of ``reach[u]``, which is only g's
+    adjacency at u's potential, and then the columns of class pi(u) + 1
+    outside g(u).  Every search scans them in that order, g first and the
+    class ascending, and that scan order is the contract that fixes which
+    b-matching comes out.
 
     Before the first raise every potential is 0, ``reach`` is g's own
-    adjacency and H is the flow of ``build_resilience_network(g, b)``.
-    Rank and the sweep never raise, so the potentials and g's column sets
-    are built on first use; ``pi_row`` is None until then.  ``repair``
-    never raises either; it narrows ``reach`` to a subgraph of g.
+    adjacency, no pair outside g has reduced cost 0, and H is the flow of
+    ``build_resilience_network(g, b)``.  Rank and the sweep never raise,
+    so the potentials, the classes and g's column sets are built on first
+    use; ``pi_row`` is None until then.  ``repair`` never raises either; it
+    narrows ``reach`` to a subgraph of g.
     """
 
     def __init__(self, g: BipartiteGraph):
@@ -284,7 +311,7 @@ class _BMatching:
         self.reach = self.adj
         self.row_cols = [set() for _ in range(g.n_left)]
         self.col_rows = [set() for _ in range(g.n_right)]
-        self.pi_row = self.pi_col = self.in_g = None
+        self.pi_row = self.pi_col = self.in_g = self.classes = None
 
     def _build_potentials(self) -> None:
         """Zero potentials and g's column set per row, unless already built."""
@@ -293,38 +320,44 @@ class _BMatching:
             self.pi_row = [0] * self.g.n_left
             self.pi_col = [0] * self.g.n_right
             self.pi_t = 0
+            self.classes = {0: list(range(self.g.n_right))}
 
-    def _augment(self, r: int, b: int) -> bool:
+    def _augment(self, r: int, b: int, closed: set, room=None, free=None) -> bool:
         """Push one unit s -> r -> ... -> t over arcs of zero reduced cost; False if none.
 
-        A row whose search fails stays unaugmentable until b or the
-        potentials change: any later augmenting path avoids the set the
-        search reached, so that set stays closed.
+        ``closed`` holds the columns that earlier failed searches of the
+        same fill reached, and a failure adds the columns it reached.  A
+        failed search reaches a set that no residual arc of zero reduced
+        cost leaves and in which no column has room.  A later augmenting
+        path avoids that set and flips arcs outside it only, so the set
+        stays closed until b or the potentials change, and skipping it
+        keeps the order in which every other node is found.
+
+        After a raise, ``room`` and ``free`` are given and row u goes on to
+        its class c = pi(u) + 1.  A column with room sits at pi(t), so if c
+        is pi(t), the first column of ``room`` outside g(u) and H(u) is
+        where an ascending scan of the class would stop.  Otherwise the
+        search visits the class's columns outside g(u) and H(u) that it has
+        not reached yet, ascending: ``free[c]``, narrowed per search in
+        ``unvisited``, so each column is visited once per search and row u
+        skips only the columns of g(u) and H(u).  A failure drops the
+        columns it closed from ``free``.
         """
         reach, row_cols, col_rows = self.reach, self.row_cols, self.col_rows
         pi_row, pi_col, in_g = self.pi_row, self.pi_col, self.in_g
         via = {}  # column -> the row that reached it over a pair outside H
         parent = {r: -1}  # row -> the column that reached it over a pair of H
+        unvisited = {}  # class -> its columns this search has not reached
         queue = deque([r])
         while queue:
             u = queue.popleft()
             held = row_cols[u]
             for j in reach[u]:
-                if j in held or j in via:
+                if j in held or j in via or j in closed:
                     continue
                 via[j] = u
                 if len(col_rows[j]) < b:
-                    # Flip the path: each row takes its new column and drops
-                    # the column it was reached through.
-                    while j >= 0:
-                        u = via[j]
-                        row_cols[u].add(j)
-                        col_rows[j].add(u)
-                        j = parent[u]
-                        if j >= 0:
-                            row_cols[u].discard(j)
-                            col_rows[j].discard(u)
-                    return True
+                    break
                 for w in col_rows[j]:
                     # Back over the pair (w, j) of H only at reduced cost 0,
                     # which every pair has at zero potentials.
@@ -333,6 +366,48 @@ class _BMatching:
                     ):
                         parent[w] = j
                         queue.append(w)
+            else:
+                if free is None:
+                    continue
+                mine, c = in_g[u], pi_row[u] + 1
+                j = -1
+                if c == self.pi_t:
+                    for k in room:
+                        if k not in held and k not in mine:
+                            j = k
+                            break
+                if j < 0:
+                    kept = []
+                    for j in unvisited.get(c, free.get(c, ())):
+                        if j in via or j in closed:
+                            continue
+                        if j in held or j in mine:
+                            kept.append(j)
+                            continue
+                        via[j] = u
+                        for w in col_rows[j]:
+                            if w not in parent and pi_col[j] - pi_row[w] == (j not in in_g[w]):
+                                parent[w] = j
+                                queue.append(w)
+                    unvisited[c] = kept
+                    continue
+                via[j] = u
+            # Column j has room: flip the path, each row taking its new
+            # column and dropping the column it was reached through.
+            if room is not None and len(col_rows[j]) == b - 1:
+                del room[bisect_left(room, j)]
+            while j >= 0:
+                u = via[j]
+                row_cols[u].add(j)
+                col_rows[j].add(u)
+                j = parent[u]
+                if j >= 0:
+                    row_cols[u].discard(j)
+                    col_rows[j].discard(u)
+            return True
+        closed.update(via)
+        for c in unvisited:
+            free[c] = [j for j in free.get(c, ()) if j not in closed]
         return False
 
     def fill(self, b: int) -> int:
@@ -340,14 +415,24 @@ class _BMatching:
 
         This is a max flow over the arcs of zero reduced cost.  A column
         never rises above t, and one below t is full (its sink arc has a
-        negative reduced cost), so a column with room reaches t at reduced
-        cost 0.  On a fresh engine it is the maximum b-matching of g.
+        negative reduced cost), so a column with room sits at pi(t) and
+        reaches t at reduced cost 0.  On a fresh engine it is the maximum
+        b-matching of g.  The columns that failed searches close stay
+        skipped for the rest of this call only, since a raise changes which
+        arcs have reduced cost 0.  ``room`` lists the columns of class
+        pi(t) with room, ascending, and drops each as it fills.
         """
         row_cols = self.row_cols
+        closed = set()
+        room = free = None
+        if self.pi_row is not None:
+            free = dict(self.classes)
+            col_rows = self.col_rows
+            room = [j for j in free.get(self.pi_t, ()) if len(col_rows[j]) < b]
         short = 0
         for i in range(self.g.n_left):
             while len(row_cols[i]) < b:
-                if not self._augment(i, b):
+                if not self._augment(i, b, closed, room, free):
                     short += 1
                     break
         return short
@@ -377,7 +462,7 @@ class _BMatching:
             row_cols[i] = set()
             col_rows[match[i]] = set()
         for i in lost:
-            if not self._augment(i, 1):
+            if not self._augment(i, 1, set()):
                 return False
         return True
 
@@ -423,19 +508,29 @@ class _BMatching:
         Each potential rises by min(dist, dist(t)), which keeps every
         reduced cost >= 0 and brings a shortest path to t to reduced cost 0.
         Arcs out of t are left out: what they reach lies at least dist(t)
-        away, and the update never adds more than dist(t).  ``reach`` is
-        rebuilt from the new potentials: row u reaches one of g's columns
-        at u's potential, or a column one above it that g lacks.
+        away, and the update never adds more than dist(t).
+
+        A popped row x relaxes its columns in g one by one and each class q
+        up to pi(x) + 1 as a whole, by one heap entry at distance
+        d(x) + pi(x) + 1 - q.  When that entry pops, it settles the class's
+        unsettled columns outside g(x) and H(x) at that distance; the ones
+        it skips are charged to x's degree and b.  That is
+        O((|E| + n*b)*P + m) heap work for P classes, and the distances
+        are those of the dense scan.  ``reach`` and ``classes`` are then
+        rebuilt from the new potentials.
         """
         self._build_potentials()
         n, m = self.g.n_left, self.g.n_right
-        row_cols, col_rows, in_g = self.row_cols, self.col_rows, self.in_g
+        adj, row_cols, col_rows, in_g = self.adj, self.row_cols, self.col_rows, self.in_g
         pi_row, pi_col, pi_t = self.pi_row, self.pi_col, self.pi_t
         inf = float("inf")
         d_row = [0 if len(held) < b else inf for held in row_cols]
         d_col = [inf] * m
         d_t = inf
-        heap = [(0, 0, i) for i in range(n) if d_row[i] == 0]  # (dist, 0 row/1 column/2 t, index)
+        settled = [False] * m
+        unsettled = dict(self.classes)  # class -> columns not yet settled, ascending
+        # (dist, 0, row), (dist, 1, column), (dist, 2, 0) for t, (dist, 3, (class, row))
+        heap = [(0, 0, i) for i in range(n) if d_row[i] == 0]
         while heap:
             d, side, x = heapq.heappop(heap)
             if side == 2:
@@ -443,38 +538,54 @@ class _BMatching:
             if side == 0:
                 if d > d_row[x]:
                     continue
-                held, mine, base = row_cols[x], in_g[x], d + pi_row[x]
-                for j in range(m):
+                held, base = row_cols[x], d + pi_row[x]
+                for j in adj[x]:
                     if j not in held:
-                        nd = base + (j not in mine) - pi_col[j]
+                        nd = base - pi_col[j]
                         if nd < d_col[j]:
                             d_col[j] = nd
                             heapq.heappush(heap, (nd, 1, j))
+                for q, cols in unsettled.items():
+                    nd = base + 1 - q
+                    # A class above pi(x) + 1 holds only columns of H(x).
+                    if cols and d <= nd < d_t:
+                        heapq.heappush(heap, (nd, 3, (q, x)))
                 continue
-            if d > d_col[x]:
-                continue
-            rows, base = col_rows[x], d + pi_col[x]
-            if len(rows) < b and base - pi_t < d_t:
-                d_t = base - pi_t
-                heapq.heappush(heap, (d_t, 2, 0))
-            for w in rows:
-                nd = base - (x not in in_g[w]) - pi_row[w]
-                if nd < d_row[w]:
-                    d_row[w] = nd
-                    heapq.heappush(heap, (nd, 0, w))
+            if side == 1:
+                if settled[x] or d > d_col[x]:
+                    continue
+                batch = (x,)
+            else:
+                q, r = x
+                held, mine, kept, batch = row_cols[r], in_g[r], [], []
+                for j in unsettled[q]:
+                    if not settled[j]:
+                        (kept if j in held or j in mine else batch).append(j)
+                unsettled[q] = kept
+            for j in batch:
+                settled[j] = True
+                d_col[j] = d
+                rows, base = col_rows[j], d + pi_col[j]
+                if len(rows) < b and base - pi_t < d_t:
+                    d_t = base - pi_t
+                    heapq.heappush(heap, (d_t, 2, 0))
+                for w in rows:
+                    nd = base - (j not in in_g[w]) - pi_row[w]
+                    if nd < d_row[w]:
+                        d_row[w] = nd
+                        heapq.heappush(heap, (nd, 0, w))
         if d_t == inf:
             return False
+        if d_t == 0:
+            # The fill before this raise was a max flow over these very arcs.
+            raise VerificationError(
+                f"a path of reduced cost 0 remains at level {b}; the fill was not maximum"
+            )
         self.pi_row = pi_row = [p + min(d, d_t) for p, d in zip(pi_row, d_row)]
         self.pi_col = pi_col = [p + min(d, d_t) for p, d in zip(pi_col, d_col)]
         self.pi_t = pi_t + d_t
-        by_pi = {}
-        for j, p in enumerate(pi_col):
-            by_pi.setdefault(p, []).append(j)
-        self.reach = [
-            [j for j in self.adj[u] if pi_col[j] == pi_row[u]]
-            + [j for j in by_pi.get(pi_row[u] + 1, ()) if j not in in_g[u]]
-            for u in range(n)
-        ]
+        self.classes = _classes(pi_col)
+        self.reach = [[j for j in adj[u] if pi_col[j] == pi_row[u]] for u in range(n)]
         return True
 
     def certify(self, b: int) -> int:
@@ -485,11 +596,17 @@ class _BMatching:
         arc has a negative reduced cost: a pair outside H (forward) needs
         c + pi(i) - pi(j) >= 0 and a pair of H (backward) <= 0; a column
         below degree b (forward to t) needs pi(j) >= pi(t) and a column
-        above degree 0 (backward from t) pi(j) <= pi(t).  H is read from
-        the rows alone.  Raises VerificationError if any condition fails.
+        above degree 0 (backward from t) pi(j) <= pi(t).  Row i checks its
+        pairs in H and g one by one.  Any other column costs 1 and needs
+        pi(j) <= pi(i) + 1, so row i walks only the classes above that,
+        each until its first column outside g(i) and H(i).  H is read from
+        the rows alone and the classes from ``pi_col``.  Raises
+        VerificationError if any condition fails, naming the row's smallest
+        offending pair.
         """
         self._build_potentials()
-        in_g, pi_row, pi_col, pi_t = self.in_g, self.pi_row, self.pi_col, self.pi_t
+        adj, in_g, pi_row, pi_col, pi_t = self.adj, self.in_g, self.pi_row, self.pi_col, self.pi_t
+        high = sorted(_classes(pi_col).items(), reverse=True)
         col_deg = [0] * self.g.n_right
         cost = 0
         for i, held in enumerate(self.row_cols):
@@ -498,12 +615,21 @@ class _BMatching:
                     f"row {i} has degree {len(held)}, not {b}: the flow is not maximum"
                 )
             mine, p = in_g[i], pi_row[i]
-            for j, q in enumerate(pi_col):
-                reduced = (j not in mine) + p - q
-                if (reduced > 0) if j in held else (reduced < 0):
-                    raise VerificationError(
-                        f"pair ({i}, {j}) has reduced cost {reduced}: the flow is not of minimum cost"
-                    )
+            bad = [j for j in held if (j not in mine) + p - pi_col[j] > 0]
+            bad += [j for j in adj[i] if j not in held and p - pi_col[j] < 0]
+            for q, cols in high:
+                if q <= p + 1:
+                    break
+                for j in cols:
+                    if j not in mine and j not in held:
+                        bad.append(j)
+                        break
+            if bad:
+                j = min(bad)
+                raise VerificationError(
+                    f"pair ({i}, {j}) has reduced cost {(j not in mine) + p - pi_col[j]}: "
+                    "the flow is not of minimum cost"
+                )
             for j in held:
                 col_deg[j] += 1
                 cost += j not in mine
@@ -568,9 +694,11 @@ def min_cost_b_matching(
     the zero-reduced-cost arcs alternate with one Dijkstra each until no
     row is short; the first phase, at zero potentials, is the maximum
     b-matching of g, so only the rows it leaves short cost a Dijkstra.
-    The final potentials certify the result.
+    The final potentials certify the result.  The complement of g is
+    never listed, so the n*b pairs returned, not the n*m cells, are held
+    to the dense-size cap.
     """
-    check_dense_size(g.n_left, g.n_right)
+    check_dense_size(g.n_left, b)
     h = _BMatching(g)
     while h.fill(b) and h.raise_potentials(b):
         pass

@@ -14,11 +14,17 @@ from __future__ import annotations
 
 import json
 
-from .errors import NotSubsetError, ParseError
+from .errors import NotSubsetError, ParseError, ShapeError
 from .pattern import BipartiteGraph, Matching, SparsityPattern, pattern_from_stars
 
 # str.translate table deleting the three cell characters.
 _DROP_CELLS = str.maketrans("", "", "*0.")
+
+# A JSON header states n and m outright, so a few bytes could claim a grid
+# whose rows and columns alone fill memory.  Each star covers one row and one
+# column, so a pattern with no empty row or column has n + m <= 2 * stars;
+# a header may claim at most this many rows and columns beyond that.
+MAX_EMPTY_LINES = 1024
 
 _PALETTE = ["red", "green", "blue", "orange", "purple", "brown", "cyan", "magenta"]
 
@@ -87,7 +93,11 @@ def serialize_text(p: SparsityPattern) -> str:
 
 
 def parse_json(src: str) -> SparsityPattern:
-    """Parse {"n": ..., "m": ..., "stars": [[row, col], ...]} (1-based)."""
+    """Parse {"n": ..., "m": ..., "stars": [[row, col], ...]} (1-based).
+
+    A header with n + m above 2 * len(stars) + MAX_EMPTY_LINES raises
+    ShapeError before anything the size of the grid is built.
+    """
     try:
         doc = json.loads(src)
     except json.JSONDecodeError as exc:
@@ -111,6 +121,11 @@ def parse_json(src: str) -> SparsityPattern:
         ):
             raise ParseError(f"bad star entry {entry!r}")
         coords.append((entry[0], entry[1]))
+    if n + m > 2 * len(coords) + MAX_EMPTY_LINES:
+        raise ShapeError(
+            f"header claims {n} x {m} for {len(coords)} stars: n + m may exceed "
+            f"twice the star count by at most {MAX_EMPTY_LINES}"
+        )
     return pattern_from_stars(n, m, coords)
 
 

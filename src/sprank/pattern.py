@@ -18,8 +18,9 @@ from dataclasses import dataclass
 from .errors import InvalidKError, NotDisjointError, OutOfRangeError, ShapeError
 
 # Largest n * m for which anything is built cell by cell (the complement, the
-# augmentation networks, the oracle's dense matrices).  A pattern file only
-# has to name n and m, so without a cap a few bytes could demand ~n * m memory.
+# augmentation networks, the oracle's dense matrices), and the most pairs a
+# fair b-matching may return (n * b).  A pattern file only has to name n and
+# m, so without a cap a few bytes could demand ~n * m memory.
 MAX_DENSE_CELLS = 10**6
 
 
@@ -32,13 +33,7 @@ class SparsityPattern:
     stars: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise ShapeError(f"pattern dimensions must be positive, got ({self.n}, {self.m})")
-        if self.m < self.n:
-            raise ShapeError(
-                f"m = {self.m} < n = {self.n}; patterns assume at least as many "
-                "columns as rows (transpose the input if rows exceed columns)"
-            )
+        _check_pattern_shape(self.n, self.m)
         object.__setattr__(self, "stars", frozenset(self.stars))
         for (i, j) in self.stars:
             if not (0 <= i < self.n and 0 <= j < self.m):
@@ -53,6 +48,24 @@ class SparsityPattern:
 
     def dim(self) -> int:
         return len(self.stars)
+
+
+def _check_pattern_shape(n: int, m: int) -> None:
+    if n < 1 or m < 1:
+        raise ShapeError(f"pattern dimensions must be positive, got ({n}, {m})")
+    if m < n:
+        raise ShapeError(
+            f"m = {m} < n = {n}; patterns assume at least as many "
+            "columns as rows (transpose the input if rows exceed columns)"
+        )
+
+
+def _checked(cls, **fields):
+    """An instance of the frozen dataclass cls from fields the caller has validated."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -127,22 +140,36 @@ def pattern_from_stars(n: int, m: int, stars) -> SparsityPattern:
     """Build a validated pattern from 1-based (row, col) coordinates.
 
     Duplicate coordinates are collapsed with a warning; coordinates outside
-    the grid raise OutOfRangeError; m < n raises ShapeError.
+    the grid raise OutOfRangeError; m < n raises ShapeError.  Each star is
+    range-checked here once, in input order, and not again by the pattern.
     """
-    seen = set()
+    coords = []
     for (r, c) in stars:
         if not (1 <= r <= n and 1 <= c <= m):
+            _warn_duplicates(coords)
             raise OutOfRangeError(f"star ({r}, {c}) outside the {n}x{m} grid")
-        coord = (r - 1, c - 1)
-        if coord in seen:
-            warnings.warn(f"duplicate star ({r}, {c}) collapsed", stacklevel=2)
-        seen.add(coord)
-    return SparsityPattern(n, m, frozenset(seen))
+        coords.append((r - 1, c - 1))
+    unique = frozenset(coords)
+    if len(unique) != len(coords):
+        _warn_duplicates(coords)
+    _check_pattern_shape(n, m)
+    return _checked(SparsityPattern, n=n, m=m, stars=unique)
+
+
+def _warn_duplicates(coords) -> None:
+    seen = set()
+    for (i, j) in coords:
+        if (i, j) in seen:
+            warnings.warn(f"duplicate star ({i + 1}, {j + 1}) collapsed", stacklevel=3)
+        seen.add((i, j))
 
 
 def to_bipartite(p: SparsityPattern) -> BipartiteGraph:
-    """Reinterpret stars as edges: row i -- column j for each star (i, j)."""
-    return BipartiteGraph(p.n, p.m, p.stars)
+    """Reinterpret stars as edges: row i -- column j for each star (i, j).
+
+    The pattern's stars are already in range, so they are not checked again.
+    """
+    return _checked(BipartiteGraph, n_left=p.n, n_right=p.m, edges=p.stars)
 
 
 def from_bipartite(g: BipartiteGraph) -> SparsityPattern:

@@ -2,7 +2,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 import sprank as sp
 from sprank import oracle
@@ -69,6 +69,10 @@ def dense_fair_network(g, b):
 class TestFairBMatchingDifferential:
     @differential
     @given(small_graphs())
+    # At b = 2 the second fill's failed search from row 2 closes columns 0
+    # and 1; the last fill must reach them again, since the raise between
+    # changed which arcs have reduced cost 0.
+    @example(sp.BipartiteGraph(3, 3, frozenset({(0, 0), (0, 1), (1, 0), (1, 1)})))
     def test_matches_oracle_and_dense_min_cost_flow(self, g):
         n, m = g.n_left, g.n_right
         for k in range(m):

@@ -183,8 +183,11 @@ class TestFairFlowCertificate:
             lambda h: h.pi_row.__setitem__(0, h.pi_row[0] + 1),  # (0, 2) of H gets reduced cost 1
             lambda h: setattr(h, "pi_t", 0),  # used columns sit above t
             lambda h: h.pi_col.__setitem__(4, 0),  # column 4 has room but sits below t
+            # Row 0 at -1: columns 3 and 4, outside g(0) and H(0), sit in
+            # class 1, above pi_row + 1; every other condition still holds.
+            lambda h: h.pi_row.__setitem__(0, -1),
         ],
-        ids=["row", "sink", "column"],
+        ids=["row", "sink", "column", "complement"],
     )
     def test_tampered_potential_rejected(self, fig3_graph, tamper):
         h = self.solved(fig3_graph, 3)

@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 import sprank as sp
 from sprank import io as io_mod
-from sprank.errors import NotSubsetError, OutOfRangeError, ParseError, SprankError
+from sprank.errors import NotSubsetError, OutOfRangeError, ParseError, ShapeError, SprankError
 
 import reference_io
 from conftest import FIG3_STARS, differential, small_graphs
@@ -220,6 +220,15 @@ class TestJsonFormat:
     def test_round_trip(self):
         p = io_mod.parse_text(FIG3_TEXT)
         assert io_mod.parse_json(io_mod.serialize_json(p)) == p
+
+    def test_header_claims_at_most_the_slack_in_empty_lines(self):
+        # n + m may reach 2 * stars + MAX_EMPTY_LINES, and no further.
+        slack = io_mod.MAX_EMPTY_LINES
+        assert io_mod.parse_json(f'{{"n": 1, "m": {slack - 1}, "stars": []}}').m == slack - 1
+        doc = f'{{"n": 2, "m": {slack + 2}, "stars": [[1, 1], [2, 2]]}}'
+        assert io_mod.parse_json(doc).m == slack + 2
+        with pytest.raises(ShapeError, match=f"header claims 1 x {slack} for 0 stars"):
+            io_mod.parse_json(f'{{"n": 1, "m": {slack}, "stars": []}}')
 
 
 class TestDotExport:

@@ -132,7 +132,7 @@ class TestDenseSizeCap:
         [
             sp.complement,
             lambda g: sp.build_augmentation_network(g, 0),
-            lambda g: sp.fair_b_matching(g, 1),
+            lambda g: sp.fair_b_matching(g, 2),  # n * (k+1) = 6 pairs
             lambda g: sp.increment_matchings(g, 2),
             lambda g: oracle.brute_min_augmentation(g, 1),
             oracle.brute_rank,
