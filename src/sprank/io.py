@@ -15,7 +15,13 @@ from __future__ import annotations
 import json
 
 from .errors import NotSubsetError, ParseError, ShapeError
-from .pattern import BipartiteGraph, Matching, SparsityPattern, pattern_from_stars
+from .pattern import (
+    BipartiteGraph,
+    Matching,
+    SparsityPattern,
+    _check_positive_shape,
+    pattern_from_stars,
+)
 
 # str.translate table deleting the three cell characters.
 _DROP_CELLS = str.maketrans("", "", "*0.")
@@ -52,6 +58,7 @@ def parse_text(src: str) -> SparsityPattern:
         n, m = int(parts[0]), int(parts[1])
     except ValueError:
         raise ParseError("header must contain two integers", line=header_line)
+    _check_positive_shape(n, m)
     if len(rows) - 1 < n:
         raise ParseError(f"missing row: expected {n} rows, found {len(rows) - 1}")
     if len(rows) - 1 > n:

@@ -11,8 +11,9 @@ found so far, so both stop as soon as an answer reaches its upper bound.
 Every backtracking search charges its nodes to ``OracleBudget.max_matchings``
 (a matching search charges every partial and complete matching it visits,
 the family search every disjointness test).  Subset enumerations charge one
-unit per subset to ``max_subsets``.  Budgets count work, never wall-clock,
-so budget failures are deterministic.
+unit per subset to ``max_subsets``; the weak-resilience enumeration
+searches only a subset that hits every matching it has found so far.
+Budgets count work, never wall-clock, so budget failures are deterministic.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import BudgetExceededError, InvalidKError, VerificationError
-from .pattern import BipartiteGraph, check_dense_size, complement
+from .pattern import BipartiteGraph, MatchingPool, check_dense_size, complement
 
 
 @dataclass(frozen=True)
@@ -126,14 +127,16 @@ def _left_perfect_matchings(adj: list[list[int]], max_nodes: int):
         choices.append(iter(adj[len(taken)]))
 
 
-def _has_left_perfect_matching(adj: list[list[int]], max_nodes: int, certified: int) -> bool:
-    """Whether ``adj`` has a left-perfect matching, within ``max_nodes`` search nodes.
+def _first_left_perfect_matching(
+    adj: list[list[int]], max_nodes: int, certified: int
+) -> tuple[int, ...] | None:
+    """The first left-perfect matching of ``adj``, or None, within ``max_nodes`` search nodes.
 
     Running out raises BudgetExceededError with ``certified``, the weak
     resilience proven so far, as its lower bound.
     """
     try:
-        return next(_left_perfect_matchings(adj, max_nodes), None) is not None
+        return next(_left_perfect_matchings(adj, max_nodes), None)
     except BudgetExceededError as exc:
         raise BudgetExceededError(
             f"{exc}; weak resilience >= {certified}", lower_bound=certified
@@ -208,17 +211,23 @@ def brute_weak_resilience(
 ) -> int:
     """Exact weak resilience by testing every removal subset.
 
-    g's sorted adjacency is built once.  Each subset drops its edges from
-    the rows they touch, and a backtracking search of at most
-    ``b.max_matchings`` nodes tests what is left for a left-perfect
-    matching.  Subsets come in increasing size, edges in sorted order, one
-    unit of ``b.max_subsets`` each.  Running out of either budget raises
+    g's sorted adjacency is built once, and so is a pool of the
+    left-perfect matchings found so far, starting with the one that shows
+    g has any.  A subset that misses a pooled matching passes at once.
+    Any other subset drops its edges from the rows they touch, and a
+    backtracking search of at most ``b.max_matchings`` nodes tests what is
+    left for a left-perfect matching; the one it finds joins the pool.
+    Subsets come in increasing size, edges in sorted order, one unit of
+    ``b.max_subsets`` each.  Running out of either budget raises
     BudgetExceededError with the certified lower bound: -1 while g itself
     is untested.
     """
     adj = _adjacency(g)
-    if not _has_left_perfect_matching(adj, b.max_matchings, -1):
+    found = _first_left_perfect_matching(adj, b.max_matchings, -1)
+    if found is None:
         return -1
+    pool = MatchingPool()
+    pool.add(enumerate(found))
     edges = g.sorted_edges
     remaining = b.max_subsets
     verified = 0
@@ -230,11 +239,15 @@ def brute_weak_resilience(
                     lower_bound=verified,
                 )
             remaining -= 1
+            if pool.spares(removed):
+                continue
             reduced = adj.copy()
             for (i, j) in removed:
                 reduced[i] = [c for c in reduced[i] if c != j]
-            if not _has_left_perfect_matching(reduced, b.max_matchings, verified):
+            found = _first_left_perfect_matching(reduced, b.max_matchings, verified)
+            if found is None:
                 return size - 1
+            pool.add(enumerate(found))
         verified = size
     return len(edges) - 1
 

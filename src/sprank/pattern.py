@@ -50,9 +50,13 @@ class SparsityPattern:
         return len(self.stars)
 
 
-def _check_pattern_shape(n: int, m: int) -> None:
+def _check_positive_shape(n: int, m: int) -> None:
     if n < 1 or m < 1:
         raise ShapeError(f"pattern dimensions must be positive, got ({n}, {m})")
+
+
+def _check_pattern_shape(n: int, m: int) -> None:
+    _check_positive_shape(n, m)
     if m < n:
         raise ShapeError(
             f"m = {m} < n = {n}; patterns assume at least as many "
@@ -125,6 +129,34 @@ class Matching:
     @property
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
+
+
+class MatchingPool:
+    """Left-perfect matchings of one graph, for testing removal subsets.
+
+    A subset S that misses any pooled matching leaves it whole in g - S,
+    so g - S keeps a left-perfect matching without a search.  Each edge
+    maps to a bit mask of the pooled matchings through it; S misses one
+    exactly when the masks of its edges do not cover the pool.
+    """
+
+    def __init__(self):
+        self._through: dict[tuple[int, int], int] = {}
+        self._all = 0
+
+    def add(self, pairs) -> None:
+        bit = self._all + 1  # the lowest bit not yet in use
+        through = self._through
+        for e in pairs:
+            through[e] = through.get(e, 0) | bit
+        self._all |= bit
+
+    def spares(self, removed) -> bool:
+        """Whether some pooled matching avoids every edge of ``removed``."""
+        hit, through = 0, self._through
+        for e in removed:
+            hit |= through.get(e, 0)
+        return hit != self._all
 
 
 class Ordering(enum.Enum):

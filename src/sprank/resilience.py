@@ -7,10 +7,12 @@ saturated flow, whose subgraph splits into ell disjoint left-perfect
 matchings by Koenig's edge-colouring theorem.  Weak resilience has no known
 efficient characterization and is computed here by direct subset
 enumeration under a work budget: one solve of g gives a left-perfect
-matching M, and each removal subset that hits M is checked by repairing M
-in the reduced graph rather than by solving it again.  Only the subset
-that decides the answer, the first whose repair fails, gets a certified
-solve of its own.
+matching M, and a pool keeps M and every matching found since.  A removal
+subset that misses a pooled matching passes without a solve; one that hits
+them all is checked by repairing M in the reduced graph rather than by
+solving it again, and the repaired matching joins the pool.  Only the
+subset that decides the answer, the first whose repair fails, gets a
+certified solve of its own.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .errors import (
     ShapeError,
     VerificationError,
 )
-from .pattern import BipartiteGraph, Matching, is_union_of_k_matchings
+from .pattern import BipartiteGraph, Matching, MatchingPool, is_union_of_k_matchings
 
 DEFAULT_WEAK_BUDGET = 10**6
 
@@ -137,11 +139,13 @@ def weak_resilience(g: BipartiteGraph, budget: int = DEFAULT_WEAK_BUDGET) -> int
     -1 if the graph has none to begin with.  Subsets S are tested in
     increasing size, edges in sorted order, one budget unit each; once
     ``budget`` tests are spent, BudgetExceededError carries the certified
-    lower bound.  g is solved once, for a left-perfect matching M.  An S
-    that misses M passes at once; otherwise M less S is repaired in g - S,
-    and the repaired matching is the witness that S passes.  The first S
-    whose repair fails decides the answer, and is confirmed by one
-    certified ``structural_rank`` of g - S.
+    lower bound.  g is solved once, for a left-perfect matching M, which
+    starts a pool of the matchings found so far.  An S that misses any
+    pooled matching passes at once; otherwise M less S is repaired in
+    g - S, and the repaired matching, checked against g and S, joins the
+    pool as the witness that S passes.  The first S whose repair fails
+    decides the answer, and is confirmed by one certified
+    ``structural_rank`` of g - S.
     """
     n = g.n_left
     h = flow_engine._BMatching(g)
@@ -150,7 +154,8 @@ def weak_resilience(g: BipartiteGraph, budget: int = DEFAULT_WEAK_BUDGET) -> int
     if short:
         return -1
     match = [next(iter(held)) for held in h.row_cols]
-    in_m = frozenset(enumerate(match))
+    pool = MatchingPool()
+    pool.add(enumerate(match))
     edges = g.sorted_edges
     remaining = budget
     verified = 0
@@ -162,7 +167,10 @@ def weak_resilience(g: BipartiteGraph, budget: int = DEFAULT_WEAK_BUDGET) -> int
                     lower_bound=verified,
                 )
             remaining -= 1
-            if in_m.isdisjoint(removed) or h.repair(match, removed):
+            if pool.spares(removed):
+                continue
+            if h.repair(match, removed):
+                pool.add(_repaired_matching(g, h.row_cols, removed))
                 continue
             reduced = BipartiteGraph(n, g.n_right, g.edges - set(removed))
             if structural_rank(reduced) == n:
@@ -174,3 +182,26 @@ def weak_resilience(g: BipartiteGraph, budget: int = DEFAULT_WEAK_BUDGET) -> int
         verified = size
     # Unreachable for nonempty graphs: removing all edges kills the matching.
     return len(edges) - 1
+
+
+def _repaired_matching(
+    g: BipartiteGraph, row_cols: list[set[int]], removed
+) -> list[tuple[int, int]]:
+    """The pairs of a repaired H, checked to be a left-perfect matching of g - removed.
+
+    A wrong matching in the pool would pass every later subset that misses
+    it, so each one is checked before it joins: one column per row, n
+    distinct columns, every pair an edge of g, and none removed.
+    """
+    pairs = [(i, j) for i, held in enumerate(row_cols) for j in held]
+    rows, cols = {i for (i, _) in pairs}, {j for (_, j) in pairs}
+    if (
+        not len(pairs) == len(rows) == len(cols) == g.n_left
+        or not g.edges.issuperset(pairs)
+        or not set(removed).isdisjoint(pairs)
+    ):
+        raise VerificationError(
+            f"repair after removing {removed} left no left-perfect matching of the "
+            "reduced graph"
+        )
+    return pairs

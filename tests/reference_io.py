@@ -6,7 +6,7 @@ require it to give the same pattern, the same ``ParseError`` and the same
 bytes as these loops.
 """
 
-from sprank.errors import ParseError
+from sprank.errors import ParseError, ShapeError
 from sprank.pattern import SparsityPattern, pattern_from_stars
 
 
@@ -28,6 +28,8 @@ def parse_text(src: str) -> SparsityPattern:
         n, m = int(parts[0]), int(parts[1])
     except ValueError:
         raise ParseError("header must contain two integers", line=header_line)
+    if n < 1 or m < 1:
+        raise ShapeError(f"pattern dimensions must be positive, got ({n}, {m})")
     if len(rows) - 1 < n:
         raise ParseError(f"missing row: expected {n} rows, found {len(rows) - 1}")
     if len(rows) - 1 > n:

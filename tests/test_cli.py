@@ -230,6 +230,24 @@ class TestErrorPaths:
         assert (code, out) == (2, "")
         assert "--budget needs --weak" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, text, shape",
+        [
+            ("neg.spm", "-1 3\n", "(-1, 3)"),
+            ("neg.json", '{"n": -1, "m": 3, "stars": []}', "(-1, 3)"),
+            ("zero.spm", "2 0\n* *\n* *\n", "(2, 0)"),
+            ("zero.json", '{"n": 2, "m": 0, "stars": []}', "(2, 0)"),
+        ],
+    )
+    def test_nonpositive_header_is_input_error(self, tmp_path, capsys, name, text, shape):
+        # Both formats reject the header itself, before any row is counted.
+        path = tmp_path / name
+        path.write_text(text)
+        code, out = invoke(["rank", str(path)])
+        assert (code, out) == (1, "")
+        err = capsys.readouterr().err
+        assert err == f"sprank: pattern dimensions must be positive, got {shape}\n"
+
     def test_dense_size_cap_is_input_error(self, tmp_path, monkeypatch, capsys):
         # A few bytes of JSON naming a 10^5 x 10^5 grid; the JSON header rule
         # must stop augment before the fair b-matching solver does any

@@ -118,7 +118,9 @@ def spm_documents(draw):
     defect = draw(st.sampled_from([None] * 4 + ["header", "rows", "width", "token"]))
     header = f"{n} {m}"
     if defect == "header":
-        header = draw(st.sampled_from([f"{n} {m} 1", f"{n}", f"{n} m", f"{n}.0 {m}"]))
+        header = draw(
+            st.sampled_from([f"{n} {m} 1", f"{n}", f"{n} m", f"{n}.0 {m}", f"-{n} {m}", f"{n} 0"])
+        )
     row_count = n + (draw(st.sampled_from([-1, 1])) if defect == "rows" else 0)
     rows = [[draw(_GOOD_TOKENS) for _ in range(max(m, 0))] for _ in range(max(row_count, 0))]
     if defect == "width" and rows:

@@ -1,14 +1,17 @@
+import math
 import random
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 import sprank as sp
 from sprank import oracle
 from sprank.errors import BudgetExceededError, InvalidKError, VerificationError
 
-from conftest import pruning_proof_block, random_graph, upper_triangle
+import reference_weak
+from conftest import differential, pruning_proof_block, random_graph, small_graphs, upper_triangle
 
 
 def _row_loop_rank(matrix, tol=1e-9):
@@ -148,6 +151,29 @@ class TestBruteWeakResilience:
             oracle.brute_weak_resilience(upper_triangle(24))
         assert time.perf_counter() - start < 2.0
         assert info.value.lower_bound == 0
+
+
+    @differential
+    @given(small_graphs())
+    def test_pool_matches_reference(self, g):
+        # The pooled oracle, the library and the pool-free reference answer
+        # or run out at the same budgets, with the same lower bound.  B0
+        # tests every subset up to the answer w, plus the first of size w + 1.
+        w = reference_weak.brute_weak_resilience(g)
+        b0 = sum(math.comb(len(g.edges), s) for s in range(w + 1))
+        for budget in sorted({1, len(g.edges), b0, b0 + 1} - {0}):
+            capped = oracle.OracleBudget(max_subsets=budget)
+            outcomes = []
+            for solve in (
+                lambda: oracle.brute_weak_resilience(g, capped),
+                lambda: sp.weak_resilience(g, budget),
+                lambda: reference_weak.brute_weak_resilience(g, capped),
+            ):
+                try:
+                    outcomes.append(("value", solve()))
+                except BudgetExceededError as exc:
+                    outcomes.append(("lower_bound", exc.lower_bound))
+            assert outcomes[0] == outcomes[1] == outcomes[2], (budget, outcomes)
 
 
 class TestBruteStrongResilience:

@@ -282,6 +282,40 @@ class TestWeakResilience:
         with pytest.raises(VerificationError):
             sp.weak_resilience(fig3_graph)
 
+    def test_forged_repaired_matching_is_caught(self, fig3_graph, monkeypatch):
+        # A repair that reports success but leaves H = M, removed pair and
+        # all, would pass every later subset that misses M's pairs; it must
+        # be refused before it joins the pool.
+        def forged(self, match, removed):
+            self.row_cols = [{j} for j in match]
+            return True
+
+        monkeypatch.setattr(flow_engine._BMatching, "repair", forged)
+        with pytest.raises(VerificationError):
+            sp.weak_resilience(fig3_graph)
+
+    def test_pool_saves_the_searches_on_complete_6x6(self, monkeypatch):
+        # Every subset of the 36 edges that misses a matching already found
+        # passes without a search.  With M alone as the pool the library
+        # would run 269,268 repairs, and a search per subset would cost the
+        # oracle 443,705; the pool leaves 87 and 97.
+        calls = {"repair": 0, "search": 0}
+        repair, search = flow_engine._BMatching.repair, oracle._left_perfect_matchings
+
+        def counted_repair(self, match, removed):
+            calls["repair"] += 1
+            return repair(self, match, removed)
+
+        def counted_search(adj, max_nodes):
+            calls["search"] += 1
+            return search(adj, max_nodes)
+
+        monkeypatch.setattr(flow_engine._BMatching, "repair", counted_repair)
+        monkeypatch.setattr(oracle, "_left_perfect_matchings", counted_search)
+        g = sp.complete_graph(6, 6)
+        assert sp.weak_resilience(g) == oracle.brute_weak_resilience(g) == 5
+        assert calls["repair"] <= 200 and calls["search"] <= 200, calls
+
     def test_complete_6x6(self):
         start = time.perf_counter()
         assert sp.weak_resilience(sp.complete_graph(6, 6)) == 5
