@@ -179,7 +179,7 @@ def _cmd_verify(args, out) -> int:
 
     # The sweep's level 1 is the rank, so one solve serves both checks.
     report = resilience_mod.strong_resilience(g)
-    rank_brute = oracle_mod.brute_rank(g, b=budget)
+    rank_brute = oracle_mod.brute_rank(g)
     checks.append(("rank flow vs oracle", report.structural_rank == rank_brute))
 
     strong_brute = oracle_mod.brute_strong_resilience(g, budget)

@@ -669,8 +669,9 @@ def resilience_sweep(g: BipartiteGraph) -> ResilienceSweep:
     Level 1 gives the rank.  With full rank each further level augments
     every row once more, until a row falls short; no level above the
     minimum left degree saturates, so the sweep ends there at the latest.
-    H is copied before each probe because a failed probe changes it.  The
-    failed level ends as a maximum flow, and its min cut is checked.
+    The pairs H holds at each saturated level are listed as the witness
+    before the next probe, because a failed probe changes H.  The failed
+    level ends as a maximum flow, and its min cut is checked.
     """
     n = g.n_left
     h = _BMatching(g)

@@ -1,13 +1,16 @@
 """Brute-force ground truth for rank, resilience, and augmentation.
 
-Everything in this module works straight from the definitions: matchings by
-backtracking, resilience by subset enumeration, augmentation by trying
-complement subsets in increasing size.  It is deliberately independent of
-the flow-based algorithms so the two routes can check each other.
+Everything in this module works straight from the definitions: rank as
+the rank of a matrix that fits the pattern, matchings by backtracking,
+resilience by subset enumeration, augmentation by trying complement subsets
+in increasing size.  It is deliberately independent of the flow-based
+algorithms so the two routes can check each other.
 
-The maximum-matching search and the disjoint-family search are
-branch-and-bound: each skips a choice that cannot beat the best answer
-found so far, so both stop as soon as an answer reaches its upper bound.
+The rank spends no budget: it is that of one seeded random realization,
+eliminated exactly over GF(p), which never exceeds the structural rank r
+and falls short only with probability at most r/(p - 1).  The disjoint-family
+search is branch-and-bound: it skips a choice that cannot beat the best
+family found so far, and stops as soon as one reaches its upper bound.
 Every backtracking search charges its nodes to ``OracleBudget.max_matchings``
 (a matching search charges every partial and complete matching it visits,
 the family search every disjointness test).  Subset enumerations charge one
@@ -41,55 +44,15 @@ class OracleBudget:
 
 DEFAULT_BUDGET = OracleBudget()
 
+# The largest prime below 2**31, so a product of two residues fits int64.
+_PRIME = 2**31 - 1
+
 
 def _adjacency(g: BipartiteGraph) -> list[list[int]]:
     adj: list[list[int]] = [[] for _ in range(g.n_left)]
     for (i, j) in sorted(g.edges):
         adj[i].append(j)
     return adj
-
-
-def _max_matching_size(g: BipartiteGraph, max_nodes: int) -> int:
-    """Maximum matching cardinality by branch-and-bound over every row's choices.
-
-    Each row in turn is matched to a free column or left unmatched.  A
-    choice is skipped when matching every later row as well could still not
-    beat the best size found, so the search ends once all rows are matched.
-    Every search node is charged to ``max_nodes``.  The search keeps its own
-    stack instead of recursing, so no row count reaches Python's recursion
-    limit.
-    """
-    options = [cols + [-1] for cols in _adjacency(g)]  # -1: leave the row unmatched
-    n = g.n_left
-    used: set[int] = set()
-    taken: list[int] = []  # the column of each decided row
-    choices = [iter(options[0])]  # the options left at each open row
-    best, nodes = 0, 1
-    while choices:
-        j = next(choices[-1], None)
-        if j is None:
-            choices.pop()
-            if taken:
-                used.discard(taken.pop())
-            continue
-        row = len(taken)
-        size = len(used) + (j >= 0)  # rows matched once this row takes j
-        if j in used or size + (n - 1 - row) <= best:
-            continue
-        nodes += 1
-        if nodes > max_nodes:
-            raise BudgetExceededError(
-                f"matching search exceeded {max_nodes} nodes; rank >= {best}",
-                lower_bound=best,
-            )
-        if row + 1 == n:
-            best = size
-            continue
-        taken.append(j)
-        if j >= 0:
-            used.add(j)
-        choices.append(iter(options[row + 1]))
-    return best
 
 
 def _left_perfect_matchings(adj: list[list[int]], max_nodes: int):
@@ -143,57 +106,54 @@ def _first_left_perfect_matching(
         ) from None
 
 
-def _numeric_rank(matrix: np.ndarray, tol: float = 1e-9) -> int:
-    """Rank by floating Gauss-Jordan elimination with partial pivoting.
+def _rank_mod_p(matrix: np.ndarray) -> int:
+    """Rank over GF(p) by exact Gauss-Jordan elimination in int64.
 
-    Each pivot clears its column in every other row by one rank-1 update
-    of the columns from the pivot rightward, skipped when every other row
-    already holds 0 there; the columns to its left are never read again.
+    Every entry is kept as a residue in [0, p), p = ``_PRIME``, so no
+    product of two reaches 2**62.  Each pivot row is scaled by its pivot's
+    inverse, pow(x, p - 2, p), and then clears its column in the other
+    rows whose entry there is nonzero; the columns to its left are never
+    read again.
     """
-    a = matrix.astype(float)
+    p = _PRIME
+    a = np.asarray(matrix, dtype=np.int64) % p
     rows, cols = a.shape
     rank = 0
     for col in range(cols):
         if rank == rows:
             break
-        pivot = rank + int(np.argmax(np.abs(a[rank:, col])))
-        if abs(a[pivot, col]) < tol:
+        nonzero = np.flatnonzero(a[rank:, col])
+        if not nonzero.size:
             continue
-        a[[rank, pivot]] = a[[pivot, rank]]
-        a[rank, col:] /= a[rank, col]
+        pivot = rank + int(nonzero[0])
+        if pivot != rank:
+            a[[rank, pivot]] = a[[pivot, rank]]
+        a[rank, col:] = a[rank, col:] * pow(int(a[rank, col]), p - 2, p) % p
         factors = a[:, col].copy()
-        factors[rank] = 0.0
-        if factors.any():
-            a[:, col:] -= np.outer(factors, a[rank, col:])
+        factors[rank] = 0
+        hit = np.flatnonzero(factors)
+        if hit.size:
+            update = np.outer(factors[hit], a[rank, col:]) % p
+            a[hit, col:] = (a[hit, col:] - update) % p
         rank += 1
     return rank
 
 
-def brute_rank(
-    g: BipartiteGraph,
-    rng: np.random.Generator | None = None,
-    b: OracleBudget = DEFAULT_BUDGET,
-) -> int:
-    """Maximum matching size, cross-checked against numeric generic rank.
+def brute_rank(g: BipartiteGraph, rng: np.random.Generator | None = None) -> int:
+    """Structural rank as the exact rank over GF(p) of one random realization.
 
-    The matching search may visit at most ``b.max_matchings`` nodes.  Fills
-    the stars of three random realizations with values in [1, 2] and raises
-    VerificationError unless the row-reduction rank agrees with the
-    matching count.
+    Each star gets a residue drawn uniformly from [1, p), in ``g.edges``
+    order, with p = 2**31 - 1.  The result never exceeds the structural
+    rank r; it falls short only when a nonzero polynomial of degree r in
+    the draws vanishes, which happens with probability at most r/(p - 1)
+    (Schwartz-Zippel).  The default seed makes the answer deterministic.
     """
     check_dense_size(g.n_left, g.n_right)
-    size = _max_matching_size(g, b.max_matchings)
     rng = rng if rng is not None else np.random.default_rng(20240817)
+    a = np.zeros((g.n_left, g.n_right), dtype=np.int64)
     stars = tuple(np.array(list(g.edges), dtype=np.intp).reshape(-1, 2).T)
-    for _ in range(3):
-        a = np.zeros((g.n_left, g.n_right))
-        a[stars] = rng.uniform(1.0, 2.0, len(g.edges))
-        numeric = _numeric_rank(a)
-        if numeric != size:
-            raise VerificationError(
-                f"generic rank {numeric} disagrees with matching size {size}"
-            )
-    return size
+    a[stars] = rng.integers(1, _PRIME, len(g.edges), dtype=np.int64)
+    return _rank_mod_p(a)
 
 
 def enumerate_left_perfect_matchings(

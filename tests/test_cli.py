@@ -357,13 +357,17 @@ class TestErrorPaths:
         assert out.endswith("all checks passed\n")
 
     def test_verify_deep_block_is_budget_error(self, tmp_path, capsys):
-        # 990 rows whose matching search the bound cannot prune: it must
-        # run out of budget, not into Python's recursion limit.
+        # The oracle's rank is one elimination, so it passes; the matching
+        # enumeration behind brute_strong_resilience walks all 9! matchings
+        # of K(9,9) into the dead end of the last three rows, and must run
+        # out of nodes, not into Python's recursion limit.
         path = tmp_path / "b990.json"
         path.write_text(serialize_json(sprank.from_bipartite(pruning_proof_block(990))))
         code, _ = invoke(["verify", str(path)])
         assert code == 4
-        assert "budget exceeded" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "budget exceeded: matching search exceeded" in err
+        assert "rank >=" not in err
 
     def test_deficient_pattern_exit(self, tmp_path):
         path = tmp_path / "deficient.spm"

@@ -8,28 +8,27 @@ from hypothesis import given
 
 import sprank as sp
 from sprank import oracle
-from sprank.errors import BudgetExceededError, InvalidKError, VerificationError
+from sprank.errors import BudgetExceededError, InvalidKError
 
 import reference_weak
 from conftest import differential, pruning_proof_block, random_graph, small_graphs, upper_triangle
 
 
-def _row_loop_rank(matrix, tol=1e-9):
-    """The oracle's earlier numeric rank: one Python step per row and pivot."""
-    a = matrix.astype(float).copy()
-    rows, cols = a.shape
+def _row_loop_rank_mod_p(matrix, p):
+    """Rank over GF(p) by the textbook row loop on Python ints."""
+    a = [[int(x) % p for x in row] for row in matrix]
     rank = 0
-    for col in range(cols):
-        if rank == rows:
-            break
-        pivot = rank + int(np.argmax(np.abs(a[rank:, col])))
-        if abs(a[pivot, col]) < tol:
+    for col in range(len(a[0])):
+        pivot = next((r for r in range(rank, len(a)) if a[r][col]), None)
+        if pivot is None:
             continue
-        a[[rank, pivot]] = a[[pivot, rank]]
-        a[rank] /= a[rank, col]
-        for r in range(rows):
+        a[rank], a[pivot] = a[pivot], a[rank]
+        inv = pow(a[rank][col], p - 2, p)
+        a[rank] = [x * inv % p for x in a[rank]]
+        for r in range(len(a)):
             if r != rank:
-                a[r] -= a[r, col] * a[rank]
+                f = a[r][col]
+                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[rank])]
         rank += 1
     return rank
 
@@ -61,60 +60,46 @@ class TestBruteRank:
         ids=["complete_9x9", "diagonal_30x30"],
     )
     def test_search_stops_at_perfect_matching(self, g, rank):
-        # Both branches at every row make the tree exponential, but once
-        # every row is matched no choice can beat the best.
+        # Full rank on a dense and on a diagonal pattern, one elimination each.
         start = time.perf_counter()
         assert oracle.brute_rank(g) == rank
         assert time.perf_counter() - start < 1.0
 
-    def test_search_budget_exceeded(self):
-        # The bound prunes nothing below K(9,9); the node budget stops the
-        # search, and the first leaf already certifies the rank.
-        g = pruning_proof_block(12)
+    def test_planted_deficiency_990(self):
+        # Three rows on two columns plant the deficiency below 978
+        # diagonal rows and K(9,9); one elimination finds it, with no budget.
+        g = pruning_proof_block(990)
         start = time.perf_counter()
-        with pytest.raises(BudgetExceededError) as info:
-            oracle.brute_rank(g)
+        assert oracle.brute_rank(g) == 989 == sp.structural_rank(g)
         assert time.perf_counter() - start < 1.0
-        assert info.value.lower_bound == 11 == sp.structural_rank(g)
 
-    def test_search_budget_counts_nodes(self, fig3_graph):
-        # The root and one node per row: the greedy first branch matches
-        # all four rows, and the bound cuts every other choice.
-        with pytest.raises(BudgetExceededError):
-            oracle.brute_rank(fig3_graph, b=oracle.OracleBudget(max_matchings=4))
-        assert oracle.brute_rank(fig3_graph, b=oracle.OracleBudget(max_matchings=5)) == 4
-
-    def test_numeric_rank_matches_row_loop(self):
-        # The rank-1 update per pivot does the row loop's arithmetic on the
-        # columns it still reads, so the pivots and the rank are the same.
+    def test_rank_mod_p_matches_row_loop(self):
+        # Small entries give singular minors; full residues push every
+        # product towards 2**62; a row planted as c * (row 0) mod p is
+        # dependent only over GF(p).
+        p = oracle._PRIME
         rng = np.random.default_rng(101)
         for t in range(2000):
             n = int(rng.integers(1, 7))
-            m = int(rng.integers(n, 9))
+            m = int(rng.integers(1, 9))
             mask = rng.random((n, m)) < rng.random()
-            a = mask * (rng.uniform(1.0, 2.0, (n, m)) if t % 2 else rng.integers(-2, 3, (n, m)))
+            values = rng.integers(1, p, (n, m)) if t % 2 else rng.integers(-2, 3, (n, m))
+            a = mask * values
             if t % 3 == 0 and n > 1:
-                a[-1] = 1.5 * a[0]
-            assert oracle._numeric_rank(a) == _row_loop_rank(a)
+                a[-1] = int(rng.integers(1, p)) * a[0] % p
+            assert oracle._rank_mod_p(a) == _row_loop_rank_mod_p(a.tolist(), p)
 
     def test_realizations_match_per_star_draws(self, fig3_graph, monkeypatch):
-        # One draw per star, in g.edges order: the random stream and the
-        # matrices are those of one scalar draw per star.
+        # One realization: a residue in [1, p) at each star and nowhere
+        # else, drawn as one vector in g.edges order.
         seen = []
-        monkeypatch.setattr(oracle, "_numeric_rank", lambda a: seen.append(a.copy()) or 4)
-        oracle.brute_rank(fig3_graph, rng=np.random.default_rng(7))
-        rng = np.random.default_rng(7)
-        assert len(seen) == 3
-        for a in seen:
-            expected = np.zeros_like(a)
-            for (i, j) in fig3_graph.edges:
-                expected[i, j] = rng.uniform(1.0, 2.0)
-            assert np.array_equal(a, expected)
-
-    def test_numeric_disagreement_raises(self, fig3_graph, monkeypatch):
-        monkeypatch.setattr(oracle, "_numeric_rank", lambda a: 0)
-        with pytest.raises(VerificationError):
-            oracle.brute_rank(fig3_graph)
+        monkeypatch.setattr(oracle, "_rank_mod_p", lambda a: seen.append(a.copy()) or 4)
+        assert oracle.brute_rank(fig3_graph, rng=np.random.default_rng(7)) == 4
+        assert len(seen) == 1
+        a, edges = seen[0], list(fig3_graph.edges)
+        draws = np.random.default_rng(7).integers(1, oracle._PRIME, len(edges), dtype=np.int64)
+        assert a.dtype == np.int64 and np.count_nonzero(a) == len(edges)
+        assert [int(a[i, j]) for (i, j) in edges] == draws.tolist()
 
 
 class TestBruteWeakResilience:
