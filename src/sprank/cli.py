@@ -114,6 +114,11 @@ def _cmd_resilience(args, out) -> int:
 def _cmd_decompose(args, out) -> int:
     g = to_bipartite(io_mod.load_pattern(args.file))
     report = resilience_mod.strong_resilience(g)
+    if args.dot:
+        # Written before stdout, so a failed write exits 1 with nothing printed.
+        dot = io_mod.export_dot(report.witness_subgraph, list(report.matchings))
+        with open(args.dot, "w", encoding="utf-8") as fh:
+            fh.write(dot)
     if args.json:
         out.write(
             json.dumps(
@@ -131,10 +136,6 @@ def _cmd_decompose(args, out) -> int:
         out.write(f"ell_star: {report.ell_star}\n")
         for idx, m in enumerate(report.matchings, start=1):
             out.write(f"matching {idx}: {_format_edges(m.edges)}\n")
-    if args.dot:
-        dot = io_mod.export_dot(report.witness_subgraph, list(report.matchings))
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(dot)
     return EXIT_OK if report.ell_star > 0 else EXIT_NEGATIVE
 
 
@@ -147,6 +148,11 @@ def _cmd_augment(args, out) -> int:
         plan = augment_mod.min_edges_for_target(g, args.target)
     else:
         plan = augment_mod.best_within_budget(g, args.budget)
+    if args.out:
+        # Written before stdout, so a failed write exits 1 with nothing printed.
+        augmented = from_bipartite(plan.result_graph)
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(io_mod.serialize_text(augmented))
     if args.json:
         out.write(
             json.dumps(
@@ -165,10 +171,6 @@ def _cmd_augment(args, out) -> int:
         )
         if plan.added_edges:
             out.write(f"added: {_format_edges(plan.added_edges)}\n")
-    if args.out:
-        augmented = from_bipartite(plan.result_graph)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(io_mod.serialize_text(augmented))
     return EXIT_OK if plan.achieved_resilience >= 0 else EXIT_NEGATIVE
 
 

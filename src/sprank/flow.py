@@ -293,7 +293,9 @@ class _BMatching:
     adjacency at u's potential, and then the columns of class pi(u) + 1
     outside g(u).  Every search scans them in that order, g first and the
     class ascending, and that scan order is the contract that fixes which
-    b-matching comes out.
+    b-matching comes out.  A row that can take a column of its own
+    ``reach`` directly does so without a search (:meth:`_augment`): that
+    column is the search's own first pick, so the contract holds.
 
     Before the first raise every potential is 0, ``reach`` is g's own
     adjacency, no pair outside g has reduced cost 0, and H is the flow of
@@ -324,6 +326,27 @@ class _BMatching:
 
     def _augment(self, r: int, b: int, closed: set, room=None, free=None) -> bool:
         """Push one unit s -> r -> ... -> t over arcs of zero reduced cost; False if none.
+
+        First the direct step: r takes the first column of ``reach[r]``
+        that it does not hold and that has room.  That is the search's own
+        first pick: the search pops r first, scans ``reach[r]`` in order
+        and stops at the first such column, so H comes out as the search
+        would leave it, and :meth:`_search` runs only for a row the direct
+        step cannot serve.  The step needs neither ``closed`` nor ``room``.
+        A closed column is full.  After a raise, a row short of b has been
+        a source of every Dijkstra and is still at potential 0, below t, so
+        ``reach[r]`` holds only full columns and the step finds none.
+        """
+        held, col_rows = self.row_cols[r], self.col_rows
+        for j in self.reach[r]:
+            if j not in held and len(col_rows[j]) < b:
+                held.add(j)
+                col_rows[j].add(r)
+                return True
+        return self._search(r, b, closed, room, free)
+
+    def _search(self, r: int, b: int, closed: set, room, free) -> bool:
+        """A breadth-first search for an augmenting path from row r; False if none.
 
         ``closed`` holds the columns that earlier failed searches of the
         same fill reached, and a failure adds the columns it reached.  A
@@ -420,7 +443,10 @@ class _BMatching:
         b-matching of g.  The columns that failed searches close stay
         skipped for the rest of this call only, since a raise changes which
         arcs have reduced cost 0.  ``room`` lists the columns of class
-        pi(t) with room, ascending, and drops each as it fills.
+        pi(t) with room, ascending, and drops each as it fills.  Before the
+        first raise most rows take a column of their own ``reach`` by the
+        direct step, which is the search's own first pick; only the others,
+        and every row after a raise, cost a search.
         """
         row_cols = self.row_cols
         closed = set()
@@ -495,7 +521,7 @@ class _BMatching:
                         rows.add(w)
                         queue.append(w)
         capacity = b * (n - len(rows) + len(cols))
-        capacity += sum(1 for (i, j) in g.edges if i in rows and j not in cols)
+        capacity += sum(1 for i in rows for j in self.adj[i] if j not in cols)
         value = sum(len(held) for held in row_cols)
         if capacity != value:
             raise VerificationError(f"max-flow {value} != min-cut {capacity} at level {b}")

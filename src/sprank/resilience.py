@@ -94,7 +94,10 @@ def extract_disjoint_matchings(h: BipartiteGraph, ell: int) -> list[Matching]:
     sorted order.  An edge (u, v) takes the smallest colour a free at u;
     if a is taken at v, the a/b path from v, with b the smallest colour
     free at v, has its two colours swapped first.  In a bipartite graph
-    that path never reaches u.
+    that path never reaches u.  Each node on the path holds exactly the
+    path's a- and b-edges, in slots a and b (an end node holds one of
+    them and -1), so the swap is done in one walk, swapping the two slots
+    at each node as the walk leaves it.
     """
     if not is_union_of_k_matchings(h, ell):
         raise NotDecomposableError(
@@ -107,20 +110,14 @@ def extract_disjoint_matchings(h: BipartiteGraph, ell: int) -> list[Matching]:
         a = at_row[u].index(-1)
         if at_col[v][a] >= 0:
             b = at_col[v].index(-1)
-            # Walk the a/b path from v; a + b - c is the other of the two colours.
-            path = []
-            node, on_col, c = v, True, a
-            while True:
-                nxt = at_col[node][c] if on_col else at_row[node][c]
-                if nxt < 0:
-                    break
-                path.append(((nxt, node) if on_col else (node, nxt), c))
-                node, on_col, c = nxt, not on_col, a + b - c
-            for (i, j), c in path:
-                at_row[i][c] = at_col[j][c] = -1
-            for (i, j), c in path:
-                at_row[i][a + b - c] = j
-                at_col[j][a + b - c] = i
+            # Walk the a/b path from v, leaving each node along colour c
+            # and swapping its two slots; a + b - c is the other colour.
+            node, c, here, there = v, a, at_col, at_row
+            while node >= 0:
+                slots = here[node]
+                nxt = slots[c]
+                slots[a], slots[b] = slots[b], slots[a]
+                node, c, here, there = nxt, a + b - c, there, here
         at_row[u][a] = v
         at_col[v][a] = u
     matchings = []

@@ -95,6 +95,39 @@ def shifted_union(rng: random.Random, n: int, m: int, k: int) -> sp.BipartiteGra
     return sp.BipartiteGraph(n, m, edges)
 
 
+def planted_hub(rng: random.Random, n: int, m: int, ell: int) -> sp.BipartiteGraph:
+    """ell* = ell exactly: ell disjoint left-perfect matchings and one hub column.
+
+    Under a random row order and column order, row i takes the columns
+    i + t (mod m) for t < ell, and one column more.  The first r = ell + 2
+    rows all take the same hub column, which none of them has yet, so at
+    level ell + 1 they can route at most r * ell + ell + 1 < r * (ell + 1)
+    units.  Every other row takes a random column of its own.
+    """
+    r = ell + 2
+    perm = rng.sample(range(m), m)
+    rows = rng.sample(range(n), n)
+    edges = {(rows[i], perm[(i + t) % m]) for i in range(n) for t in range(ell)}
+    hub = perm[r + ell - 1]
+    for i in range(n):
+        own = {perm[(i + t) % m] for t in range(ell)}
+        extra = hub if i < r else rng.choice([j for j in range(m) if j not in own])
+        edges.add((rows[i], extra))
+    return sp.BipartiteGraph(n, m, frozenset(edges))
+
+
+@st.composite
+def hub_graphs(draw):
+    """Graphs with n <= 7 and m <= 9 columns in which a set of rows share hub columns."""
+    n = draw(st.integers(1, 7))
+    m = draw(st.integers(n, 9))
+    cells = [(i, j) for i in range(n) for j in range(m)]
+    edges = draw(st.sets(st.sampled_from(cells), max_size=3 * n))
+    hubs = draw(st.sets(st.integers(0, m - 1), max_size=2))
+    rows = draw(st.sets(st.integers(0, n - 1)))
+    return sp.BipartiteGraph(n, m, frozenset(edges | {(i, j) for i in rows for j in hubs}))
+
+
 @st.composite
 def small_graphs(draw):
     """Graphs with n <= 4 and m <= 5 columns, square (n = m) about half the time."""

@@ -1,0 +1,91 @@
+"""Reference augmentation for the tests: a search for every augmenting path.
+
+This is ``sprank.flow._BMatching._augment`` as it was before the direct
+step: every call runs the breadth-first search, even when row r's own
+``reach`` has a column with room.  The engine now takes that column
+without a search, as the search's own first pick; the tests require the
+engine and :class:`SearchOnlyBMatching` to produce the same b-matchings,
+sweeps, costs and repairs.
+"""
+
+from bisect import bisect_left
+from collections import deque
+
+from sprank.flow import _BMatching
+
+
+class SearchOnlyBMatching(_BMatching):
+    """The engine with every augmentation done by the search."""
+
+    def _augment(self, r: int, b: int, closed: set, room=None, free=None) -> bool:
+        """Push one unit s -> r -> ... -> t over arcs of zero reduced cost; False if none.
+
+        ``closed``, ``room`` and ``free`` mean what they mean to
+        :meth:`sprank.flow._BMatching._search`.
+        """
+        reach, row_cols, col_rows = self.reach, self.row_cols, self.col_rows
+        pi_row, pi_col, in_g = self.pi_row, self.pi_col, self.in_g
+        via = {}  # column -> the row that reached it over a pair outside H
+        parent = {r: -1}  # row -> the column that reached it over a pair of H
+        unvisited = {}  # class -> its columns this search has not reached
+        queue = deque([r])
+        while queue:
+            u = queue.popleft()
+            held = row_cols[u]
+            for j in reach[u]:
+                if j in held or j in via or j in closed:
+                    continue
+                via[j] = u
+                if len(col_rows[j]) < b:
+                    break
+                for w in col_rows[j]:
+                    # Back over the pair (w, j) of H only at reduced cost 0,
+                    # which every pair has at zero potentials.
+                    if w not in parent and (
+                        pi_row is None or pi_col[j] - pi_row[w] == (j not in in_g[w])
+                    ):
+                        parent[w] = j
+                        queue.append(w)
+            else:
+                if free is None:
+                    continue
+                mine, c = in_g[u], pi_row[u] + 1
+                j = -1
+                if c == self.pi_t:
+                    for k in room:
+                        if k not in held and k not in mine:
+                            j = k
+                            break
+                if j < 0:
+                    kept = []
+                    for j in unvisited.get(c, free.get(c, ())):
+                        if j in via or j in closed:
+                            continue
+                        if j in held or j in mine:
+                            kept.append(j)
+                            continue
+                        via[j] = u
+                        for w in col_rows[j]:
+                            if w not in parent and pi_col[j] - pi_row[w] == (j not in in_g[w]):
+                                parent[w] = j
+                                queue.append(w)
+                    unvisited[c] = kept
+                    continue
+                via[j] = u
+            # Column j has room: flip the path, each row taking its new
+            # column and dropping the column it was reached through.
+            if room is not None and len(col_rows[j]) == b - 1:
+                del room[bisect_left(room, j)]
+            while j >= 0:
+                u = via[j]
+                row_cols[u].add(j)
+                col_rows[j].add(u)
+                j = parent[u]
+                if j >= 0:
+                    row_cols[u].discard(j)
+                    col_rows[j].discard(u)
+            return True
+        closed.update(via)
+        for c in unvisited:
+            free[c] = [j for j in free.get(c, ()) if j not in closed]
+        return False

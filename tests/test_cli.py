@@ -101,6 +101,13 @@ class TestDecompose:
         doc = json.loads(out)
         assert doc["ell_star"] == 2 and len(doc["matchings"]) == 2
 
+    @pytest.mark.parametrize("target", ["dir", "missing/out.dot"], ids=["directory", "missing-parent"])
+    def test_unwritable_dot_prints_nothing(self, fig3_file, tmp_path, capsys, target):
+        (tmp_path / "dir").mkdir()
+        code, out = invoke(["decompose", fig3_file, "--dot", str(tmp_path / target)])
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err.startswith("sprank: ")
+
 
 class TestAugment:
     def test_target(self, fig7_file):
@@ -128,6 +135,13 @@ class TestAugment:
     def test_requires_target_or_budget(self, fig7_file):
         code, _ = invoke(["augment", fig7_file])
         assert code == 2
+
+    @pytest.mark.parametrize("target", ["dir", "missing/out.spm"], ids=["directory", "missing-parent"])
+    def test_unwritable_out_prints_nothing(self, fig7_file, tmp_path, capsys, target):
+        (tmp_path / "dir").mkdir()
+        code, out = invoke(["augment", fig7_file, "--target", "2", "--out", str(tmp_path / target)])
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err.startswith("sprank: ")
 
 
 class TestModuleEntryPoint:

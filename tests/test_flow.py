@@ -1,14 +1,17 @@
 import itertools
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given
 
 import sprank as sp
+from sprank import flow as flow_engine
 from sprank.errors import NotMaximalError, VerificationError
 from sprank.flow import Arc, FlowNetwork, _BMatching
 
-from conftest import differential, random_graph, small_graphs
+from conftest import differential, hub_graphs, planted_hub, random_graph, small_graphs
+from reference_bmatching import SearchOnlyBMatching
 from reference_flow import flow_subgraph, min_cost_max_flow
 
 
@@ -234,6 +237,57 @@ class TestFirstFill:
             assert held <= g.edges
             assert all(len(rows) <= b for rows in h.col_rows)
             assert len(held) == sp.max_flow(sp.build_resilience_network(g, b)).value
+
+
+class TestDirectStep:
+    # A row that can take a column of its own reach takes the first one
+    # without a search; that column is the search's own first pick, so every
+    # result must equal the search-only reference's.
+    @staticmethod
+    def solve(g):
+        results = [flow_engine.resilience_sweep(g), flow_engine.matching_number(g)]
+        # b above the smallest row degree makes the fills after a raise run.
+        for b in range(1, min(3, g.n_right) + 1):
+            results.append(flow_engine.min_cost_b_matching(g, b))
+        return results
+
+    @staticmethod
+    def repairs(engine, g, match):
+        h = engine(g)
+        subsets = itertools.chain(
+            *(itertools.combinations(g.sorted_edges[:10], size) for size in (1, 2))
+        )
+        return [(h.repair(match, removed), h.row_cols) for removed in subsets]
+
+    @differential
+    @given(hub_graphs())
+    def test_matches_search_only_reference(self, g):
+        results = self.solve(g)
+        with patch.object(flow_engine, "_BMatching", SearchOnlyBMatching):
+            assert self.solve(g) == results
+        h = _BMatching(g)
+        if not h.fill(1):
+            match = [next(iter(held)) for held in h.row_cols]
+            assert self.repairs(_BMatching, g, match) == self.repairs(
+                SearchOnlyBMatching, g, match
+            )
+
+    def test_sweep_searches_only_where_the_direct_step_fails(self):
+        # 50 rows at ell* = 20, 22 of them on one hub column: the sweep
+        # augments 1,050 times, and a search for every one of them ran
+        # before the direct step.
+        g = planted_hub(random.Random(0), 50, 60, 20)
+        searched = []
+        search = _BMatching._search
+
+        def spy(self, r, *args):
+            searched.append(r)
+            return search(self, r, *args)
+
+        with patch.object(_BMatching, "_search", spy):
+            sweep = flow_engine.resilience_sweep(g)
+        assert sweep.ell_star == 20
+        assert len(searched) <= 150
 
 
 class TestInducedSubgraph:

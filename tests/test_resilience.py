@@ -16,8 +16,15 @@ from sprank.errors import (
     VerificationError,
 )
 
-from conftest import differential, random_graph, random_union_of_matchings, small_graphs
+from conftest import (
+    differential,
+    random_graph,
+    random_union_of_matchings,
+    shifted_union,
+    small_graphs,
+)
 from reference_flow import flow_subgraph
+import reference_konig
 
 
 class TestStructuralRank:
@@ -224,6 +231,26 @@ class TestExtractDisjointMatchings:
             assert not (mm.edges & seen)
             seen |= mm.edges
         assert seen == g.edges
+
+    def test_in_place_recolouring_matches_two_pass_reference(self):
+        # Shifted unions and the sweep's own witnesses, up to ell = 20.
+        rng = random.Random(83)
+        unions = []
+        for _ in range(40):
+            n = rng.randint(1, 40)
+            m = rng.randint(n, n + 10)
+            k = rng.randint(1, min(20, m))
+            unions.append((shifted_union(rng, n, m, k), k))
+        for _ in range(40):
+            n = rng.randint(1, 25)
+            g = random_graph(rng, n, rng.randint(n, n + 5), rng.uniform(0.3, 0.95))
+            sweep = flow_engine.resilience_sweep(g)
+            if 0 < sweep.ell_star <= 20:
+                unions.append((sweep.witness, sweep.ell_star))
+        assert max(k for _, k in unions) == 20
+        for h, k in unions:
+            expected = reference_konig.extract_disjoint_matchings(h, k)
+            assert sp.extract_disjoint_matchings(h, k) == expected
 
 
 class TestWeakResilience:
