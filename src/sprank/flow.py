@@ -39,9 +39,10 @@ the flow is the flow of the resilience network at level b:
   certificate each treat a class as a whole, skipping only the row's own
   columns in g and H, so a solve costs about (|E| + n*b) per class rather
   than n*m;
-* weak resilience fills level 1 once and, per removal subset, resets H to
-  that matching less the removed pairs and re-augments the rows that lost
-  their column (:meth:`_BMatching.repair`).
+* weak resilience starts from the sweep and, where its bounds do not
+  settle it, per removal subset resets H to one of the witness's matchings
+  less the removed pairs and re-augments the rows that lost their column
+  (:meth:`_BMatching.repair`).
 
 Within one fill, the columns a failed search reached stay closed, and
 later searches of that fill skip them, so a level where many rows fall
@@ -293,9 +294,10 @@ class _BMatching:
     adjacency at u's potential, and then the columns of class pi(u) + 1
     outside g(u).  Every search scans them in that order, g first and the
     class ascending, and that scan order is the contract that fixes which
-    b-matching comes out.  A row that can take a column of its own
-    ``reach`` directly does so without a search (:meth:`_augment`): that
-    column is the search's own first pick, so the contract holds.
+    b-matching comes out.  Before the first raise, a row that can take a
+    column of its own ``reach`` directly does so without a search
+    (:meth:`_augment`): that column is the search's own first pick, so the
+    contract holds.
 
     Before the first raise every potential is 0, ``reach`` is g's own
     adjacency, no pair outside g has reduced cost 0, and H is the flow of
@@ -327,22 +329,25 @@ class _BMatching:
     def _augment(self, r: int, b: int, closed: set, room=None, free=None) -> bool:
         """Push one unit s -> r -> ... -> t over arcs of zero reduced cost; False if none.
 
-        First the direct step: r takes the first column of ``reach[r]``
-        that it does not hold and that has room.  That is the search's own
-        first pick: the search pops r first, scans ``reach[r]`` in order
-        and stops at the first such column, so H comes out as the search
-        would leave it, and :meth:`_search` runs only for a row the direct
-        step cannot serve.  The step needs neither ``closed`` nor ``room``.
-        A closed column is full.  After a raise, a row short of b has been
-        a source of every Dijkstra and is still at potential 0, below t, so
-        ``reach[r]`` holds only full columns and the step finds none.
+        Before the first raise (``free`` is None), the direct step comes
+        first: r takes the first column of ``reach[r]`` that it does not
+        hold and that has room.  That is the search's own first pick: the
+        search pops r first, scans ``reach[r]`` in order and stops at the
+        first such column, so H comes out as the search would leave it,
+        and :meth:`_search` runs only for a row the direct step cannot
+        serve.  The step needs neither ``closed`` nor ``room``: a closed
+        column is full.  After a raise the step is skipped, since it
+        cannot succeed: a row short of b has been a source of every
+        Dijkstra and is still at potential 0, below t, so ``reach[r]``
+        holds only full columns.
         """
-        held, col_rows = self.row_cols[r], self.col_rows
-        for j in self.reach[r]:
-            if j not in held and len(col_rows[j]) < b:
-                held.add(j)
-                col_rows[j].add(r)
-                return True
+        if free is None:
+            held, col_rows = self.row_cols[r], self.col_rows
+            for j in self.reach[r]:
+                if j not in held and len(col_rows[j]) < b:
+                    held.add(j)
+                    col_rows[j].add(r)
+                    return True
         return self._search(r, b, closed, room, free)
 
     def _search(self, r: int, b: int, closed: set, room, free) -> bool:

@@ -5,20 +5,23 @@ for which the resilience network admits a saturated flow of value n*ell.
 One ascending sweep of the flow engine finds that ell together with a
 saturated flow, whose subgraph splits into ell disjoint left-perfect
 matchings by Koenig's edge-colouring theorem.  Weak resilience has no known
-efficient characterization and is computed here by direct subset
-enumeration under a work budget: one solve of g gives a left-perfect
-matching M, and a pool keeps M and every matching found since.  A removal
-subset that misses a pooled matching passes without a solve; one that hits
-them all is checked by repairing M in the reduced graph rather than by
-solving it again, and the repaired matching joins the pool.  Only the
-subset that decides the answer, the first whose repair fails, gets a
-certified solve of its own.
+efficient algorithm.  Two certified bounds, strong <= weak <= d_min - 1
+with d_min the least row degree, settle it at once when ell* = d_min;
+otherwise removal subsets are enumerated under a work budget, from size
+ell*, since every smaller size passes.  A pool keeps the witness's ell*
+matchings and every matching found since.  A removal subset that misses a
+pooled matching passes without a solve; one that hits them all is checked
+by repairing a matching in the reduced graph rather than by solving it
+again, and the repaired matching joins the pool.  Only the subset that
+decides the answer, the first whose repair fails, gets a certified solve
+of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from . import flow as flow_engine
 from .errors import (
@@ -130,39 +133,70 @@ def extract_disjoint_matchings(h: BipartiteGraph, ell: int) -> list[Matching]:
 
 
 def weak_resilience(g: BipartiteGraph, budget: int = DEFAULT_WEAK_BUDGET) -> int:
-    """Exact weak resilience by enumerating removal subsets.
+    """Exact weak resilience: certified bounds first, then removal subsets.
 
     Largest k such that removing ANY k edges leaves a left-perfect matching;
-    -1 if the graph has none to begin with.  Subsets S are tested in
-    increasing size, edges in sorted order, one budget unit each; once
-    ``budget`` tests are spent, BudgetExceededError carries the certified
-    lower bound.  g is solved once, for a left-perfect matching M, which
-    starts a pool of the matchings found so far.  An S that misses any
-    pooled matching passes at once; otherwise M less S is repaired in
-    g - S, and the repaired matching, checked against g and S, joins the
-    pool as the witness that S passes.  The first S whose repair fails
-    decides the answer, and is confirmed by one certified
-    ``structural_rank`` of g - S.
+    -1 if the graph has none to begin with.  No efficient algorithm is
+    known for it, but two bounds settle most graphs.  Strong <= weak: the
+    sweep's witness, checked to be a union of ell* disjoint left-perfect
+    matchings of g, keeps one of them whole under any ell* - 1 removals.
+    Weak <= d_min - 1: removing the d_min edges of a row of least degree
+    leaves that row unmatched.
+
+    The budget counts subsets S in increasing size, edges in sorted order,
+    one unit each, whether S is tested or proven in bulk: every size below
+    ell* passes, so it is charged in full without enumerating it.  Once
+    ``budget`` units are spent, BudgetExceededError carries the certified
+    lower bound, the largest size whose subsets all passed, exactly where
+    a test of every subset would have run out.  If ell* = d_min and the
+    budget reaches, in size ell*, the edges of the first row of least
+    degree, the test of every subset would stop there or earlier, so the
+    answer is ell* - 1.  Otherwise the subsets are enumerated from size
+    ell*.  A pool starts with the witness's ell* matchings, and an S that
+    misses one passes at once; otherwise a matching of g less S is
+    repaired in g - S and, checked against g and S, joins the pool as the
+    witness that S passes.  The first S whose repair fails decides the
+    answer, and is confirmed by one certified ``structural_rank`` of g - S.
     """
     n = g.n_left
-    h = flow_engine._BMatching(g)
-    short = h.fill(1)
-    h.verify_min_cut(1, short=bool(short))
-    if short:
+    sweep = flow_engine.resilience_sweep(g)
+    ell, witness = sweep.ell_star, sweep.witness
+    if not ell:
         return -1
-    match = [next(iter(held)) for held in h.row_cols]
-    pool = MatchingPool()
-    pool.add(enumerate(match))
+    if (
+        witness.n_left != n
+        or not witness.edges <= g.edges
+        or not is_union_of_k_matchings(witness, ell)
+    ):
+        raise VerificationError(
+            f"the sweep's witness is not a union of {ell} disjoint left-perfect "
+            "matchings of g"
+        )
     edges = g.sorted_edges
     remaining = budget
-    verified = 0
-    for size in range(1, len(edges) + 1):
+    for size in range(1, ell):
+        remaining -= comb(len(edges), size)
+        if remaining < 0:
+            raise _exhausted(size - 1)
+    degrees = g.left_degrees()
+    if ell == min(degrees):
+        # The first row of least degree has its edges at p, p + 1, ... in
+        # sorted order, so comb(|E|, ell) - comb(|E| - p, ell) subsets of
+        # size ell come before them; that many tests and one more reach a
+        # subset that fails, theirs or an earlier one.
+        p = sum(degrees[: degrees.index(ell)])
+        if remaining > comb(len(edges), ell) - comb(len(edges) - p, ell):
+            return ell - 1
+    pool = MatchingPool()
+    matchings = extract_disjoint_matchings(witness, ell)
+    for m in matchings:
+        pool.add(m.edges)
+    match = [j for (_, j) in matchings[0].sorted_edges]
+    h = flow_engine._BMatching(g)
+    for size in range(ell, len(edges) + 1):
         for removed in combinations(edges, size):
             if remaining <= 0:
-                raise BudgetExceededError(
-                    f"weak resilience budget exhausted; >= {verified} certified",
-                    lower_bound=verified,
-                )
+                raise _exhausted(size - 1)
             remaining -= 1
             if pool.spares(removed):
                 continue
@@ -176,9 +210,15 @@ def weak_resilience(g: BipartiteGraph, budget: int = DEFAULT_WEAK_BUDGET) -> int
                     "matching remains"
                 )
             return size - 1
-        verified = size
     # Unreachable for nonempty graphs: removing all edges kills the matching.
     return len(edges) - 1
+
+
+def _exhausted(verified: int) -> BudgetExceededError:
+    return BudgetExceededError(
+        f"weak resilience budget exhausted; >= {verified} certified",
+        lower_bound=verified,
+    )
 
 
 def _repaired_matching(

@@ -17,6 +17,13 @@ FIG7_STARS = [(1, 1), (1, 2), (2, 1), (2, 2)]
 
 FIG2_ROWS = [{1, 2, 3}, {2, 3, 4}, {3, 4, 5}, {4, 5, 6}]
 
+# The 4x4 that acceptance criterion 8 finds: weak resilience 1 > strong 0.
+# ell* = 1 < d_min = 2, so the bounds strong <= weak <= d_min - 1 miss and
+# weak resilience must enumerate removal subsets.
+WEAK_GAP_EDGES = [
+    (0, 0), (0, 1), (0, 2), (1, 0), (1, 3), (2, 1), (2, 3), (3, 2), (3, 3),
+]
+
 
 @pytest.fixture
 def fig3_graph():
@@ -32,6 +39,10 @@ def fig7_graph():
 def fig2_graph():
     stars = [(r + 1, c) for r, cols in enumerate(FIG2_ROWS) for c in cols]
     return sp.to_bipartite(sp.pattern_from_stars(4, 6, stars))
+
+
+def weak_gap_graph() -> sp.BipartiteGraph:
+    return sp.BipartiteGraph(4, 4, frozenset(WEAK_GAP_EDGES))
 
 
 def random_graph(rng: random.Random, n: int, m: int, p: float = 0.5) -> sp.BipartiteGraph:

@@ -18,7 +18,14 @@ from sprank import flow as flow_engine
 from sprank import oracle
 from sprank.cli import run as cli_run
 
-from conftest import FIG2_ROWS, FIG3_STARS, FIG7_STARS, random_graph, random_union_of_matchings
+from conftest import (
+    FIG2_ROWS,
+    FIG3_STARS,
+    FIG7_STARS,
+    random_graph,
+    random_union_of_matchings,
+    weak_gap_graph,
+)
 
 
 @contextmanager
@@ -211,9 +218,10 @@ def test_criterion_9_min_cut_hook(monkeypatch):
         g = fig3_graph()
         net = sp.build_resilience_network(g, 2)
         union = random_union_of_matchings(random.Random(9), 4, 5, 2)
-        # Weak resilience checks the min cut of g's rank fill, then the
-        # certified solve of the one subset whose repair fails.  A lift
-        # is one certified solve, whatever ell is.
+        # Weak resilience checks the min cut of the sweep's failed level.
+        # On Fig 3 the bounds meet (ell* = d_min = 2) and settle it; where
+        # they miss, the one subset whose repair fails gets a certified
+        # solve too.  A lift is one certified solve, whatever ell is.
         for solve, kinds in [
             (sp.structural_rank, ["sweep"]),
             (sp.strong_resilience, ["sweep"]),
@@ -221,7 +229,8 @@ def test_criterion_9_min_cut_hook(monkeypatch):
             (lambda g: sp.fair_b_matching(g, 2), ["dual"]),
             (lambda _: sp.increment_matchings(union, 2), ["dual"]),
             (lambda _: sp.boost_by(union, 2, 3), ["dual"]),
-            (sp.weak_resilience, ["sweep", "sweep"]),
+            (sp.weak_resilience, ["sweep"]),
+            (lambda _: sp.weak_resilience(weak_gap_graph()), ["sweep", "sweep"]),
         ]:
             checked.clear()
             solve(g)

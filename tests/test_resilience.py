@@ -3,11 +3,12 @@ import random
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 import sprank as sp
 from sprank import flow as flow_engine
 from sprank import oracle
+from sprank import resilience as resilience_mod
 from sprank.errors import (
     BudgetExceededError,
     NotDecomposableError,
@@ -17,14 +18,40 @@ from sprank.errors import (
 )
 
 from conftest import (
+    FIG3_STARS,
     differential,
+    hub_graphs,
+    planted_hub,
     random_graph,
     random_union_of_matchings,
     shifted_union,
     small_graphs,
+    weak_gap_graph,
 )
 from reference_flow import flow_subgraph
 import reference_konig
+import reference_weak_library
+
+
+def _outcome(solve):
+    """("value", v) for an answer, ("lower_bound", b) for a budget run out."""
+    try:
+        return ("value", solve())
+    except BudgetExceededError as exc:
+        return ("lower_bound", exc.lower_bound)
+
+
+@st.composite
+def planted_hubs(draw):
+    """conftest.planted_hub shapes with n <= 6.
+
+    Every row has degree ell + 1, and with n >= ell + 2 rows ell* = ell, so
+    the bounds miss; fewer rows can all share the hub, and then they meet.
+    """
+    ell = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(max(n, 2 * ell + 2), 8))
+    return planted_hub(random.Random(draw(st.integers(0, 2**16))), n, m, ell)
 
 
 class TestStructuralRank:
@@ -301,15 +328,16 @@ class TestWeakResilience:
                     outcomes.append(("lower_bound", exc.lower_bound))
             assert outcomes[0] == outcomes[1], (budget, outcomes)
 
-    def test_forged_repair_failure_is_caught(self, fig3_graph, monkeypatch):
-        # Removing one edge keeps a left-perfect matching in Fig 3, so the
-        # certified solve of the first subset that hits M contradicts a
-        # repair that reports failure.
+    def test_forged_repair_failure_is_caught(self, monkeypatch):
+        # In the weak-gap graph the bounds miss (ell* = 1 < d_min = 2), so
+        # subsets are enumerated, and removing one edge keeps a left-perfect
+        # matching: the certified solve of the first subset that hits the
+        # pool contradicts a repair that reports failure.
         monkeypatch.setattr(flow_engine._BMatching, "repair", lambda self, match, removed: False)
         with pytest.raises(VerificationError):
-            sp.weak_resilience(fig3_graph)
+            sp.weak_resilience(weak_gap_graph())
 
-    def test_forged_repaired_matching_is_caught(self, fig3_graph, monkeypatch):
+    def test_forged_repaired_matching_is_caught(self, monkeypatch):
         # A repair that reports success but leaves H = M, removed pair and
         # all, would pass every later subset that misses M's pairs; it must
         # be refused before it joins the pool.
@@ -319,13 +347,90 @@ class TestWeakResilience:
 
         monkeypatch.setattr(flow_engine._BMatching, "repair", forged)
         with pytest.raises(VerificationError):
+            sp.weak_resilience(weak_gap_graph())
+
+    @pytest.mark.parametrize(
+        "n_left, edges",
+        [
+            # A union of 2 matchings, but (1, 2) is not an edge of Fig 3.
+            (4, {(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 4)}),
+            # Edges of Fig 3, but row 3 has only one of them.
+            (4, {(0, 0), (0, 1), (1, 0), (1, 3), (2, 1), (2, 2), (3, 3)}),
+            # 2 matchings of Fig 3's edges, but of rows 0-2 alone.
+            (3, {(0, 0), (0, 1), (1, 1), (1, 3), (2, 2), (2, 3)}),
+        ],
+        ids=["edge-outside-g", "not-2-matchings", "row-missing"],
+    )
+    def test_forged_witness_is_caught(self, fig3_graph, monkeypatch, n_left, edges):
+        # The lower bound strong <= weak rests on the sweep's witness alone,
+        # so a witness that is not ell* disjoint matchings of g is refused.
+        witness = sp.BipartiteGraph(n_left, 5, frozenset(edges))
+        forged = flow_engine.ResilienceSweep(4, 2, witness)
+        monkeypatch.setattr(flow_engine, "resilience_sweep", lambda g: forged)
+        with pytest.raises(VerificationError):
             sp.weak_resilience(fig3_graph)
+
+    @pytest.mark.parametrize(
+        "g, weak, enumerates",
+        [
+            (sp.complete_graph(6, 6), 5, False),
+            (sp.to_bipartite(sp.pattern_from_stars(4, 5, FIG3_STARS)), 1, False),
+            (weak_gap_graph(), 1, True),
+        ],
+        ids=["complete-6x6", "fig3", "weak-gap"],
+    )
+    def test_bounds_meet_without_enumeration(self, monkeypatch, g, weak, enumerates):
+        # Where ell* = d_min the answer is ell* - 1 with no repair and no
+        # solve of a reduced graph; where the bounds miss, both still run.
+        calls = {"repair": 0, "structural_rank": 0}
+        repair, rank = flow_engine._BMatching.repair, resilience_mod.structural_rank
+
+        def counted_repair(self, match, removed):
+            calls["repair"] += 1
+            return repair(self, match, removed)
+
+        def counted_rank(h):
+            calls["structural_rank"] += 1
+            return rank(h)
+
+        monkeypatch.setattr(flow_engine._BMatching, "repair", counted_repair)
+        monkeypatch.setattr(resilience_mod, "structural_rank", counted_rank)
+        assert sp.weak_resilience(g) == weak
+        assert (calls["repair"] > 0) == (calls["structural_rank"] == 1) == enumerates, calls
+
+    @differential
+    @given(st.one_of(small_graphs(), hub_graphs(), planted_hubs()))
+    def test_bounds_match_enumeration_reference(self, g):
+        # The bulk charge below ell*, the return where ell* = d_min and the
+        # enumeration from ell* answer or run out exactly where the
+        # enumeration from size 1 and the oracle do.  S(k) charges every
+        # subset up to size k; B0 is the oracle's full cost, every subset
+        # up to the answer w plus the first of size w + 1.
+        size = len(g.edges)
+
+        def charge(k):
+            return sum(math.comb(size, s) for s in range(1, k + 1))
+
+        ell = flow_engine.resilience_sweep(g).ell_star
+        w = oracle.brute_weak_resilience(g)
+        b0 = sum(math.comb(size, s) for s in range(w + 1))
+        budgets = {0, 1, size, charge(ell - 1), charge(ell - 1) + 1, charge(ell), charge(ell) + 1}
+        for budget in sorted(budgets | {b0, b0 + 1}):
+            solvers = [
+                lambda: sp.weak_resilience(g, budget),
+                lambda: reference_weak_library.weak_resilience(g, budget),
+            ]
+            if budget > 0:  # the oracle takes positive caps only
+                capped = oracle.OracleBudget(max_subsets=budget)
+                solvers.append(lambda: oracle.brute_weak_resilience(g, capped))
+            outcomes = [_outcome(solve) for solve in solvers]
+            assert len(set(outcomes)) == 1, (budget, outcomes)
 
     def test_pool_saves_the_searches_on_complete_6x6(self, monkeypatch):
         # Every subset of the 36 edges that misses a matching already found
-        # passes without a search.  With M alone as the pool the library
-        # would run 269,268 repairs, and a search per subset would cost the
-        # oracle 443,705; the pool leaves 87 and 97.
+        # passes without a search.  A search per subset would cost the
+        # oracle 443,705; the pool leaves 97.  The library, where the
+        # bounds meet, repairs nothing (test_bounds_meet_without_enumeration).
         calls = {"repair": 0, "search": 0}
         repair, search = flow_engine._BMatching.repair, oracle._left_perfect_matchings
 
