@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from . import flow as flow_engine
 from .errors import InvalidKError, PreconditionFailedError, VerificationError
 from .pattern import BipartiteGraph, complement, is_union_of_k_matchings
-from .resilience import _strong_resilience_value
+from .resilience import _sweep
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ def min_edges_for_target(g: BipartiteGraph, k_star: int) -> AugmentationPlan:
         raise InvalidKError(
             f"target resilience {k_star} outside [0, {g.n_right - 1}]"
         )
-    return _plan(g, k_star, _strong_resilience_value(g))
+    return _plan(g, k_star, _sweep(g).ell_star - 1)
 
 
 def _plan(g: BipartiteGraph, k_star: int, current: int) -> AugmentationPlan:
@@ -124,7 +124,7 @@ def best_within_budget(
     """
     if p < 0:
         raise ValueError("budget must be nonnegative")
-    current = _strong_resilience_value(g)
+    current = _sweep(g).ell_star - 1
     best = None
     for k in range(g.n_right):
         plan = _plan(g, k, current)
@@ -152,8 +152,6 @@ def increment_matchings(
     g: BipartiteGraph, k: int
 ) -> tuple[BipartiteGraph, list[tuple[int, int]]]:
     """Add n complement edges lifting a union of k matchings to k+1 (Proposition 2)."""
-    if k >= g.n_right:
-        raise InvalidKError(f"k = {k} must be below the column count {g.n_right}")
     return boost_by(g, k, 1)
 
 

@@ -92,23 +92,22 @@ def _cmd_resilience(args, out) -> int:
         else:
             out.write(f"weak_resilience: {value}\n")
         return EXIT_OK if value >= 0 else EXIT_NEGATIVE
-    report = resilience_mod.strong_resilience(g)
+    sweep = resilience_mod._sweep(g)
+    strong = sweep.ell_star - 1
     if args.json:
         out.write(
             json.dumps(
                 {
-                    "rank": report.structural_rank,
-                    "strong_resilience": report.strong_resilience,
-                    "ell_star": report.ell_star,
+                    "rank": sweep.rank,
+                    "strong_resilience": strong,
+                    "ell_star": sweep.ell_star,
                 }
             )
             + "\n"
         )
     else:
-        out.write(
-            f"strong_resilience: {report.strong_resilience}, ell_star: {report.ell_star}\n"
-        )
-    return EXIT_OK if report.strong_resilience >= 0 else EXIT_NEGATIVE
+        out.write(f"strong_resilience: {strong}, ell_star: {sweep.ell_star}\n")
+    return EXIT_OK if strong >= 0 else EXIT_NEGATIVE
 
 
 def _cmd_decompose(args, out) -> int:
@@ -179,18 +178,20 @@ def _cmd_verify(args, out) -> int:
     budget = _oracle_budget()
     checks = []
 
-    # The sweep's level 1 is the rank, so one solve serves both checks.
-    report = resilience_mod.strong_resilience(g)
+    # The request's one sweep, its witness checked, gives the rank (its
+    # level 1), the strong resilience and the weak bounds' starting point.
+    sweep = resilience_mod._sweep(g)
+    strong = sweep.ell_star - 1
     rank_brute = oracle_mod.brute_rank(g)
-    checks.append(("rank flow vs oracle", report.structural_rank == rank_brute))
+    checks.append(("rank flow vs oracle", sweep.rank == rank_brute))
 
     strong_brute = oracle_mod.brute_strong_resilience(g, budget)
-    checks.append(("strong resilience flow vs oracle", report.strong_resilience == strong_brute))
+    checks.append(("strong resilience flow vs oracle", strong == strong_brute))
 
-    weak_enum = resilience_mod.weak_resilience(g, budget=budget.max_subsets)
+    weak_enum = resilience_mod._weak_resilience(g, sweep, budget.max_subsets)
     weak_brute = oracle_mod.brute_weak_resilience(g, budget)
     checks.append(("weak resilience enumeration vs oracle", weak_enum == weak_brute))
-    checks.append(("weak >= strong sandwich", weak_enum >= report.strong_resilience))
+    checks.append(("weak >= strong sandwich", weak_enum >= strong))
 
     ok = True
     for name, passed in checks:

@@ -2,19 +2,19 @@
 
 The degree of strong resilience of a graph is one less than the largest ell
 for which the resilience network admits a saturated flow of value n*ell.
-One ascending sweep of the flow engine finds that ell together with a
-saturated flow, whose subgraph splits into ell disjoint left-perfect
-matchings by Koenig's edge-colouring theorem.  Weak resilience has no known
-efficient algorithm.  Two certified bounds, strong <= weak <= d_min - 1
-with d_min the least row degree, settle it at once when ell* = d_min;
-otherwise removal subsets are enumerated under a work budget, from size
-ell*, since every smaller size passes.  A pool keeps the witness's ell*
-matchings and every matching found since.  A removal subset that misses a
-pooled matching passes without a solve; one that hits them all is checked
-by repairing a matching in the reduced graph rather than by solving it
-again, and the repaired matching joins the pool.  Only the subset that
-decides the answer, the first whose repair fails, gets a certified solve
-of its own.
+One ascending sweep of the flow engine, run once per request by ``_sweep``,
+finds that ell together with a saturated flow, checked to be a union of ell
+disjoint left-perfect matchings of g, which Koenig's edge-colouring theorem
+splits apart.  Weak resilience has no known efficient algorithm.  Two
+certified bounds, strong <= weak <= d_min - 1 with d_min the least row
+degree, settle it at once when ell* = d_min; otherwise removal subsets are
+enumerated under a work budget, from size ell*, since every smaller size
+passes.  A pool keeps the witness's ell* matchings and every matching found
+since.  A removal subset that misses a pooled matching passes without a
+solve; one that hits them all is checked by repairing a matching in the
+reduced graph rather than by solving it again, and the repaired matching
+joins the pool.  Only the subset that decides the answer, the first whose
+repair fails, gets a certified solve of its own.
 """
 
 from __future__ import annotations
@@ -65,16 +65,22 @@ def structural_rank(g: BipartiteGraph) -> int:
 
 
 def _sweep(g: BipartiteGraph) -> flow_engine.ResilienceSweep:
+    """The sweep of g; its witness must be ell* disjoint left-perfect matchings of g."""
     if g.n_right < g.n_left:
         raise ShapeError(
             f"graph has {g.n_left} left but only {g.n_right} right nodes"
         )
-    return flow_engine.resilience_sweep(g)
-
-
-def _strong_resilience_value(g: BipartiteGraph) -> int:
-    """The degree of strong resilience alone, without decomposing the witness."""
-    return _sweep(g).ell_star - 1
+    sweep = flow_engine.resilience_sweep(g)
+    ell, witness = sweep.ell_star, sweep.witness
+    if (
+        witness.n_left != g.n_left
+        or not witness.edges <= g.edges
+        or (ell and not is_union_of_k_matchings(witness, ell))
+    ):
+        raise VerificationError(
+            f"the sweep's witness is not {ell} disjoint left-perfect matchings of g"
+        )
+    return sweep
 
 
 def strong_resilience(g: BipartiteGraph) -> ResilienceReport:
@@ -136,10 +142,10 @@ def weak_resilience(g: BipartiteGraph, budget: int = DEFAULT_WEAK_BUDGET) -> int
     """Exact weak resilience: certified bounds first, then removal subsets.
 
     Largest k such that removing ANY k edges leaves a left-perfect matching;
-    -1 if the graph has none to begin with.  No efficient algorithm is
-    known for it, but two bounds settle most graphs.  Strong <= weak: the
-    sweep's witness, checked to be a union of ell* disjoint left-perfect
-    matchings of g, keeps one of them whole under any ell* - 1 removals.
+    -1 if the graph has none to begin with, ShapeError if it has fewer
+    columns than rows.  No efficient algorithm is known for it, but two
+    bounds settle most graphs.  Strong <= weak: the ell* disjoint matchings
+    of the checked witness keep one whole under any ell* - 1 removals.
     Weak <= d_min - 1: removing the d_min edges of a row of least degree
     leaves that row unmatched.
 
@@ -158,20 +164,14 @@ def weak_resilience(g: BipartiteGraph, budget: int = DEFAULT_WEAK_BUDGET) -> int
     witness that S passes.  The first S whose repair fails decides the
     answer, and is confirmed by one certified ``structural_rank`` of g - S.
     """
-    n = g.n_left
-    sweep = flow_engine.resilience_sweep(g)
-    ell, witness = sweep.ell_star, sweep.witness
+    return _weak_resilience(g, _sweep(g), budget)
+
+
+def _weak_resilience(g: BipartiteGraph, sweep: flow_engine.ResilienceSweep, budget: int) -> int:
+    """Weak resilience of g from ``sweep``, g's sweep as ``_sweep`` returns it."""
+    n, ell = g.n_left, sweep.ell_star
     if not ell:
         return -1
-    if (
-        witness.n_left != n
-        or not witness.edges <= g.edges
-        or not is_union_of_k_matchings(witness, ell)
-    ):
-        raise VerificationError(
-            f"the sweep's witness is not a union of {ell} disjoint left-perfect "
-            "matchings of g"
-        )
     edges = g.sorted_edges
     remaining = budget
     for size in range(1, ell):
@@ -187,8 +187,12 @@ def weak_resilience(g: BipartiteGraph, budget: int = DEFAULT_WEAK_BUDGET) -> int
         p = sum(degrees[: degrees.index(ell)])
         if remaining > comb(len(edges), ell) - comb(len(edges) - p, ell):
             return ell - 1
+    if remaining <= 0:
+        # What the first subset below would raise, before the witness is
+        # split into matchings that no subset would use.
+        raise _exhausted(ell - 1)
     pool = MatchingPool()
-    matchings = extract_disjoint_matchings(witness, ell)
+    matchings = extract_disjoint_matchings(sweep.witness, ell)
     for m in matchings:
         pool.add(m.edges)
     match = [j for (_, j) in matchings[0].sorted_edges]

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import settings, strategies as st
 
 import sprank as sp
+from sprank import flow as flow_engine
 
 
 FIG3_STARS = [
@@ -150,3 +151,36 @@ def small_graphs(draw):
 
 
 differential = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+# Witnesses for forge_sweep that a checked sweep of Fig 3 must refuse.
+FORGED_WITNESSES = pytest.mark.parametrize(
+    "n_left, edges",
+    [
+        # A union of 2 matchings, but (1, 2) is not an edge of Fig 3.
+        (4, {(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 4)}),
+        # Edges of Fig 3, but row 3 has only one of them.
+        (4, {(0, 0), (0, 1), (1, 0), (1, 3), (2, 1), (2, 2), (3, 3)}),
+        # 2 matchings of Fig 3's edges, but of rows 0-2 alone.
+        (3, {(0, 0), (0, 1), (1, 1), (1, 3), (2, 2), (2, 3)}),
+    ],
+    ids=["edge-outside-g", "not-2-matchings", "row-missing"],
+)
+
+
+def forge_sweep(monkeypatch, n_left, edges):
+    """Make every sweep return Fig 3's rank 4 and ell* = 2, with a forged witness."""
+    forged = flow_engine.ResilienceSweep(4, 2, sp.BipartiteGraph(n_left, 5, frozenset(edges)))
+    monkeypatch.setattr(flow_engine, "resilience_sweep", lambda g: forged)
+
+
+def count_calls(monkeypatch, module, name):
+    """Count the calls of ``module.name``; returns a one-item list that holds the count."""
+    count, fn = [0], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return count

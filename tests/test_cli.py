@@ -13,10 +13,17 @@ import pytest
 import sprank
 from sprank import flow as flow_engine
 from sprank import pattern as pattern_mod
+from sprank import resilience as resilience_mod
 from sprank.cli import run
 from sprank.io import serialize_json
 
-from conftest import pruning_proof_block, upper_triangle
+from conftest import (
+    FORGED_WITNESSES,
+    count_calls,
+    forge_sweep,
+    pruning_proof_block,
+    upper_triangle,
+)
 from test_io import FIG3_TEXT
 
 FIG7_TEXT = "2 3\n* * 0\n* * 0\n"
@@ -75,6 +82,14 @@ class TestResilience:
         code, out = invoke(["resilience", fig3_file, "--json"])
         doc = json.loads(out)
         assert doc == {"rank": 4, "strong_resilience": 1, "ell_star": 2}
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_strong_reads_one_sweep_and_extracts_nothing(self, fig3_file, monkeypatch, flags):
+        swept = count_calls(monkeypatch, flow_engine, "resilience_sweep")
+        extracted = count_calls(monkeypatch, resilience_mod, "extract_disjoint_matchings")
+        code, _ = invoke(["resilience", fig3_file, *flags])
+        assert code == 0
+        assert swept == [1] and extracted == [0]
 
     def test_weak_budget_exceeded(self, fig3_file):
         code, _ = invoke(["resilience", fig3_file, "--weak", "--budget", "2"])
@@ -161,6 +176,15 @@ class TestVerify:
         assert "all checks passed" in out
         assert out.count("PASS") == 4
 
+    def test_one_sweep_serves_every_check(self, fig3_file, monkeypatch):
+        # Rank, strong resilience and the weak bounds all read the same
+        # checked sweep; on Fig 3 the bounds meet, so nothing is extracted.
+        swept = count_calls(monkeypatch, flow_engine, "resilience_sweep")
+        extracted = count_calls(monkeypatch, resilience_mod, "extract_disjoint_matchings")
+        code, out = invoke(["verify", fig3_file])
+        assert code == 0 and "all checks passed" in out
+        assert swept == [1] and extracted == [0]
+
     def test_complete_6x6_ends_in_budget_error(self, tmp_path):
         # The oracle's disjoint-family search stops at six matchings; the
         # 1000 subset tests then run out in weak resilience.
@@ -192,6 +216,13 @@ class TestVerify:
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize("command", ["resilience", "verify"])
+    @FORGED_WITNESSES
+    def test_forged_witness_exits_1(self, fig3_file, monkeypatch, command, n_left, edges):
+        forge_sweep(monkeypatch, n_left, edges)
+        code, _ = invoke([command, fig3_file])
+        assert code == 1
+
     def test_missing_file(self):
         code, _ = invoke(["rank", "/nonexistent/input.spm"])
         assert code == 1

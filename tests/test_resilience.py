@@ -19,7 +19,10 @@ from sprank.errors import (
 
 from conftest import (
     FIG3_STARS,
+    FORGED_WITNESSES,
+    count_calls,
     differential,
+    forge_sweep,
     hub_graphs,
     planted_hub,
     random_graph,
@@ -95,10 +98,30 @@ class TestStrongResilience:
         g = sp.BipartiteGraph(2, 3, frozenset({(0, 0), (0, 1)}))
         assert sp.strong_resilience(g).strong_resilience == -1
 
-    def test_shape_rejected(self):
+    @pytest.mark.parametrize(
+        "solve", [sp.strong_resilience, sp.weak_resilience], ids=["strong", "weak"]
+    )
+    def test_shape_rejected(self, solve):
         g = sp.BipartiteGraph(3, 2, frozenset())
         with pytest.raises(ShapeError):
-            sp.strong_resilience(g)
+            solve(g)
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            sp.strong_resilience,
+            lambda g: sp.min_edges_for_target(g, 2),
+            lambda g: sp.best_within_budget(g, 0),
+        ],
+        ids=["strong_resilience", "min_edges_for_target", "best_within_budget"],
+    )
+    @FORGED_WITNESSES
+    def test_forged_witness_is_caught(self, fig3_graph, monkeypatch, solve, n_left, edges):
+        # Strong resilience and augmentation read ell* from the same checked
+        # sweep as weak resilience, so a forged witness stops them too.
+        forge_sweep(monkeypatch, n_left, edges)
+        with pytest.raises(VerificationError):
+            solve(fig3_graph)
 
     @differential
     @given(small_graphs())
@@ -349,26 +372,22 @@ class TestWeakResilience:
         with pytest.raises(VerificationError):
             sp.weak_resilience(weak_gap_graph())
 
-    @pytest.mark.parametrize(
-        "n_left, edges",
-        [
-            # A union of 2 matchings, but (1, 2) is not an edge of Fig 3.
-            (4, {(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 4)}),
-            # Edges of Fig 3, but row 3 has only one of them.
-            (4, {(0, 0), (0, 1), (1, 0), (1, 3), (2, 1), (2, 2), (3, 3)}),
-            # 2 matchings of Fig 3's edges, but of rows 0-2 alone.
-            (3, {(0, 0), (0, 1), (1, 1), (1, 3), (2, 2), (2, 3)}),
-        ],
-        ids=["edge-outside-g", "not-2-matchings", "row-missing"],
-    )
+    @FORGED_WITNESSES
     def test_forged_witness_is_caught(self, fig3_graph, monkeypatch, n_left, edges):
         # The lower bound strong <= weak rests on the sweep's witness alone,
         # so a witness that is not ell* disjoint matchings of g is refused.
-        witness = sp.BipartiteGraph(n_left, 5, frozenset(edges))
-        forged = flow_engine.ResilienceSweep(4, 2, witness)
-        monkeypatch.setattr(flow_engine, "resilience_sweep", lambda g: forged)
+        forge_sweep(monkeypatch, n_left, edges)
         with pytest.raises(VerificationError):
             sp.weak_resilience(fig3_graph)
+
+    def test_budget_spent_below_ell_star_extracts_nothing(self, fig3_graph, monkeypatch):
+        # Fig 3 has 10 edges and ell* = 2: a budget of 10 covers size 1
+        # and none of size 2, so the witness is never split into matchings.
+        extracted = count_calls(monkeypatch, resilience_mod, "extract_disjoint_matchings")
+        with pytest.raises(BudgetExceededError) as exc:
+            sp.weak_resilience(fig3_graph, budget=10)
+        assert exc.value.lower_bound == 1
+        assert extracted == [0]
 
     @pytest.mark.parametrize(
         "g, weak, enumerates",

@@ -107,3 +107,30 @@ def test_library_solves_stay_on_the_b_matching_engine():
             or (isinstance(node, ast.Attribute) and node.attr in NETWORK_SOLVERS)
         ]
     assert not found, f"library code outside flow.py uses the network solvers: {found}"
+
+
+def test_only_the_checked_sweep_entry_runs_the_sweep():
+    # Every reader of ell* and the witness goes through resilience._sweep,
+    # which checks the witness once; a second caller of the sweep would
+    # skip that check or repeat the solve.
+    found = []
+    for path in sorted(Path(sprank.__file__).parent.glob("*.py")):
+        if path.name == "flow.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        # ast.walk visits an outer function before the ones nested in it,
+        # so each node keeps the innermost function that holds it.
+        owner = {
+            id(node): fn.name
+            for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(fn)
+        }
+        found += [
+            (path.name, owner.get(id(node), "<module>"))
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Name) and node.id == "resilience_sweep")
+            or (isinstance(node, ast.Attribute) and node.attr == "resilience_sweep")
+            or (isinstance(node, ast.alias) and node.name == "resilience_sweep")
+        ]
+    assert found == [("resilience.py", "_sweep")], found
