@@ -107,13 +107,16 @@ def _first_left_perfect_matching(
 
 
 def _rank_mod_p(matrix: np.ndarray) -> int:
-    """Rank over GF(p) by exact Gauss-Jordan elimination in int64.
+    """Rank over GF(p) by fraction-free Gaussian elimination in int64.
 
     Every entry is kept as a residue in [0, p), p = ``_PRIME``, so no
-    product of two reaches 2**62.  Each pivot row is scaled by its pivot's
-    inverse, pow(x, p - 2, p), and then clears its column in the other
-    rows whose entry there is nonzero; the columns to its left are never
-    read again.
+    product of two reaches 2**62.  In each column the first row with a
+    nonzero entry a there is the pivot.  Every other row holding an entry f
+    in that column becomes a * row - f * pivot row, mod p, from that column
+    on, which zeroes its entry and scales the row by a != 0 without an
+    inverse.  The pivot row then retires: it is zeroed, so no later column
+    picks or updates it again, and no row is ever swapped.  The rank is
+    the number of pivots.
     """
     p = _PRIME
     a = np.asarray(matrix, dtype=np.int64) % p
@@ -122,19 +125,14 @@ def _rank_mod_p(matrix: np.ndarray) -> int:
     for col in range(cols):
         if rank == rows:
             break
-        nonzero = np.flatnonzero(a[rank:, col])
-        if not nonzero.size:
+        live = np.flatnonzero(a[:, col])
+        if not live.size:
             continue
-        pivot = rank + int(nonzero[0])
-        if pivot != rank:
-            a[[rank, pivot]] = a[[pivot, rank]]
-        a[rank, col:] = a[rank, col:] * pow(int(a[rank, col]), p - 2, p) % p
-        factors = a[:, col].copy()
-        factors[rank] = 0
-        hit = np.flatnonzero(factors)
-        if hit.size:
-            update = np.outer(factors[hit], a[rank, col:]) % p
-            a[hit, col:] = (a[hit, col:] - update) % p
+        pivot, rest = live[0], live[1:]
+        if rest.size:
+            head = a[pivot, col:]
+            a[rest, col:] = (head[0] * a[rest, col:] - a[rest, col, None] * head) % p
+        a[pivot] = 0
         rank += 1
     return rank
 

@@ -86,9 +86,7 @@ def _sweep(g: BipartiteGraph) -> flow_engine.ResilienceSweep:
 def strong_resilience(g: BipartiteGraph) -> ResilienceReport:
     """Exact degree of strong resilience with a decomposition witness."""
     sweep = _sweep(g)
-    matchings = (
-        extract_disjoint_matchings(sweep.witness, sweep.ell_star) if sweep.ell_star else []
-    )
+    matchings = _colour_matchings(sweep.witness, sweep.ell_star) if sweep.ell_star else []
     return ResilienceReport(
         sweep.rank, sweep.ell_star - 1, sweep.ell_star, tuple(matchings), sweep.witness
     )
@@ -112,6 +110,11 @@ def extract_disjoint_matchings(h: BipartiteGraph, ell: int) -> list[Matching]:
         raise NotDecomposableError(
             f"graph is not a union of {ell} disjoint left-perfect matchings"
         )
+    return _colour_matchings(h, ell)
+
+
+def _colour_matchings(h: BipartiteGraph, ell: int) -> list[Matching]:
+    """The Koenig colouring of ``extract_disjoint_matchings``, for an h already checked."""
     # at_row[i][c] / at_col[j][c]: the other end of the colour-c edge, or -1.
     at_row = [[-1] * ell for _ in range(h.n_left)]
     at_col = [[-1] * ell for _ in range(h.n_right)]
@@ -192,7 +195,7 @@ def _weak_resilience(g: BipartiteGraph, sweep: flow_engine.ResilienceSweep, budg
         # split into matchings that no subset would use.
         raise _exhausted(ell - 1)
     pool = MatchingPool()
-    matchings = extract_disjoint_matchings(sweep.witness, ell)
+    matchings = _colour_matchings(sweep.witness, ell)
     for m in matchings:
         pool.add(m.edges)
     match = [j for (_, j) in matchings[0].sorted_edges]

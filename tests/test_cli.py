@@ -86,7 +86,7 @@ class TestResilience:
     @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
     def test_strong_reads_one_sweep_and_extracts_nothing(self, fig3_file, monkeypatch, flags):
         swept = count_calls(monkeypatch, flow_engine, "resilience_sweep")
-        extracted = count_calls(monkeypatch, resilience_mod, "extract_disjoint_matchings")
+        extracted = count_calls(monkeypatch, resilience_mod, "_colour_matchings")
         code, _ = invoke(["resilience", fig3_file, *flags])
         assert code == 0
         assert swept == [1] and extracted == [0]
@@ -180,7 +180,7 @@ class TestVerify:
         # Rank, strong resilience and the weak bounds all read the same
         # checked sweep; on Fig 3 the bounds meet, so nothing is extracted.
         swept = count_calls(monkeypatch, flow_engine, "resilience_sweep")
-        extracted = count_calls(monkeypatch, resilience_mod, "extract_disjoint_matchings")
+        extracted = count_calls(monkeypatch, resilience_mod, "_colour_matchings")
         code, out = invoke(["verify", fig3_file])
         assert code == 0 and "all checks passed" in out
         assert swept == [1] and extracted == [0]

@@ -89,6 +89,46 @@ class TestBruteRank:
                 a[-1] = int(rng.integers(1, p)) * a[0] % p
             assert oracle._rank_mod_p(a) == _row_loop_rank_mod_p(a.tolist(), p)
 
+    def test_rank_mod_p_matches_row_loop_tall_and_wide(self):
+        # Tall, wide and square shapes up to 12 x 14: a pivot row keeps
+        # nonzero entries right of its column, so unless it retires a later
+        # column picks it again.  Planted rows c * (row 0) + d * (row 1)
+        # mod p are dependent only over GF(p).
+        p = oracle._PRIME
+        rng = np.random.default_rng(211)
+        for t in range(600):
+            n = int(rng.integers(1, 13))
+            m = int(rng.integers(1, 15))
+            mask = rng.random((n, m)) < rng.random()
+            values = rng.integers(1, p, (n, m)) if t % 2 else rng.integers(-2, 3, (n, m))
+            a = mask * values
+            if t % 3 == 0 and n > 2:
+                c, d = (int(x) for x in rng.integers(1, p, 2))
+                a[-1] = (c * a[0] % p + d * a[1] % p) % p
+            assert oracle._rank_mod_p(a) == _row_loop_rank_mod_p(a.tolist(), p)
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (5, 7), (12, 9), (40, 40)])
+    def test_rank_mod_p_near_2_62(self, n, m):
+        # Every entry p - 1: each update multiplies two residues of
+        # (p - 1)**2 = 2**62 - 2**33 + 4, so an int64 overflow shows here.
+        p = oracle._PRIME
+        block = np.full((n, m), p - 1, dtype=np.int64)
+        assert oracle._rank_mod_p(block) == 1
+        # p - 2 on the diagonal: -(J + I) mod p, of full rank.
+        np.fill_diagonal(block, p - 2)
+        assert oracle._rank_mod_p(block) == _row_loop_rank_mod_p(block.tolist(), p) == min(n, m)
+
+    def test_random_sparse_300(self):
+        rng = random.Random(300)
+        n = 300
+        g = sp.BipartiteGraph(
+            n, n, frozenset((i, rng.randrange(n)) for i in range(n) for _ in range(5))
+        )
+        assert oracle.brute_rank(g) == sp.structural_rank(g)
+
+    def test_no_stars(self):
+        assert oracle.brute_rank(sp.BipartiteGraph(3, 4, frozenset())) == 0
+
     def test_realizations_match_per_star_draws(self, fig3_graph, monkeypatch):
         # One realization: a residue in [1, p) at each star and nowhere
         # else, drawn as one vector in g.edges order.

@@ -123,6 +123,17 @@ class TestStrongResilience:
         with pytest.raises(VerificationError):
             solve(fig3_graph)
 
+    @pytest.mark.parametrize(
+        "g", [sp.complete_graph(3, 4), weak_gap_graph()], ids=["complete-3x4", "weak-gap"]
+    )
+    def test_witness_checked_once(self, monkeypatch, g):
+        # _sweep checks the witness; the colouring that follows trusts it.
+        checked = count_calls(monkeypatch, resilience_mod, "is_union_of_k_matchings")
+        coloured = count_calls(monkeypatch, resilience_mod, "_colour_matchings")
+        r = sp.strong_resilience(g)
+        assert len(r.matchings) == r.ell_star > 0
+        assert checked == [1] and coloured == [1]
+
     @differential
     @given(small_graphs())
     def test_sweep_matches_oracle(self, g):
@@ -383,7 +394,7 @@ class TestWeakResilience:
     def test_budget_spent_below_ell_star_extracts_nothing(self, fig3_graph, monkeypatch):
         # Fig 3 has 10 edges and ell* = 2: a budget of 10 covers size 1
         # and none of size 2, so the witness is never split into matchings.
-        extracted = count_calls(monkeypatch, resilience_mod, "extract_disjoint_matchings")
+        extracted = count_calls(monkeypatch, resilience_mod, "_colour_matchings")
         with pytest.raises(BudgetExceededError) as exc:
             sp.weak_resilience(fig3_graph, budget=10)
         assert exc.value.lower_bound == 1
@@ -416,6 +427,13 @@ class TestWeakResilience:
         monkeypatch.setattr(resilience_mod, "structural_rank", counted_rank)
         assert sp.weak_resilience(g) == weak
         assert (calls["repair"] > 0) == (calls["structural_rank"] == 1) == enumerates, calls
+
+    def test_enumeration_checks_witness_once(self, monkeypatch):
+        # The weak gap enumerates from the sweep's witness, checked once by _sweep.
+        checked = count_calls(monkeypatch, resilience_mod, "is_union_of_k_matchings")
+        coloured = count_calls(monkeypatch, resilience_mod, "_colour_matchings")
+        assert sp.weak_resilience(weak_gap_graph()) == 1
+        assert checked == [1] and coloured == [1]
 
     @differential
     @given(st.one_of(small_graphs(), hub_graphs(), planted_hubs()))
