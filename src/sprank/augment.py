@@ -16,6 +16,10 @@ the primal-dual method without building the n*m-arc network:
   makes the flow maximum, and no residual pair of negative reduced cost
   makes it of minimum cost.  A failed check raises VerificationError.
 
+A target k* above g's strong resilience costs that solve alone where the
+certified bound strong <= d_min - 1 shows it, d_min - 1 < k*; only
+otherwise does the checked sweep first tell whether g already reaches k*.
+
 Lifting a union of k disjoint left-perfect matchings to k+ell
 (Proposition 2, :func:`boost_by` and :func:`increment_matchings`) is the
 same solve at b = k+ell, whose certified cost must be exactly ell*n.
@@ -24,10 +28,11 @@ same solve at b = k+ell, whose certified cost must be exactly ell*n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from . import flow as flow_engine
 from .errors import InvalidKError, PreconditionFailedError, VerificationError
-from .pattern import BipartiteGraph, complement, is_union_of_k_matchings
+from .pattern import BipartiteGraph, check_dense_size, complement, is_union_of_k_matchings
 from .resilience import _sweep
 
 
@@ -88,12 +93,23 @@ def fair_b_matching(g: BipartiteGraph, k_star: int) -> BMatching:
 
 
 def min_edges_for_target(g: BipartiteGraph, k_star: int) -> AugmentationPlan:
-    """Fewest complement edges whose addition makes g strongly k*-resilient."""
+    """Fewest complement edges whose addition makes g strongly k*-resilient.
+
+    Strong resilience is at most d_min - 1, d_min the least row degree:
+    removing a row's edges leaves it unmatched.  So where d_min - 1 < k*,
+    g falls short of k* without a solve, and the fair b-matching, whose
+    dual certificate proves delta*, is the only solve.  Otherwise the
+    checked sweep decides whether g already reaches k*.
+    """
     if not 0 <= k_star <= g.n_right - 1:
         raise InvalidKError(
             f"target resilience {k_star} outside [0, {g.n_right - 1}]"
         )
-    return _plan(g, k_star, _sweep(g).ell_star - 1)
+    current = min(g.left_degrees()) - 1
+    if current >= k_star or g.n_right < g.n_left:
+        # The bound settles nothing here; _sweep also refuses m < n.
+        current = _sweep(g).ell_star - 1
+    return _plan(g, k_star, current)
 
 
 def _plan(g: BipartiteGraph, k_star: int, current: int) -> AugmentationPlan:
@@ -135,11 +151,11 @@ def best_within_budget(
         # Not even rank can be restored within budget.
         return AugmentationPlan((), 0, -1, g, None)
     if exact_spend and best.delta_star < p:
-        spare = [
-            e
-            for e in sorted(complement(g).edges)
-            if e not in best.added_edges
-        ][: p - best.delta_star]
+        # The cells in row-major order are the complement's sorted order.
+        check_dense_size(g.n_left, g.n_right)
+        taken = best.result_graph.edges
+        cells = ((i, j) for i in range(g.n_left) for j in range(g.n_right))
+        spare = islice((e for e in cells if e not in taken), p - best.delta_star)
         added = tuple(sorted(best.added_edges + tuple(spare)))
         result = BipartiteGraph(g.n_left, g.n_right, g.edges | set(added))
         return AugmentationPlan(

@@ -38,7 +38,8 @@ the flow is the flow of the resilience network at level b:
   are grouped into potential classes.  The Dijkstra, the fills and the
   certificate each treat a class as a whole, skipping only the row's own
   columns in g and H, so a solve costs about (|E| + n*b) per class rather
-  than n*m;
+  than n*m.  After a raise, a short row whose class is that of t takes
+  the first column with room outside its own g and H without a search;
 * weak resilience starts from the sweep and, where its bounds do not
   settle it, per removal subset resets H to one of the witness's matchings
   less the removed pairs and re-augments the rows that lost their column
@@ -294,8 +295,9 @@ class _BMatching:
     adjacency at u's potential, and then the columns of class pi(u) + 1
     outside g(u).  Every search scans them in that order, g first and the
     class ascending, and that scan order is the contract that fixes which
-    b-matching comes out.  Before the first raise, a row that can take a
-    column of its own ``reach`` directly does so without a search
+    b-matching comes out.  A row that can take a column of its own
+    ``reach`` before the first raise, or after a raise a column of
+    ``room`` while its class is that of t, does so without a search
     (:meth:`_augment`): that column is the search's own first pick, so the
     contract holds.
 
@@ -329,24 +331,36 @@ class _BMatching:
     def _augment(self, r: int, b: int, closed: set, room=None, free=None) -> bool:
         """Push one unit s -> r -> ... -> t over arcs of zero reduced cost; False if none.
 
-        Before the first raise (``free`` is None), the direct step comes
-        first: r takes the first column of ``reach[r]`` that it does not
-        hold and that has room.  That is the search's own first pick: the
-        search pops r first, scans ``reach[r]`` in order and stops at the
-        first such column, so H comes out as the search would leave it,
-        and :meth:`_search` runs only for a row the direct step cannot
-        serve.  The step needs neither ``closed`` nor ``room``: a closed
-        column is full.  After a raise the step is skipped, since it
-        cannot succeed: a row short of b has been a source of every
-        Dijkstra and is still at potential 0, below t, so ``reach[r]``
-        holds only full columns.
+        A direct step comes first, and each is the search's own first pick,
+        so H comes out as the search would leave it and :meth:`_search`
+        runs only for a row the step cannot serve.
+
+        * Before the first raise (``free`` is None), r takes the first
+          column of ``reach[r]`` that it does not hold and that has room:
+          the search pops r first, scans ``reach[r]`` in order and stops
+          there.  A closed column is full, so ``closed`` is not needed.
+        * After a raise, a row short of b has been a source of every
+          Dijkstra and is still at potential 0, below t, so ``reach[r]``
+          holds only full columns and the search scans them all without
+          stopping.  If its class pi(r) + 1 is pi(t), the search then
+          stops at the first column of ``room`` outside g(r) and H(r), and
+          r takes that column here; one that fills leaves ``room``.
         """
+        held, col_rows = self.row_cols[r], self.col_rows
         if free is None:
-            held, col_rows = self.row_cols[r], self.col_rows
             for j in self.reach[r]:
                 if j not in held and len(col_rows[j]) < b:
                     held.add(j)
                     col_rows[j].add(r)
+                    return True
+        elif self.pi_row[r] + 1 == self.pi_t:
+            mine = self.in_g[r]
+            for i, j in enumerate(room):
+                if j not in held and j not in mine:
+                    held.add(j)
+                    col_rows[j].add(r)
+                    if len(col_rows[j]) == b:
+                        del room[i]
                     return True
         return self._search(r, b, closed, room, free)
 
@@ -448,10 +462,11 @@ class _BMatching:
         b-matching of g.  The columns that failed searches close stay
         skipped for the rest of this call only, since a raise changes which
         arcs have reduced cost 0.  ``room`` lists the columns of class
-        pi(t) with room, ascending, and drops each as it fills.  Before the
-        first raise most rows take a column of their own ``reach`` by the
-        direct step, which is the search's own first pick; only the others,
-        and every row after a raise, cost a search.
+        pi(t) with room, ascending, and drops each as it fills.  Most rows
+        take a column by the direct step, which is the search's own first
+        pick: before the first raise one of their own ``reach``, after it
+        one of ``room`` while pi(t) is one step above them.  Only the
+        others cost a search.
         """
         row_cols = self.row_cols
         closed = set()

@@ -141,6 +141,19 @@ def hub_graphs(draw):
 
 
 @st.composite
+def planted_hubs(draw):
+    """planted_hub shapes with n <= 6.
+
+    Every row has degree ell + 1, and with n >= ell + 2 rows ell* = ell, so
+    the bounds miss; fewer rows can all share the hub, and then they meet.
+    """
+    ell = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(max(n, 2 * ell + 2), 8))
+    return planted_hub(random.Random(draw(st.integers(0, 2**16))), n, m, ell)
+
+
+@st.composite
 def small_graphs(draw):
     """Graphs with n <= 4 and m <= 5 columns, square (n = m) about half the time."""
     n = draw(st.integers(1, 4))

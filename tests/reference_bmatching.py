@@ -1,11 +1,12 @@
 """Reference augmentation for the tests: a search for every augmenting path.
 
 This is ``sprank.flow._BMatching._augment`` as it was before the direct
-step: every call runs the breadth-first search, even when row r's own
-``reach`` has a column with room.  The engine now takes that column
-without a search, as the search's own first pick; the tests require the
-engine and :class:`SearchOnlyBMatching` to produce the same b-matchings,
-sweeps, costs and repairs.
+steps: every call runs the breadth-first search, even when row r's own
+``reach`` has a column with room, or, after a raise, when r's class is
+that of t and ``room`` has a column outside g(r) and H(r).  The engine now
+takes that column without a search, as the search's own first pick; the
+tests require the engine and :class:`SearchOnlyBMatching` to produce the
+same b-matchings, sweeps, costs and repairs.
 """
 
 from bisect import bisect_left

@@ -2,20 +2,26 @@ import random
 import time
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, strategies as st
 
 import sprank as sp
+from sprank import flow as flow_engine
 from sprank import oracle
-from sprank.errors import InvalidKError, PreconditionFailedError
+from sprank.errors import InvalidKError, PreconditionFailedError, SprankError
 from sprank.flow import Arc, FlowNetwork
 
 from conftest import (
+    FIG3_STARS,
+    count_calls,
     differential,
+    hub_graphs,
+    planted_hubs,
     random_graph,
     random_union_of_matchings,
     shifted_union,
     small_graphs,
 )
+import reference_augment
 from reference_flow import flow_subgraph, min_cost_max_flow
 
 
@@ -129,6 +135,49 @@ class TestMinEdgesForTarget:
             for k in range(g.n_right):
                 assert (sp.delta_star(g, k) == 0) == (srs >= k)
 
+    @staticmethod
+    def outcome(plan, g, k):
+        """The plan for (g, k), or the type of the error it raises."""
+        try:
+            return plan(g, k)
+        except SprankError as exc:
+            return type(exc)
+
+    @differential
+    @given(st.one_of(small_graphs(), hub_graphs(), planted_hubs()))
+    def test_matches_sweep_first_reference(self, g):
+        # The bound strong <= d_min - 1 skips the sweep, never the answer:
+        # every target, out of range too, on g and on its transpose, whose
+        # m < n must still raise ShapeError.
+        n, m = g.n_left, g.n_right
+        transpose = sp.BipartiteGraph(m, n, frozenset((j, i) for (i, j) in g.edges))
+        for h in (g, transpose):
+            for k in range(-1, h.n_right + 1):
+                expected = self.outcome(reference_augment.min_edges_for_target, h, k)
+                assert self.outcome(sp.min_edges_for_target, h, k) == expected
+
+    @pytest.mark.parametrize(
+        "g, k, sweeps",
+        [
+            # Fig 3: d_min = 2, ell* = 2.
+            (sp.to_bipartite(sp.pattern_from_stars(4, 5, FIG3_STARS)), 1, 1),
+            (sp.to_bipartite(sp.pattern_from_stars(4, 5, FIG3_STARS)), 2, 0),
+            (sp.to_bipartite(sp.pattern_from_stars(4, 5, FIG3_STARS)), 4, 0),
+            (sp.complete_graph(6, 6), 0, 1),
+            (sp.complete_graph(6, 6), 5, 1),
+            # Row 1 has no edge: d_min = 0.
+            (sp.BipartiteGraph(2, 2, frozenset({(0, 0), (0, 1)})), 0, 0),
+        ],
+        ids=["fig3-1", "fig3-2", "fig3-4", "complete-6x6-0", "complete-6x6-5", "deficient-0"],
+    )
+    def test_sweep_runs_only_where_the_bound_does_not_settle(self, monkeypatch, g, k, sweeps):
+        # d_min - 1 < k* proves g short of k*, so the fair b-matching is the
+        # only solve; otherwise one checked sweep decides.
+        swept = count_calls(monkeypatch, flow_engine, "resilience_sweep")
+        plan = sp.min_edges_for_target(g, k)
+        assert swept == [sweeps]
+        assert (plan.delta_star > 0) == (min(g.left_degrees()) <= k)
+
 
 class TestBestWithinBudget:
     def test_fig7_budget_two(self, fig7_graph):
@@ -160,6 +209,24 @@ class TestBestWithinBudget:
         assert plan.delta_star == 2
         free = sp.best_within_budget(fig7_graph, 1, exact_spend=True)
         assert free.delta_star == 1  # padded beyond the 0 needed
+
+    def test_exact_spend_pads_200x200_diagonal(self):
+        # p = 4n - 1 buys target 3 at delta* = 3n and pads with n - 1
+        # spares; the padding once tested each complement edge against
+        # the plan's tuple, quadratic in n.
+        n = 200
+        g = sp.BipartiteGraph(n, n, frozenset((i, i) for i in range(n)))
+        p = 4 * n - 1
+        best = sp.best_within_budget(g, p)
+        spare = [
+            e for e in sorted(sp.complement(g).edges) if e not in best.added_edges
+        ][: p - best.delta_star]
+        added = tuple(sorted(best.added_edges + tuple(spare)))
+        padded = sp.best_within_budget(g, p, exact_spend=True)
+        assert padded.added_edges == added and padded.delta_star == p
+        assert padded.achieved_resilience == best.achieved_resilience == 3
+        assert padded.result_graph.edges == g.edges | set(added)
+        assert padded.b_matching == best.b_matching
 
 
 class TestIncrementMatchings:

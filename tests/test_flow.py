@@ -10,7 +10,14 @@ from sprank import flow as flow_engine
 from sprank.errors import NotMaximalError, VerificationError
 from sprank.flow import Arc, FlowNetwork, _BMatching
 
-from conftest import differential, hub_graphs, planted_hub, random_graph, small_graphs
+from conftest import (
+    differential,
+    hub_graphs,
+    planted_hub,
+    random_graph,
+    shifted_union,
+    small_graphs,
+)
 from reference_bmatching import SearchOnlyBMatching
 from reference_flow import flow_subgraph, min_cost_max_flow
 
@@ -240,9 +247,10 @@ class TestFirstFill:
 
 
 class TestDirectStep:
-    # A row that can take a column of its own reach takes the first one
-    # without a search; that column is the search's own first pick, so every
-    # result must equal the search-only reference's.
+    # A row that can take a column of its own reach, or after a raise a
+    # column of room, takes the first one without a search; that column is
+    # the search's own first pick, so every result must equal the
+    # search-only reference's.
     @staticmethod
     def solve(g):
         results = [flow_engine.resilience_sweep(g), flow_engine.matching_number(g)]
@@ -288,6 +296,53 @@ class TestDirectStep:
             sweep = flow_engine.resilience_sweep(g)
         assert sweep.ell_star == 20
         assert len(searched) <= 150
+
+    @staticmethod
+    def post_raise_searches(g, b):
+        """min_cost_b_matching(g, b) and (pi(t), pi(r) + 1 == pi(t)) per search after a raise."""
+        searched = []
+        search = _BMatching._search
+
+        def spy(self, r, b, closed, room, free):
+            if free is not None:
+                searched.append((self.pi_t, self.pi_row[r] + 1 == self.pi_t))
+            return search(self, r, b, closed, room, free)
+
+        with patch.object(_BMatching, "_search", spy):
+            return flow_engine.min_cost_b_matching(g, b), searched
+
+    @pytest.mark.parametrize(
+        "edges, n, b, expected",
+        [
+            # K(2,2) on rows 0 and 2, row 1 empty: at b = 2 row 1 reaches t
+            # only through a row of the block, at cost 2.
+            ({(0, 0), (0, 2), (2, 0), (2, 2)}, 3, 2, [(1, True), (2, False)]),
+            (
+                {(0, 0), (0, 2), (1, 0), (1, 2), (1, 3), (2, 0), (2, 2), (3, 3)},
+                4, 3, [(1, True), (2, False)],
+            ),
+            # At pi(t) = 1 the one column with room is row 2's own in H.
+            ({(0, 2), (1, 2)}, 3, 2, [(1, True)]),
+        ],
+        ids=["pi_t-2", "pi_t-2-b3", "room-held"],
+    )
+    def test_post_raise_fallback_matches_reference(self, edges, n, b, expected):
+        # Where the direct step after a raise cannot serve the row, the
+        # search runs as before and must still match the reference.
+        g = sp.BipartiteGraph(n, n, frozenset(edges))
+        result, searched = self.post_raise_searches(g, b)
+        assert searched == expected
+        with patch.object(flow_engine, "_BMatching", SearchOnlyBMatching):
+            assert flow_engine.min_cost_b_matching(g, b) == result
+
+    def test_post_raise_fills_take_room_without_a_search(self):
+        # A union of 3 matchings on 60 x 80 lifted to b = 5: after the one
+        # raise every row is short by 2 with pi(t) = 1, and each of its 120
+        # augmentations takes a column of room directly.
+        g = shifted_union(random.Random(0), 60, 80, 3)
+        (edges, cost), searched = self.post_raise_searches(g, 5)
+        assert cost == 2 * 60 and edges >= g.edges
+        assert searched == []
 
 
 class TestInducedSubgraph:

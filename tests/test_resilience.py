@@ -24,7 +24,7 @@ from conftest import (
     differential,
     forge_sweep,
     hub_graphs,
-    planted_hub,
+    planted_hubs,
     random_graph,
     random_union_of_matchings,
     shifted_union,
@@ -42,19 +42,6 @@ def _outcome(solve):
         return ("value", solve())
     except BudgetExceededError as exc:
         return ("lower_bound", exc.lower_bound)
-
-
-@st.composite
-def planted_hubs(draw):
-    """conftest.planted_hub shapes with n <= 6.
-
-    Every row has degree ell + 1, and with n >= ell + 2 rows ell* = ell, so
-    the bounds miss; fewer rows can all share the hub, and then they meet.
-    """
-    ell = draw(st.integers(1, 2))
-    n = draw(st.integers(1, 6))
-    m = draw(st.integers(max(n, 2 * ell + 2), 8))
-    return planted_hub(random.Random(draw(st.integers(0, 2**16))), n, m, ell)
 
 
 class TestStructuralRank:
@@ -110,7 +97,7 @@ class TestStrongResilience:
         "solve",
         [
             sp.strong_resilience,
-            lambda g: sp.min_edges_for_target(g, 2),
+            lambda g: sp.min_edges_for_target(g, 1),
             lambda g: sp.best_within_budget(g, 0),
         ],
         ids=["strong_resilience", "min_edges_for_target", "best_within_budget"],
@@ -118,7 +105,9 @@ class TestStrongResilience:
     @FORGED_WITNESSES
     def test_forged_witness_is_caught(self, fig3_graph, monkeypatch, solve, n_left, edges):
         # Strong resilience and augmentation read ell* from the same checked
-        # sweep as weak resilience, so a forged witness stops them too.
+        # sweep as weak resilience, so a forged witness stops them too.  Fig 3
+        # has d_min = 2, so at target 1 the bound strong <= d_min - 1 does not
+        # settle the plan and the sweep is read.
         forge_sweep(monkeypatch, n_left, edges)
         with pytest.raises(VerificationError):
             solve(fig3_graph)
