@@ -12,9 +12,9 @@ the primal-dual method without building the n*m-arc network:
 * while a row is short, one Dijkstra in reduced costs raises the
   potentials, and the next phase augments over the pairs whose reduced
   cost is now 0 (a new edge is a pair one potential step up);
-* the final potentials are a dual certificate: every row at degree k*+1
-  makes the flow maximum, and no residual pair of negative reduced cost
-  makes it of minimum cost.  A failed check raises VerificationError.
+* the final potentials are a dual certificate, the plan's one check: rows
+  at degree k*+1, columns at most k*+1 and no negative residual reduced
+  cost prove the flow maximum and cheapest, else VerificationError.
 
 A target k* above g's strong resilience costs that solve alone where the
 certified bound strong <= d_min - 1 shows it, d_min - 1 < k*; only
@@ -38,26 +38,15 @@ from .resilience import _sweep
 
 @dataclass(frozen=True)
 class BMatching:
-    """Edge set of K(n,m) with every node incident to at most ``budget`` edges."""
+    """Edge set of K(n,m), every node in at most ``budget`` edges, as certified."""
 
     edges: frozenset[tuple[int, int]]
     budget: int
 
-    def __post_init__(self):
-        counts_left: dict[int, int] = {}
-        counts_right: dict[int, int] = {}
-        for (i, j) in self.edges:
-            counts_left[i] = counts_left.get(i, 0) + 1
-            counts_right[j] = counts_right.get(j, 0) + 1
-        if any(c > self.budget for c in counts_left.values()) or any(
-            c > self.budget for c in counts_right.values()
-        ):
-            raise ValueError(f"some node exceeds the b-matching budget {self.budget}")
-
 
 @dataclass(frozen=True)
 class AugmentationPlan:
-    """Edges to add, their count, and the strong resilience they buy."""
+    """Edges to add, their count, and the strong resilience they buy, as certified."""
 
     added_edges: tuple[tuple[int, int], ...]
     delta_star: int
@@ -65,30 +54,18 @@ class AugmentationPlan:
     result_graph: BipartiteGraph
     b_matching: BMatching | None
 
-    def __post_init__(self):
-        if len(self.added_edges) != self.delta_star:
-            raise VerificationError(
-                f"plan adds {len(self.added_edges)} edges but claims delta* = {self.delta_star}"
-            )
-
 
 def fair_b_matching(g: BipartiteGraph, k_star: int) -> BMatching:
     """A maximum b-matching of K(n,m) with budget k*+1 maximizing overlap with g.
 
-    The result is always a union of k*+1 disjoint left-perfect matchings,
-    of cardinality (k*+1)*n.
+    The dual certificate, the plan's one check, proves every row at degree
+    k*+1, every column at most k*+1, and the cost (the pairs outside g) least.
     """
     if not 0 <= k_star <= g.n_right - 1:
         raise InvalidKError(
             f"target resilience {k_star} outside [0, {g.n_right - 1}]"
         )
-    edges, cost = flow_engine.min_cost_b_matching(g, k_star + 1)
-    target = (k_star + 1) * g.n_left
-    if len(edges) != target:
-        raise VerificationError("complete graph must admit a full b-matching")
-    overlap = len(edges & g.edges)
-    if cost + overlap != target:
-        raise VerificationError("b-matching cost must count exactly the new edges")
+    edges, _ = flow_engine.min_cost_b_matching(g, k_star + 1)
     return BMatching(edges, k_star + 1)
 
 

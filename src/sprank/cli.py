@@ -226,7 +226,7 @@ def build_parser() -> _ArgumentParser:
     p_aug = sub.add_parser("augment", help="plan minimum edge additions")
     p_aug.add_argument("file")
     group = p_aug.add_mutually_exclusive_group(required=True)
-    group.add_argument("--target", type=int, default=None, metavar="K")
+    group.add_argument("--target", type=_nonnegative_int, default=None, metavar="K")
     group.add_argument("--budget", type=_nonnegative_int, default=None, metavar="P")
     p_aug.add_argument("--out", default=None, metavar="FILE")
     p_aug.add_argument("--json", action="store_true")

@@ -205,13 +205,16 @@ def to_bipartite(p: SparsityPattern) -> BipartiteGraph:
 
 
 def from_bipartite(g: BipartiteGraph) -> SparsityPattern:
-    """Inverse of :func:`to_bipartite`; requires n_right >= n_left."""
+    """Inverse of :func:`to_bipartite`; requires n_right >= n_left.
+
+    The graph's edges are already in range, so they are not checked again.
+    """
     if g.n_right < g.n_left:
         raise ShapeError(
             f"graph has {g.n_left} left but only {g.n_right} right nodes; "
             "no valid pattern (m >= n required)"
         )
-    return SparsityPattern(g.n_left, g.n_right, g.edges)
+    return _checked(SparsityPattern, n=g.n_left, m=g.n_right, stars=g.edges)
 
 
 def degree(g: BipartiteGraph, side: str, index: int) -> int:

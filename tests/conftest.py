@@ -187,6 +187,57 @@ def forge_sweep(monkeypatch, n_left, edges):
     monkeypatch.setattr(flow_engine, "resilience_sweep", lambda g: forged)
 
 
+def _row_over(h, b):
+    h.row_cols[0].add(min(set(range(b + 1)) - h.row_cols[0]))
+
+
+def _row_under(h, b):
+    h.row_cols[0].remove(min(h.row_cols[0]))
+
+
+def _column_over(h, b):
+    # A row trades a held pair outside g for a full column outside g of the
+    # same potential: its own reduced costs are unchanged, but that column
+    # now has b + 1 rows.
+    for i, held in enumerate(h.row_cols):
+        for j in sorted(held - h.in_g[i]):
+            for full in range(h.g.n_right):
+                if (
+                    full not in held
+                    and full not in h.in_g[i]
+                    and h.pi_col[full] == h.pi_col[j]
+                    and len(h.col_rows[full]) == b
+                ):
+                    held.remove(j)
+                    held.add(full)
+                    return
+    raise AssertionError("no pair can be moved onto a full column")
+
+
+# Corruptions of a fair b-matching's H for forge_certify, each with the
+# message of the one certificate condition it breaks.
+FORGED_PLANS = pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_row_over, r"row 0 has degree \d+, not \d+"),
+        (_row_under, r"row 0 has degree \d+, not \d+"),
+        (_column_over, r"column \d+ at degree \d+"),
+    ],
+    ids=["row-over", "row-under", "column-over"],
+)
+
+
+def forge_certify(monkeypatch, corrupt):
+    """Make every certificate check H after ``corrupt(h, b)`` has changed it."""
+    certify = flow_engine._BMatching.certify
+
+    def forged(self, b):
+        corrupt(self, b)
+        return certify(self, b)
+
+    monkeypatch.setattr(flow_engine._BMatching, "certify", forged)
+
+
 def count_calls(monkeypatch, module, name):
     """Count the calls of ``module.name``; returns a one-item list that holds the count."""
     count, fn = [0], getattr(module, name)

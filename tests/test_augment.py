@@ -7,19 +7,22 @@ from hypothesis import example, given, strategies as st
 import sprank as sp
 from sprank import flow as flow_engine
 from sprank import oracle
-from sprank.errors import InvalidKError, PreconditionFailedError, SprankError
+from sprank.errors import InvalidKError, PreconditionFailedError, SprankError, VerificationError
 from sprank.flow import Arc, FlowNetwork
 
 from conftest import (
     FIG3_STARS,
+    FORGED_PLANS,
     count_calls,
     differential,
+    forge_certify,
     hub_graphs,
     planted_hubs,
     random_graph,
     random_union_of_matchings,
     shifted_union,
     small_graphs,
+    weak_gap_graph,
 )
 import reference_augment
 from reference_flow import flow_subgraph, min_cost_max_flow
@@ -57,6 +60,28 @@ class TestFairBMatching:
             bm = sp.fair_b_matching(g, k)
             got = sp.BipartiteGraph(g.n_left, g.n_right, bm.edges)
             assert sp.is_union_of_k_matchings(got, k + 1)
+
+
+class TestCertificateGuardsEveryPlan:
+    # The 4 x 4 weak gap has strong resilience 0 and d_min = 2, so target 2
+    # takes the bound path (d_min - 1 < 2, no sweep) and target 1 the sweep.
+    @FORGED_PLANS
+    @pytest.mark.parametrize(
+        "entry, sweeps",
+        [
+            (lambda g: sp.fair_b_matching(g, 1), 0),
+            (lambda g: sp.min_edges_for_target(g, 2), 0),
+            (lambda g: sp.min_edges_for_target(g, 1), 1),
+            (lambda g: sp.best_within_budget(g, 100), 1),
+        ],
+        ids=["fair_b_matching", "target-bound", "target-sweep", "best_within_budget"],
+    )
+    def test_corrupt_plan_is_refused(self, monkeypatch, corrupt, message, entry, sweeps):
+        forge_certify(monkeypatch, corrupt)
+        swept = count_calls(monkeypatch, flow_engine, "resilience_sweep")
+        with pytest.raises(VerificationError, match=message):
+            entry(weak_gap_graph())
+        assert swept[0] == sweeps
 
 
 def dense_fair_network(g, b):

@@ -2,6 +2,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -15,14 +16,17 @@ from sprank import flow as flow_engine
 from sprank import pattern as pattern_mod
 from sprank import resilience as resilience_mod
 from sprank.cli import run
-from sprank.io import serialize_json
+from sprank.io import serialize_json, serialize_text
 
 from conftest import (
+    FORGED_PLANS,
     FORGED_WITNESSES,
     count_calls,
+    forge_certify,
     forge_sweep,
     pruning_proof_block,
     upper_triangle,
+    weak_gap_graph,
 )
 from test_io import FIG3_TEXT
 
@@ -223,6 +227,18 @@ class TestErrorPaths:
         code, _ = invoke([command, fig3_file])
         assert code == 1
 
+    @FORGED_PLANS
+    @pytest.mark.parametrize(
+        "flags", [["--target", "2"], ["--target", "1"], ["--budget", "100"]],
+        ids=["target-bound", "target-sweep", "budget"],
+    )
+    def test_forged_plan_exits_1(self, tmp_path, monkeypatch, capsys, corrupt, message, flags):
+        path = tmp_path / "gap4.spm"
+        path.write_text(serialize_text(sprank.from_bipartite(weak_gap_graph())))
+        forge_certify(monkeypatch, corrupt)
+        assert invoke(["augment", str(path), *flags]) == (1, "")
+        assert re.search(message, capsys.readouterr().err)
+
     def test_missing_file(self):
         code, _ = invoke(["rank", "/nonexistent/input.spm"])
         assert code == 1
@@ -263,8 +279,10 @@ class TestErrorPaths:
             assert code == 2
 
     def test_negative_augment_budget_is_usage_error(self, fig7_file):
-        code, _ = invoke(["augment", fig7_file, "--budget", "-1"])
-        assert code == 2
+        for flag in ("--budget", "--target"):
+            assert invoke(["augment", fig7_file, flag, "-1"]) == (2, "")
+        # A target of m or more depends on the file, so it is an input error.
+        assert invoke(["augment", fig7_file, "--target", "3"]) == (1, "")
 
     def test_negative_weak_budget_is_usage_error(self, fig3_file):
         code, _ = invoke(["resilience", fig3_file, "--weak", "--budget", "-5"])
