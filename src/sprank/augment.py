@@ -32,7 +32,8 @@ from itertools import islice
 
 from . import flow as flow_engine
 from .errors import InvalidKError, PreconditionFailedError, VerificationError
-from .pattern import BipartiteGraph, check_dense_size, complement, is_union_of_k_matchings
+from .pattern import BipartiteGraph, _check_pattern_shape, check_dense_size, complement
+from .pattern import is_union_of_k_matchings
 from .resilience import _sweep
 
 
@@ -60,11 +61,13 @@ def fair_b_matching(g: BipartiteGraph, k_star: int) -> BMatching:
 
     The dual certificate, the plan's one check, proves every row at degree
     k*+1, every column at most k*+1, and the cost (the pairs outside g) least.
+    A graph with fewer columns than rows has no such b-matching: ShapeError.
     """
     if not 0 <= k_star <= g.n_right - 1:
         raise InvalidKError(
             f"target resilience {k_star} outside [0, {g.n_right - 1}]"
         )
+    _check_pattern_shape(g.n_left, g.n_right)
     edges, _ = flow_engine.min_cost_b_matching(g, k_star + 1)
     return BMatching(edges, k_star + 1)
 
@@ -83,8 +86,8 @@ def min_edges_for_target(g: BipartiteGraph, k_star: int) -> AugmentationPlan:
             f"target resilience {k_star} outside [0, {g.n_right - 1}]"
         )
     current = min(g.left_degrees()) - 1
-    if current >= k_star or g.n_right < g.n_left:
-        # The bound settles nothing here; _sweep also refuses m < n.
+    if current >= k_star:
+        # The bound settles nothing here.
         current = _sweep(g).ell_star - 1
     return _plan(g, k_star, current)
 

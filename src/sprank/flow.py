@@ -58,7 +58,7 @@ from dataclasses import dataclass
 import heapq
 
 from .errors import NotMaximalError, VerificationError
-from .pattern import BipartiteGraph, check_dense_size
+from .pattern import BipartiteGraph, _checked, check_dense_size
 
 
 @dataclass(frozen=True)
@@ -729,7 +729,9 @@ def resilience_sweep(g: BipartiteGraph) -> ResilienceSweep:
         witness = [(i, j) for i in range(n) for j in h.row_cols[i]]
         short = h.fill(ell + 1)
     h.verify_min_cut(ell + 1, short=True)
-    return ResilienceSweep(rank, ell, BipartiteGraph(n, g.n_right, frozenset(witness)))
+    # Pairs of g, so in range: not checked here, but by _sweep as a whole.
+    witness = _checked(BipartiteGraph, n_left=n, n_right=g.n_right, edges=frozenset(witness))
+    return ResilienceSweep(rank, ell, witness)
 
 
 def min_cost_b_matching(

@@ -5,9 +5,10 @@ for which the resilience network admits a saturated flow of value n*ell.
 One ascending sweep of the flow engine, run once per request by ``_sweep``,
 finds that ell together with a saturated flow, checked to be a union of ell
 disjoint left-perfect matchings of g, which Koenig's edge-colouring theorem
-splits apart.  Weak resilience has no known efficient algorithm.  Two
-certified bounds, strong <= weak <= d_min - 1 with d_min the least row
-degree, settle it at once when ell* = d_min; otherwise removal subsets are
+splits apart; the colouring checks its classes, and nothing checks them
+again.  Weak resilience has no known efficient algorithm.  Two certified
+bounds, strong <= weak <= d_min - 1 with d_min the least row degree,
+settle it at once when ell* = d_min; otherwise removal subsets are
 enumerated under a work budget, from size ell*, since every smaller size
 passes.  A pool keeps the witness's ell* matchings and every matching found
 since.  A removal subset that misses a pooled matching passes without a
@@ -24,39 +25,22 @@ from itertools import combinations
 from math import comb
 
 from . import flow as flow_engine
-from .errors import (
-    BudgetExceededError,
-    NotDecomposableError,
-    ShapeError,
-    VerificationError,
-)
-from .pattern import BipartiteGraph, Matching, MatchingPool, is_union_of_k_matchings
+from .errors import BudgetExceededError, NotDecomposableError, VerificationError
+from .pattern import BipartiteGraph, Matching, MatchingPool, _check_pattern_shape, _checked
+from .pattern import is_union_of_k_matchings
 
 DEFAULT_WEAK_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
 class ResilienceReport:
-    """Answer to "how resilient is this pattern", with a matching witness."""
+    """Rank, strong resilience and the witness's matchings, checked once by their colouring."""
 
     structural_rank: int
     strong_resilience: int
     ell_star: int
     matchings: tuple[Matching, ...]
     witness_subgraph: BipartiteGraph
-
-    def __post_init__(self):
-        union = frozenset().union(*(m.edges for m in self.matchings))
-        if (
-            self.strong_resilience != self.ell_star - 1
-            or len(self.matchings) != self.ell_star
-            or union != self.witness_subgraph.edges
-            or sum(len(m.edges) for m in self.matchings) != len(union)
-        ):
-            raise VerificationError(
-                "resilience report is inconsistent: ell*, resilience, matchings "
-                "and witness disagree"
-            )
 
 
 def structural_rank(g: BipartiteGraph) -> int:
@@ -66,15 +50,14 @@ def structural_rank(g: BipartiteGraph) -> int:
 
 def _sweep(g: BipartiteGraph) -> flow_engine.ResilienceSweep:
     """The sweep of g; its witness must be ell* disjoint left-perfect matchings of g."""
-    if g.n_right < g.n_left:
-        raise ShapeError(
-            f"graph has {g.n_left} left but only {g.n_right} right nodes"
-        )
+    _check_pattern_shape(g.n_left, g.n_right)
     sweep = flow_engine.resilience_sweep(g)
     ell, witness = sweep.ell_star, sweep.witness
     if (
         witness.n_left != g.n_left
         or not witness.edges <= g.edges
+        # n * ell* edges: none at all when ell* = 0.
+        or len(witness.edges) != g.n_left * ell
         or (ell and not is_union_of_k_matchings(witness, ell))
     ):
         raise VerificationError(
@@ -86,10 +69,9 @@ def _sweep(g: BipartiteGraph) -> flow_engine.ResilienceSweep:
 def strong_resilience(g: BipartiteGraph) -> ResilienceReport:
     """Exact degree of strong resilience with a decomposition witness."""
     sweep = _sweep(g)
-    matchings = _colour_matchings(sweep.witness, sweep.ell_star) if sweep.ell_star else []
-    return ResilienceReport(
-        sweep.rank, sweep.ell_star - 1, sweep.ell_star, tuple(matchings), sweep.witness
-    )
+    ell = sweep.ell_star
+    matchings = tuple(_colour_matchings(sweep.witness, ell))
+    return ResilienceReport(sweep.rank, ell - 1, ell, matchings, sweep.witness)
 
 
 def extract_disjoint_matchings(h: BipartiteGraph, ell: int) -> list[Matching]:
@@ -102,9 +84,9 @@ def extract_disjoint_matchings(h: BipartiteGraph, ell: int) -> list[Matching]:
     if a is taken at v, the a/b path from v, with b the smallest colour
     free at v, has its two colours swapped first.  In a bipartite graph
     that path never reaches u.  Each node on the path holds exactly the
-    path's a- and b-edges, in slots a and b (an end node holds one of
-    them and -1), so the swap is done in one walk, swapping the two slots
-    at each node as the walk leaves it.
+    path's a- and b-edges, in slots a and b (an end node holds only one),
+    so the swap is done in one walk, swapping the two slots at each node
+    as the walk leaves it.
     """
     if not is_union_of_k_matchings(h, ell):
         raise NotDecomposableError(
@@ -114,22 +96,35 @@ def extract_disjoint_matchings(h: BipartiteGraph, ell: int) -> list[Matching]:
 
 
 def _colour_matchings(h: BipartiteGraph, ell: int) -> list[Matching]:
-    """The Koenig colouring of ``extract_disjoint_matchings``, for an h already checked."""
-    # at_row[i][c] / at_col[j][c]: the other end of the colour-c edge, or -1.
+    """The colouring of ``extract_disjoint_matchings``, for h of n * ell edges.
+
+    The decomposition's one check: each class holds one column per row, n
+    distinct columns and only pairs of h, and each row's ell slots hold
+    distinct columns, so the classes partition h.
+    """
+    # at_row[i][c] is the column of row i's colour-c edge, -1 if none, and
+    # at_col[j].get(c, -1) its row.  A column keys only the colours it has
+    # held, so all columns together keep at most 2|h| slots, not m * ell.
     at_row = [[-1] * ell for _ in range(h.n_left)]
-    at_col = [[-1] * ell for _ in range(h.n_right)]
+    at_col = [{} for _ in range(h.n_right)]
     for (u, v) in h.sorted_edges:
         a = at_row[u].index(-1)
-        if at_col[v][a] >= 0:
-            b = at_col[v].index(-1)
-            # Walk the a/b path from v, leaving each node along colour c
-            # and swapping its two slots; a + b - c is the other colour.
-            node, c, here, there = v, a, at_col, at_row
-            while node >= 0:
-                slots = here[node]
-                nxt = slots[c]
-                slots[a], slots[b] = slots[b], slots[a]
-                node, c, here, there = nxt, a + b - c, there, here
+        col = at_col[v]
+        if col.get(a, -1) >= 0:
+            b = 0
+            while col.get(b, -1) >= 0:
+                b += 1
+            # Walk the a/b path from v, swapping the two slots of each node
+            # as it leaves: columns along a, rows along b.
+            j = v
+            while j >= 0:
+                col = at_col[j]
+                i = col.get(a, -1)
+                col[a], col[b] = col.get(b, -1), i
+                if i < 0:
+                    break
+                row = at_row[i]
+                j, row[a], row[b] = row[b], row[b], row[a]
         at_row[u][a] = v
         at_col[v][a] = u
     matchings = []
@@ -137,7 +132,9 @@ def _colour_matchings(h: BipartiteGraph, ell: int) -> list[Matching]:
         edges = frozenset((i, at_row[i][c]) for i in range(h.n_left))
         if len({j for (_, j) in edges}) != h.n_left or not edges <= h.edges:
             raise VerificationError(f"colour class {c} is not a left-perfect matching of h")
-        matchings.append(Matching(edges))
+        matchings.append(_checked(Matching, edges=edges))
+    if any(len(set(cols)) != ell for cols in at_row):
+        raise VerificationError("the colour classes of h share an edge")
     return matchings
 
 

@@ -168,22 +168,26 @@ differential = settings(max_examples=150, deadline=None, derandomize=True, datab
 
 # Witnesses for forge_sweep that a checked sweep of Fig 3 must refuse.
 FORGED_WITNESSES = pytest.mark.parametrize(
-    "n_left, edges",
+    "n_left, edges, ell_star",
     [
         # A union of 2 matchings, but (1, 2) is not an edge of Fig 3.
-        (4, {(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 4)}),
+        (4, {(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 4)}, 2),
         # Edges of Fig 3, but row 3 has only one of them.
-        (4, {(0, 0), (0, 1), (1, 0), (1, 3), (2, 1), (2, 2), (3, 3)}),
+        (4, {(0, 0), (0, 1), (1, 0), (1, 3), (2, 1), (2, 2), (3, 3)}, 2),
         # 2 matchings of Fig 3's edges, but of rows 0-2 alone.
-        (3, {(0, 0), (0, 1), (1, 1), (1, 3), (2, 2), (2, 3)}),
+        (3, {(0, 0), (0, 1), (1, 1), (1, 3), (2, 2), (2, 3)}, 2),
+        # Fig 3's own witness, but under ell* = 0, which promises no matching.
+        (4, {(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (2, 3), (3, 3), (3, 4)}, 0),
     ],
-    ids=["edge-outside-g", "not-2-matchings", "row-missing"],
+    ids=["edge-outside-g", "not-2-matchings", "row-missing", "witness-under-ell-0"],
 )
 
 
-def forge_sweep(monkeypatch, n_left, edges):
-    """Make every sweep return Fig 3's rank 4 and ell* = 2, with a forged witness."""
-    forged = flow_engine.ResilienceSweep(4, 2, sp.BipartiteGraph(n_left, 5, frozenset(edges)))
+def forge_sweep(monkeypatch, n_left, edges, ell_star):
+    """Make every sweep return Fig 3's rank 4 and ``ell_star``, with a forged witness."""
+    forged = flow_engine.ResilienceSweep(
+        4, ell_star, sp.BipartiteGraph(n_left, 5, frozenset(edges))
+    )
     monkeypatch.setattr(flow_engine, "resilience_sweep", lambda g: forged)
 
 

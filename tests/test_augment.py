@@ -7,7 +7,13 @@ from hypothesis import example, given, strategies as st
 import sprank as sp
 from sprank import flow as flow_engine
 from sprank import oracle
-from sprank.errors import InvalidKError, PreconditionFailedError, SprankError, VerificationError
+from sprank.errors import (
+    InvalidKError,
+    PreconditionFailedError,
+    ShapeError,
+    SprankError,
+    VerificationError,
+)
 from sprank.flow import Arc, FlowNetwork
 
 from conftest import (
@@ -49,6 +55,22 @@ class TestFairBMatching:
     def test_invalid_k(self, fig7_graph):
         with pytest.raises(InvalidKError):
             sp.fair_b_matching(fig7_graph, 3)
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda g: sp.fair_b_matching(g, 1),
+            lambda g: sp.min_edges_for_target(g, 1),
+            lambda g: sp.best_within_budget(g, 1),
+        ],
+        ids=["fair_b_matching", "min_edges_for_target", "best_within_budget"],
+    )
+    def test_fewer_columns_than_rows(self, solve):
+        # 3 x 2 with d_min = 1: the bound strong <= d_min - 1 sends target 1
+        # straight to the fair b-matching, which blames the shape, not itself.
+        g = sp.BipartiteGraph(3, 2, frozenset({(0, 0), (1, 1), (2, 0)}))
+        with pytest.raises(ShapeError):
+            solve(g)
 
     def test_result_is_union_of_matchings(self):
         rng = random.Random(13)

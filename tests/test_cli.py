@@ -220,10 +220,12 @@ class TestVerify:
 
 
 class TestErrorPaths:
-    @pytest.mark.parametrize("command", ["resilience", "verify"])
+    @pytest.mark.parametrize("command", ["resilience", "verify", "decompose"])
     @FORGED_WITNESSES
-    def test_forged_witness_exits_1(self, fig3_file, monkeypatch, command, n_left, edges):
-        forge_sweep(monkeypatch, n_left, edges)
+    def test_forged_witness_exits_1(
+        self, fig3_file, monkeypatch, command, n_left, edges, ell_star
+    ):
+        forge_sweep(monkeypatch, n_left, edges, ell_star)
         code, _ = invoke([command, fig3_file])
         assert code == 1
 

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,7 +14,6 @@ from sprank.errors import (
     BudgetExceededError,
     NotDecomposableError,
     ShapeError,
-    SprankError,
     VerificationError,
 )
 
@@ -103,14 +103,29 @@ class TestStrongResilience:
         ids=["strong_resilience", "min_edges_for_target", "best_within_budget"],
     )
     @FORGED_WITNESSES
-    def test_forged_witness_is_caught(self, fig3_graph, monkeypatch, solve, n_left, edges):
+    def test_forged_witness_is_caught(
+        self, fig3_graph, monkeypatch, solve, n_left, edges, ell_star
+    ):
         # Strong resilience and augmentation read ell* from the same checked
         # sweep as weak resilience, so a forged witness stops them too.  Fig 3
         # has d_min = 2, so at target 1 the bound strong <= d_min - 1 does not
         # settle the plan and the sweep is read.
-        forge_sweep(monkeypatch, n_left, edges)
+        forge_sweep(monkeypatch, n_left, edges, ell_star)
         with pytest.raises(VerificationError):
             solve(fig3_graph)
+
+    def test_wide_decomposition_allocates_per_edge(self):
+        # 1 x 2000, every cell a star: ell* = 2000.  The colouring keeps a
+        # column's slots only for the colours it holds, not m * ell* of them.
+        g = sp.complete_graph(1, 2000)
+        tracemalloc.start()
+        try:
+            r = sp.strong_resilience(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.ell_star == len(r.matchings) == 2000
+        assert peak < 8 * 1024 * 1024
 
     @pytest.mark.parametrize(
         "g", [sp.complete_graph(3, 4), weak_gap_graph()], ids=["complete-3x4", "weak-gap"]
@@ -154,19 +169,6 @@ class TestStrongResilience:
         level.fill(1)
         with pytest.raises(VerificationError):
             level.verify_min_cut(2, short=True)
-
-    def test_inconsistent_report_rejected(self, fig3_graph):
-        r = sp.strong_resilience(fig3_graph)
-        with pytest.raises(SprankError):
-            sp.ResilienceReport(
-                r.structural_rank, r.strong_resilience + 1, r.ell_star,
-                r.matchings, r.witness_subgraph,
-            )
-        with pytest.raises(SprankError):
-            sp.ResilienceReport(
-                r.structural_rank, r.strong_resilience, r.ell_star,
-                r.matchings[:1], r.witness_subgraph,
-            )
 
     def test_report_witness_invariants(self, fig3_graph):
         r = sp.strong_resilience(fig3_graph)
@@ -373,10 +375,10 @@ class TestWeakResilience:
             sp.weak_resilience(weak_gap_graph())
 
     @FORGED_WITNESSES
-    def test_forged_witness_is_caught(self, fig3_graph, monkeypatch, n_left, edges):
+    def test_forged_witness_is_caught(self, fig3_graph, monkeypatch, n_left, edges, ell_star):
         # The lower bound strong <= weak rests on the sweep's witness alone,
         # so a witness that is not ell* disjoint matchings of g is refused.
-        forge_sweep(monkeypatch, n_left, edges)
+        forge_sweep(monkeypatch, n_left, edges, ell_star)
         with pytest.raises(VerificationError):
             sp.weak_resilience(fig3_graph)
 
