@@ -41,9 +41,9 @@ the flow is the flow of the resilience network at level b:
   than n*m.  After a raise, a short row whose class is that of t takes
   the first column with room outside its own g and H without a search;
 * weak resilience starts from the sweep and, where its bounds do not
-  settle it, per removal subset resets H to one of the witness's matchings
-  less the removed pairs and re-augments the rows that lost their column
-  (:meth:`_BMatching.repair`).
+  settle it, repairs per removal subset S one of the witness's matchings
+  by a level-1 fill of g - S (:meth:`_BMatching.repair`); the min cut of
+  g - S proves the first repair that falls short.
 
 Within one fill, the columns a failed search reached stay closed, and
 later searches of that fill skip them, so a level where many rows fall
@@ -328,7 +328,7 @@ class _BMatching:
             self.pi_t = 0
             self.classes = {0: list(range(self.g.n_right))}
 
-    def _augment(self, r: int, b: int, closed: set, room=None, free=None) -> bool:
+    def _augment(self, r: int, b: int, closed: set, room, free) -> bool:
         """Push one unit s -> r -> ... -> t over arcs of zero reduced cost; False if none.
 
         A direct step comes first, and each is the search's own first pick,
@@ -484,51 +484,48 @@ class _BMatching:
         return short
 
     def repair(self, match: list[int], removed) -> bool:
-        """Whether g minus ``removed`` keeps a left-perfect matching, by repairing one of g.
+        """Whether g minus ``removed`` keeps a left-perfect matching: one level-1 fill of it.
 
-        ``match[i]`` is row i's column in a left-perfect matching M of g.
-        H is reset to M less the removed pairs and ``reach`` to g's
-        adjacency less them; then each row that lost its column augments
-        once.  A failed search proves there is none: H then leaves that row
-        unmatched, and if g minus ``removed`` had a left-perfect matching P,
-        the component of H xor P through the row would be an augmenting
-        path from it.
+        ``match[i]`` is row i's column in a left-perfect matching M of g,
+        and ``removed`` is a combination of g's sorted edges.  H is reset to
+        M less the removed pairs and ``reach`` to g's adjacency less them;
+        then ``fill(1)`` re-augments the rows that lost their column, in
+        ascending order.  H ends as a maximum flow of g minus ``removed``,
+        so a failure is proven by ``verify_min_cut(1, True, removed)``.
         """
         reach = self.reach = self.adj[:]
-        lost = []
-        for (i, j) in removed:
-            reach[i] = [c for c in reach[i] if c != j]
-            if match[i] == j:
-                lost.append(i)
         self.row_cols = row_cols = [{j} for j in match]
         self.col_rows = col_rows = [set() for _ in range(self.g.n_right)]
         for i, j in enumerate(match):
             col_rows[j].add(i)
-        for i in lost:
-            row_cols[i] = set()
-            col_rows[match[i]] = set()
-        for i in lost:
-            if not self._augment(i, 1, set()):
-                return False
-        return True
+        for (i, j) in removed:
+            reach[i] = [c for c in reach[i] if c != j]
+            if match[i] == j:
+                row_cols[i] = set()
+                col_rows[j] = set()
+        return not self.fill(1)
 
-    def verify_min_cut(self, b: int, short: bool) -> None:
-        """Check max-flow = min-cut in ``build_resilience_network(g, b)``.
+    def verify_min_cut(self, b: int, short: bool, removed=()) -> None:
+        """Check max-flow = min-cut in ``build_resilience_network`` of g less ``removed`` at b.
 
         Valid before any raise, while H is a flow of that network.  The
         source side is s plus the rows and columns s reaches in the
-        residual graph; its capacity is summed from g.  With ``short`` the
-        flow must also fall below n * b, which certifies level b
-        infeasible.
+        residual graph; its capacity is summed from ``adj`` less ``removed``,
+        not from ``reach``, which a wrong ``repair`` could narrow too far.
+        With ``short`` the flow must also fall below n * b: level b is infeasible.
         """
-        g, row_cols, col_rows = self.g, self.row_cols, self.col_rows
-        n = g.n_left
+        n, row_cols, col_rows = self.g.n_left, self.row_cols, self.col_rows
+        adj = self.adj
+        if removed:
+            adj = adj[:]
+            for (i, j) in removed:
+                adj[i] = [c for c in adj[i] if c != j]
         rows = {i for i in range(n) if len(row_cols[i]) < b}
         cols = set()
         queue = deque(rows)
         while queue:
             u = queue.popleft()
-            for j in self.adj[u]:
+            for j in adj[u]:
                 if j in row_cols[u] or j in cols:
                     continue
                 if len(col_rows[j]) < b:
@@ -541,7 +538,7 @@ class _BMatching:
                         rows.add(w)
                         queue.append(w)
         capacity = b * (n - len(rows) + len(cols))
-        capacity += sum(1 for i in rows for j in self.adj[i] if j not in cols)
+        capacity += sum(1 for i in rows for j in adj[i] if j not in cols)
         value = sum(len(held) for held in row_cols)
         if capacity != value:
             raise VerificationError(f"max-flow {value} != min-cut {capacity} at level {b}")

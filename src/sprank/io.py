@@ -109,6 +109,11 @@ def parse_json(src: str) -> SparsityPattern:
         doc = json.loads(src)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno)
+    except RecursionError:
+        raise ParseError("invalid JSON: arrays or objects nested too deeply") from None
+    except ValueError:
+        # The other ValueError of json.loads: an integer past Python's digit limit.
+        raise ParseError("invalid JSON: an integer has too many digits") from None
     if not isinstance(doc, dict):
         raise ParseError("top-level value must be an object")
     for key in ("n", "m", "stars"):

@@ -159,7 +159,8 @@ def enumerate_left_perfect_matchings(
 ) -> list[frozenset[tuple[int, int]]]:
     """All left-perfect matchings, rows matched in index order.
 
-    The search may visit at most ``cap`` nodes, each matching included.
+    The search may visit at most ``cap`` nodes, each matching included;
+    running out raises BudgetExceededError with ``lower_bound`` None.
     """
     return [frozenset(enumerate(cols)) for cols in _left_perfect_matchings(_adjacency(g), cap)]
 
@@ -258,8 +259,9 @@ def brute_strong_resilience(
 
     Each matching takes its own edge at every row, so no family outgrows
     the smallest row degree, and the search stops once it reaches it.  The
-    matching enumeration and the family search may each spend
-    ``b.max_matchings`` units.
+    enumeration and the family search may each spend ``b.max_matchings``
+    units; BudgetExceededError's ``lower_bound`` is None if the enumeration
+    runs out, and the best family minus one if the family search does.
     """
     matchings = enumerate_left_perfect_matchings(g, cap=b.max_matchings)
     if not matchings:
@@ -273,6 +275,7 @@ def has_disjoint_matchings(
     """Early-exit test for k pairwise-disjoint left-perfect matchings.
 
     ``cap`` bounds both the matching-search nodes and the disjointness tests.
+    The matching search's BudgetExceededError carries ``lower_bound`` None.
     """
     if k <= 0:
         return True

@@ -11,11 +11,11 @@ bounds, strong <= weak <= d_min - 1 with d_min the least row degree,
 settle it at once when ell* = d_min; otherwise removal subsets are
 enumerated under a work budget, from size ell*, since every smaller size
 passes.  A pool keeps the witness's ell* matchings and every matching found
-since.  A removal subset that misses a pooled matching passes without a
-solve; one that hits them all is checked by repairing a matching in the
-reduced graph rather than by solving it again, and the repaired matching
-joins the pool.  Only the subset that decides the answer, the first whose
-repair fails, gets a certified solve of its own.
+since.  A removal subset S that misses a pooled matching passes without a
+solve; one that hits them all is checked by repairing a matching in g - S
+by one level-1 fill on the weak engine, and the repaired matching joins
+the pool.  The first repair that fails decides the answer, and the same
+engine's min cut of g - S proves it.
 """
 
 from __future__ import annotations
@@ -160,16 +160,16 @@ def weak_resilience(g: BipartiteGraph, budget: int = DEFAULT_WEAK_BUDGET) -> int
     answer is ell* - 1.  Otherwise the subsets are enumerated from size
     ell*.  A pool starts with the witness's ell* matchings, and an S that
     misses one passes at once; otherwise a matching of g less S is
-    repaired in g - S and, checked against g and S, joins the pool as the
-    witness that S passes.  The first S whose repair fails decides the
-    answer, and is confirmed by one certified ``structural_rank`` of g - S.
+    repaired in g - S by one level-1 fill and, checked against g and S,
+    joins the pool as the witness that S passes.  The first S whose repair
+    fails decides the answer, proven by that fill's min cut in g - S.
     """
     return _weak_resilience(g, _sweep(g), budget)
 
 
 def _weak_resilience(g: BipartiteGraph, sweep: flow_engine.ResilienceSweep, budget: int) -> int:
     """Weak resilience of g from ``sweep``, g's sweep as ``_sweep`` returns it."""
-    n, ell = g.n_left, sweep.ell_star
+    ell = sweep.ell_star
     if not ell:
         return -1
     edges = g.sorted_edges
@@ -207,12 +207,7 @@ def _weak_resilience(g: BipartiteGraph, sweep: flow_engine.ResilienceSweep, budg
             if h.repair(match, removed):
                 pool.add(_repaired_matching(g, h.row_cols, removed))
                 continue
-            reduced = BipartiteGraph(n, g.n_right, g.edges - set(removed))
-            if structural_rank(reduced) == n:
-                raise VerificationError(
-                    f"repair failed after removing {removed}, yet a left-perfect "
-                    "matching remains"
-                )
+            h.verify_min_cut(1, short=True, removed=removed)
             return size - 1
     # Unreachable for nonempty graphs: removing all edges kills the matching.
     return len(edges) - 1

@@ -18,7 +18,7 @@ from sprank.flow import _BMatching
 class SearchOnlyBMatching(_BMatching):
     """The engine with every augmentation done by the search."""
 
-    def _augment(self, r: int, b: int, closed: set, room=None, free=None) -> bool:
+    def _augment(self, r: int, b: int, closed: set, room, free) -> bool:
         """Push one unit s -> r -> ... -> t over arcs of zero reduced cost; False if none.
 
         ``closed``, ``room`` and ``free`` mean what they mean to

@@ -220,8 +220,8 @@ def test_criterion_9_min_cut_hook(monkeypatch):
         union = random_union_of_matchings(random.Random(9), 4, 5, 2)
         # Weak resilience checks the min cut of the sweep's failed level.
         # On Fig 3 the bounds meet (ell* = d_min = 2) and settle it; where
-        # they miss, the one subset whose repair fails gets a certified
-        # solve too.  A lift is one certified solve, whatever ell is.
+        # they miss, the one subset whose repair fails has the min cut of
+        # its fill checked too.  A lift is one certified solve, whatever ell is.
         for solve, kinds in [
             (sp.structural_rank, ["sweep"]),
             (sp.strong_resilience, ["sweep"]),

@@ -28,7 +28,7 @@ from conftest import (
     upper_triangle,
     weak_gap_graph,
 )
-from test_io import FIG3_TEXT
+from test_io import FIG3_TEXT, HOSTILE_JSON
 
 FIG7_TEXT = "2 3\n* * 0\n* * 0\n"
 DEFICIENT_TEXT = "2 2\n* 0\n* 0\n"
@@ -269,6 +269,18 @@ class TestErrorPaths:
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr == f"sprank: not valid UTF-8: byte 0xff at offset {offset}\n"
         assert "Traceback" not in proc.stderr
+
+    @HOSTILE_JSON
+    def test_hostile_json_is_input_error(self, tmp_path, doc, reason):
+        path = tmp_path / "hostile.json"
+        path.write_text(doc)
+        env = dict(os.environ, PYTHONPATH=str(Path(sprank.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "sprank.cli", "rank", str(path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"sprank: invalid JSON: {reason}\n"
 
     def test_unknown_flag(self, fig3_file):
         code, _ = invoke(["rank", fig3_file, "--bogus"])

@@ -186,6 +186,19 @@ class TestTextDifferential:
         assert io_mod.parse_text(text) == p
 
 
+# Documents on which json.loads raises RecursionError or ValueError rather
+# than JSONDecodeError, with the reason parse_json gives for each.
+HOSTILE_JSON = pytest.mark.parametrize(
+    "doc, reason",
+    [
+        ("[" * 100_000, "arrays or objects nested too deeply"),
+        ('{"n": ' + "9" * 5000 + ', "m": 1, "stars": []}', "an integer has too many digits"),
+        ('{"n": 1, "m": 1, "stars": [[1, ' + "9" * 5000 + "]]}", "an integer has too many digits"),
+    ],
+    ids=["nested", "long-n", "long-star"],
+)
+
+
 class TestJsonFormat:
     def test_parse_fig7(self):
         p = io_mod.parse_json('{"n":2,"m":3,"stars":[[1,1],[1,2],[2,1],[2,2]]}')
@@ -202,6 +215,11 @@ class TestJsonFormat:
     def test_invalid_json(self):
         with pytest.raises(ParseError):
             io_mod.parse_json("{not json")
+
+    @HOSTILE_JSON
+    def test_hostile_json_is_parse_error(self, doc, reason):
+        with pytest.raises(SprankError, match=reason):
+            io_mod.parse_json(doc)
 
     def test_missing_field(self):
         with pytest.raises(ParseError, match="stars"):

@@ -356,10 +356,25 @@ class TestWeakResilience:
     def test_forged_repair_failure_is_caught(self, monkeypatch):
         # In the weak-gap graph the bounds miss (ell* = 1 < d_min = 2), so
         # subsets are enumerated, and removing one edge keeps a left-perfect
-        # matching: the certified solve of the first subset that hits the
+        # matching: the min cut of g less the first subset that hits the
         # pool contradicts a repair that reports failure.
         monkeypatch.setattr(flow_engine._BMatching, "repair", lambda self, match, removed: False)
         with pytest.raises(VerificationError):
+            sp.weak_resilience(weak_gap_graph())
+
+    def test_forged_narrowing_is_caught(self, monkeypatch):
+        # A repair that drops (1, 0) from reach as well as the subset fails
+        # wrongly on the first subset it sees, {(0, 0)}: column 0 loses its
+        # last edge.  The deciding min cut reads g less the true subset
+        # from g's own adjacency, where an augmenting path remains.
+        repair = flow_engine._BMatching.repair
+
+        def forged(self, match, removed):
+            extra = () if (1, 0) in removed else ((1, 0),)
+            return repair(self, match, removed + extra)
+
+        monkeypatch.setattr(flow_engine._BMatching, "repair", forged)
+        with pytest.raises(VerificationError, match="augmenting path remains"):
             sp.weak_resilience(weak_gap_graph())
 
     def test_forged_repaired_matching_is_caught(self, monkeypatch):
@@ -402,22 +417,32 @@ class TestWeakResilience:
     )
     def test_bounds_meet_without_enumeration(self, monkeypatch, g, weak, enumerates):
         # Where ell* = d_min the answer is ell* - 1 with no repair and no
-        # solve of a reduced graph; where the bounds miss, both still run.
-        calls = {"repair": 0, "structural_rank": 0}
-        repair, rank = flow_engine._BMatching.repair, resilience_mod.structural_rank
+        # min cut of a reduced graph; where the bounds miss, the one subset
+        # whose repair fails has its min cut checked in g less that subset.
+        calls = {"repair": 0, "reduced_cut": 0}
+        repair, verify = flow_engine._BMatching.repair, flow_engine._BMatching.verify_min_cut
 
         def counted_repair(self, match, removed):
             calls["repair"] += 1
             return repair(self, match, removed)
 
-        def counted_rank(h):
-            calls["structural_rank"] += 1
-            return rank(h)
+        def counted_verify(self, b, short, removed=()):
+            calls["reduced_cut"] += bool(removed)
+            return verify(self, b, short, removed)
 
         monkeypatch.setattr(flow_engine._BMatching, "repair", counted_repair)
-        monkeypatch.setattr(resilience_mod, "structural_rank", counted_rank)
+        monkeypatch.setattr(flow_engine._BMatching, "verify_min_cut", counted_verify)
         assert sp.weak_resilience(g) == weak
-        assert (calls["repair"] > 0) == (calls["structural_rank"] == 1) == enumerates, calls
+        assert (calls["repair"] > 0) == enumerates, calls
+        assert calls["reduced_cut"] == (1 if enumerates else 0), calls
+
+    def test_deciding_subset_is_proven_on_the_weak_engine(self, monkeypatch):
+        # One engine for the sweep and one for the repairs; the failed
+        # repair's own min cut proves the deciding subset, with no third
+        # engine to solve g less it again.
+        built = count_calls(monkeypatch, flow_engine._BMatching, "__init__")
+        assert sp.weak_resilience(weak_gap_graph()) == 1
+        assert built == [2]
 
     def test_enumeration_checks_witness_once(self, monkeypatch):
         # The weak gap enumerates from the sweep's witness, checked once by _sweep.
