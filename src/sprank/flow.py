@@ -38,8 +38,9 @@ the flow is the flow of the resilience network at level b:
   are grouped into potential classes.  The Dijkstra, the fills and the
   certificate each treat a class as a whole, skipping only the row's own
   columns in g and H, so a solve costs about (|E| + n*b) per class rather
-  than n*m.  After a raise, a short row whose class is that of t takes
-  the first column with room outside its own g and H without a search;
+  than n*m.  Each fill first gives a short row, in one pass, the
+  columns a search from it would pick first, and searches only for the
+  units still missing;
 * weak resilience starts from the sweep and, where its bounds do not
   settle it, repairs per removal subset S one of the witness's matchings
   by a level-1 fill of g - S (:meth:`_BMatching.repair`); the min cut of
@@ -56,6 +57,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 import heapq
+from itertools import islice
 
 from .errors import NotMaximalError, VerificationError
 from .pattern import BipartiteGraph, _checked, check_dense_size
@@ -295,11 +297,11 @@ class _BMatching:
     adjacency at u's potential, and then the columns of class pi(u) + 1
     outside g(u).  Every search scans them in that order, g first and the
     class ascending, and that scan order is the contract that fixes which
-    b-matching comes out.  A row that can take a column of its own
-    ``reach`` before the first raise, or after a raise a column of
-    ``room`` while its class is that of t, does so without a search
-    (:meth:`_augment`): that column is the search's own first pick, so the
-    contract holds.
+    b-matching comes out.  :meth:`fill` gives each short row, in one pass,
+    the columns of its own ``reach`` with room before the first raise, or
+    after it, while the row's class is that of t, the columns of ``room``:
+    those are the search's own first picks, so the contract holds, and
+    :meth:`_search` runs only for the units the pass leaves.
 
     Before the first raise every potential is 0, ``reach`` is g's own
     adjacency, no pair outside g has reduced cost 0, and H is the flow of
@@ -328,45 +330,11 @@ class _BMatching:
             self.pi_t = 0
             self.classes = {0: list(range(self.g.n_right))}
 
-    def _augment(self, r: int, b: int, closed: set, room, free) -> bool:
-        """Push one unit s -> r -> ... -> t over arcs of zero reduced cost; False if none.
-
-        A direct step comes first, and each is the search's own first pick,
-        so H comes out as the search would leave it and :meth:`_search`
-        runs only for a row the step cannot serve.
-
-        * Before the first raise (``free`` is None), r takes the first
-          column of ``reach[r]`` that it does not hold and that has room:
-          the search pops r first, scans ``reach[r]`` in order and stops
-          there.  A closed column is full, so ``closed`` is not needed.
-        * After a raise, a row short of b has been a source of every
-          Dijkstra and is still at potential 0, below t, so ``reach[r]``
-          holds only full columns and the search scans them all without
-          stopping.  If its class pi(r) + 1 is pi(t), the search then
-          stops at the first column of ``room`` outside g(r) and H(r), and
-          r takes that column here; one that fills leaves ``room``.
-        """
-        held, col_rows = self.row_cols[r], self.col_rows
-        if free is None:
-            for j in self.reach[r]:
-                if j not in held and len(col_rows[j]) < b:
-                    held.add(j)
-                    col_rows[j].add(r)
-                    return True
-        elif self.pi_row[r] + 1 == self.pi_t:
-            mine = self.in_g[r]
-            for i, j in enumerate(room):
-                if j not in held and j not in mine:
-                    held.add(j)
-                    col_rows[j].add(r)
-                    if len(col_rows[j]) == b:
-                        del room[i]
-                    return True
-        return self._search(r, b, closed, room, free)
-
     def _search(self, r: int, b: int, closed: set, room, free) -> bool:
         """A breadth-first search for an augmenting path from row r; False if none.
 
+        :meth:`fill` calls it only once row r's own pass has taken every
+        column it could, so the root's first scan finds nothing to take.
         ``closed`` holds the columns that earlier failed searches of the
         same fill reached, and a failure adds the columns it reached.  A
         failed search reaches a set that no residual arc of zero reduced
@@ -462,23 +430,48 @@ class _BMatching:
         b-matching of g.  The columns that failed searches close stay
         skipped for the rest of this call only, since a raise changes which
         arcs have reduced cost 0.  ``room`` lists the columns of class
-        pi(t) with room, ascending, and drops each as it fills.  Most rows
-        take a column by the direct step, which is the search's own first
-        pick: before the first raise one of their own ``reach``, after it
-        one of ``room`` while pi(t) is one step above them.  Only the
-        others cost a search.
+        pi(t) with room, ascending, and drops each as it fills.
+
+        Each short row i first takes, in one pass, the columns the search
+        would pick first from i.  Before the first raise these are the
+        columns of ``reach[i]`` it does not hold and that have room.  After
+        a raise, a short row has been a source of every Dijkstra and is
+        still at potential 0, below t, so ``reach[i]`` holds only full
+        columns; where pi(i) + 1 is pi(t) the search then stops at the
+        columns of ``room`` outside g(i) and H(i), ascending.  Only the
+        units still missing cost a search.  Within one fill no column's
+        degree falls and H(i) only grows, so a column the pass skipped
+        stays ineligible and a successful search makes none eligible again:
+        the pass picks what a search per unit would.
         """
-        row_cols = self.row_cols
+        reach, row_cols, col_rows = self.reach, self.row_cols, self.col_rows
         closed = set()
         room = free = None
         if self.pi_row is not None:
             free = dict(self.classes)
-            col_rows = self.col_rows
             room = [j for j in free.get(self.pi_t, ()) if len(col_rows[j]) < b]
         short = 0
         for i in range(self.g.n_left):
-            while len(row_cols[i]) < b:
-                if not self._augment(i, b, closed, room, free):
+            held = row_cols[i]
+            if len(held) >= b:
+                continue
+            if room is None:
+                for j in reach[i]:
+                    if j not in held and len(col_rows[j]) < b:
+                        held.add(j)
+                        col_rows[j].add(i)
+                        if len(held) == b:
+                            break
+            elif self.pi_row[i] + 1 == self.pi_t:
+                mine = self.in_g[i]
+                outside = (j for j in room if j not in held and j not in mine)
+                for j in list(islice(outside, b - len(held))):
+                    held.add(j)
+                    col_rows[j].add(i)
+                    if len(col_rows[j]) == b:
+                        room.remove(j)
+            while len(held) < b:
+                if not self._search(i, b, closed, room, free):
                     short += 1
                     break
         return short

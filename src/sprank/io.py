@@ -13,6 +13,7 @@ documentation.
 from __future__ import annotations
 
 import json
+import reprlib
 
 from .errors import NotSubsetError, ParseError, ShapeError
 from .pattern import (
@@ -131,7 +132,7 @@ def parse_json(src: str) -> SparsityPattern:
             or len(entry) != 2
             or not all(_is_int(x) for x in entry)
         ):
-            raise ParseError(f"bad star entry {entry!r}")
+            raise ParseError(f"bad star entry {reprlib.repr(entry)}")
         coords.append((entry[0], entry[1]))
     if n + m > 2 * len(coords) + MAX_EMPTY_LINES:
         raise ShapeError(

@@ -17,14 +17,14 @@ the family search every disjointness test).  Subset enumerations charge one
 unit per subset to ``max_subsets``; the weak-resilience enumeration
 searches only a subset that hits every matching it has found so far.
 Budgets count work, never wall-clock, so budget failures are deterministic.
+Only the rank needs numpy, and it imports numpy where it runs, so importing
+the package does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-
-import numpy as np
 
 from .errors import BudgetExceededError, InvalidKError, VerificationError
 from .pattern import BipartiteGraph, MatchingPool, check_dense_size, complement
@@ -118,6 +118,8 @@ def _rank_mod_p(matrix: np.ndarray) -> int:
     picks or updates it again, and no row is ever swapped.  The rank is
     the number of pivots.
     """
+    import numpy as np
+
     p = _PRIME
     a = np.asarray(matrix, dtype=np.int64) % p
     rows, cols = a.shape
@@ -146,6 +148,8 @@ def brute_rank(g: BipartiteGraph, rng: np.random.Generator | None = None) -> int
     the draws vanishes, which happens with probability at most r/(p - 1)
     (Schwartz-Zippel).  The default seed makes the answer deterministic.
     """
+    import numpy as np
+
     check_dense_size(g.n_left, g.n_right)
     rng = rng if rng is not None else np.random.default_rng(20240817)
     a = np.zeros((g.n_left, g.n_right), dtype=np.int64)

@@ -1,12 +1,12 @@
-"""Reference augmentation for the tests: a search for every augmenting path.
+"""Reference fill for the tests: a search for every augmenting path.
 
-This is ``sprank.flow._BMatching._augment`` as it was before the direct
-steps: every call runs the breadth-first search, even when row r's own
-``reach`` has a column with room, or, after a raise, when r's class is
-that of t and ``room`` has a column outside g(r) and H(r).  The engine now
-takes that column without a search, as the search's own first pick; the
-tests require the engine and :class:`SearchOnlyBMatching` to produce the
-same b-matchings, sweeps, costs and repairs.
+This is ``sprank.flow._BMatching.fill`` as it was before the direct picks:
+every unit a short row needs runs the breadth-first search, even when the
+row's own ``reach`` has a column with room, or, after a raise, when its
+class is that of t and ``room`` has a column outside g(r) and H(r).  The
+engine's fill takes those columns in one pass per row, as the search's own
+first picks; the tests require the engine and :class:`SearchOnlyBMatching`
+to produce the same b-matchings, sweeps, costs and repairs.
 """
 
 from bisect import bisect_left
@@ -18,7 +18,22 @@ from sprank.flow import _BMatching
 class SearchOnlyBMatching(_BMatching):
     """The engine with every augmentation done by the search."""
 
-    def _augment(self, r: int, b: int, closed: set, room, free) -> bool:
+    def fill(self, b: int) -> int:
+        """Augment every row up to degree b, in row order, one search per unit."""
+        closed = set()
+        room = free = None
+        if self.pi_row is not None:
+            free = dict(self.classes)
+            room = [j for j in free.get(self.pi_t, ()) if len(self.col_rows[j]) < b]
+        short = 0
+        for i in range(self.g.n_left):
+            while len(self.row_cols[i]) < b:
+                if not self._push(i, b, closed, room, free):
+                    short += 1
+                    break
+        return short
+
+    def _push(self, r: int, b: int, closed: set, room, free) -> bool:
         """Push one unit s -> r -> ... -> t over arcs of zero reduced cost; False if none.
 
         ``closed``, ``room`` and ``free`` mean what they mean to

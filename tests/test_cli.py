@@ -28,7 +28,7 @@ from conftest import (
     upper_triangle,
     weak_gap_graph,
 )
-from test_io import FIG3_TEXT, HOSTILE_JSON
+from test_io import FIG3_TEXT, HOSTILE_JSON, LONG_BAD_STAR
 
 FIG7_TEXT = "2 3\n* * 0\n* * 0\n"
 DEFICIENT_TEXT = "2 2\n* 0\n* 0\n"
@@ -164,6 +164,15 @@ class TestAugment:
 
 
 class TestModuleEntryPoint:
+    def test_import_does_not_load_numpy(self):
+        # Only the oracle's rank, run by verify, needs numpy.
+        env = dict(os.environ, PYTHONPATH=str(Path(sprank.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, sprank.cli; print('numpy' in sys.modules)"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "False\n")
+
     def test_python_m_matches_run(self, fig3_file):
         env = dict(os.environ, PYTHONPATH=str(Path(sprank.__file__).parents[1]))
         proc = subprocess.run(
@@ -281,6 +290,19 @@ class TestErrorPaths:
         )
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr == f"sprank: invalid JSON: {reason}\n"
+
+    @LONG_BAD_STAR
+    def test_bad_star_entry_is_one_short_line(self, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(doc)
+        env = dict(os.environ, PYTHONPATH=str(Path(sprank.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "sprank.cli", "rank", str(path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("sprank: bad star entry ")
+        assert proc.stderr.count("\n") == 1 and len(proc.stderr.encode()) < 200
 
     def test_unknown_flag(self, fig3_file):
         code, _ = invoke(["rank", fig3_file, "--bogus"])

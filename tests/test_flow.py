@@ -297,6 +297,21 @@ class TestDirectStep:
         assert sweep.ell_star == 20
         assert len(searched) <= 150
 
+    def test_fill_scans_each_rows_reach_once(self):
+        # K(4, 8) at b = 6: each row takes its 6 columns in one pass over
+        # its reach.  A scan from the start for every unit iterates 24 times.
+        scans = []
+
+        class Counted(list):
+            def __iter__(self):
+                scans.append(1)
+                return super().__iter__()
+
+        h = _BMatching(sp.complete_graph(4, 8))
+        h.reach = [Counted(cols) for cols in h.reach]
+        assert h.fill(6) == 0
+        assert len(scans) == 4
+
     @staticmethod
     def post_raise_searches(g, b):
         """min_cost_b_matching(g, b) and (pi(t), pi(r) + 1 == pi(t)) per search after a raise."""

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -198,6 +200,18 @@ HOSTILE_JSON = pytest.mark.parametrize(
     ids=["nested", "long-n", "long-star"],
 )
 
+# Malformed star entries whose repr runs to kilobytes: a list of 200,000
+# ones, and an entry nested just under the recursion limit.
+_DEEP = sys.getrecursionlimit() - 200
+LONG_BAD_STAR = pytest.mark.parametrize(
+    "doc",
+    [
+        '{"n": 1, "m": 1, "stars": [[' + "1, " * 199_999 + "1]]}",
+        '{"n": 1, "m": 1, "stars": [' + "[" * _DEEP + "1" + "]" * _DEEP + "]}",
+    ],
+    ids=["long", "deep"],
+)
+
 
 class TestJsonFormat:
     def test_parse_fig7(self):
@@ -220,6 +234,12 @@ class TestJsonFormat:
     def test_hostile_json_is_parse_error(self, doc, reason):
         with pytest.raises(SprankError, match=reason):
             io_mod.parse_json(doc)
+
+    @LONG_BAD_STAR
+    def test_bad_star_entry_is_shown_short(self, doc):
+        with pytest.raises(ParseError, match="^bad star entry ") as exc:
+            io_mod.parse_json(doc)
+        assert len(str(exc.value)) < 100
 
     def test_missing_field(self):
         with pytest.raises(ParseError, match="stars"):
