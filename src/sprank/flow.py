@@ -46,9 +46,12 @@ the flow is the flow of the resilience network at level b:
   by a level-1 fill of g - S (:meth:`_BMatching.repair`); the min cut of
   g - S proves the first repair that falls short.
 
-Within one fill, the columns a failed search reached stay closed, and
-later searches of that fill skip them, so a level where many rows fall
-short costs about one pass over g rather than one per short row.
+Within one fill, the rows and columns a failed search reached stay
+closed: no arc of zero reduced cost leaves them and no column among them
+has room.  Later searches of that fill skip them, so a level where many
+rows fall short costs about one pass over g rather than one per short row.
+Before any raise, s and the closed rows and columns are the source side
+of the level's minimum cut, which :meth:`_BMatching.verify_min_cut` checks.
 """
 
 from __future__ import annotations
@@ -308,7 +311,9 @@ class _BMatching:
     ``build_resilience_network(g, b)``.  Rank and the sweep never raise,
     so the potentials, the classes and g's column sets are built on first
     use; ``pi_row`` is None until then.  ``repair`` never raises either; it
-    narrows ``reach`` to a subgraph of g.
+    narrows ``reach`` to a subgraph of g.  ``cut`` holds the rows and the
+    columns the last fill's failed searches reached; both are empty until
+    the first fill.
     """
 
     def __init__(self, g: BipartiteGraph):
@@ -319,6 +324,7 @@ class _BMatching:
         self.reach = self.adj
         self.row_cols = [set() for _ in range(g.n_left)]
         self.col_rows = [set() for _ in range(g.n_right)]
+        self.cut = (set(), set())
         self.pi_row = self.pi_col = self.in_g = self.classes = None
 
     def _build_potentials(self) -> None:
@@ -336,12 +342,13 @@ class _BMatching:
         :meth:`fill` calls it only once row r's own pass has taken every
         column it could, so the root's first scan finds nothing to take.
         ``closed`` holds the columns that earlier failed searches of the
-        same fill reached, and a failure adds the columns it reached.  A
-        failed search reaches a set that no residual arc of zero reduced
-        cost leaves and in which no column has room.  A later augmenting
-        path avoids that set and flips arcs outside it only, so the set
-        stays closed until b or the potentials change, and skipping it
-        keeps the order in which every other node is found.
+        same fill reached, and a failure adds the columns it reached, and
+        the rows, to the fill's ``cut``.  A failed search reaches a set
+        that no residual arc of zero reduced cost leaves and in which no
+        column has room.  A later augmenting path avoids that set and
+        flips arcs outside it only, so the set stays closed until b or the
+        potentials change, and skipping it keeps the order in which every
+        other node is found.
 
         After a raise, ``room`` and ``free`` are given and row u goes on to
         its class c = pi(u) + 1.  A column with room sits at pi(t), so if c
@@ -416,6 +423,7 @@ class _BMatching:
                     col_rows[j].discard(u)
             return True
         closed.update(via)
+        self.cut[0].update(parent)
         for c in unvisited:
             free[c] = [j for j in free.get(c, ()) if j not in closed]
         return False
@@ -429,8 +437,11 @@ class _BMatching:
         reaches t at reduced cost 0.  On a fresh engine it is the maximum
         b-matching of g.  The columns that failed searches close stay
         skipped for the rest of this call only, since a raise changes which
-        arcs have reduced cost 0.  ``room`` lists the columns of class
-        pi(t) with room, ascending, and drops each as it fills.
+        arcs have reduced cost 0.  ``cut`` starts empty and gathers the
+        rows and columns of this call's failed searches: with no raise
+        since, the min cut :meth:`verify_min_cut` checks.  ``room`` lists
+        the columns of class pi(t) with room, ascending, and drops each as
+        it fills.
 
         Each short row i first takes, in one pass, the columns the search
         would pick first from i.  Before the first raise these are the
@@ -446,6 +457,7 @@ class _BMatching:
         """
         reach, row_cols, col_rows = self.reach, self.row_cols, self.col_rows
         closed = set()
+        self.cut = (set(), closed)
         room = free = None
         if self.pi_row is not None:
             free = dict(self.classes)
@@ -501,38 +513,20 @@ class _BMatching:
     def verify_min_cut(self, b: int, short: bool, removed=()) -> None:
         """Check max-flow = min-cut in ``build_resilience_network`` of g less ``removed`` at b.
 
-        Valid before any raise, while H is a flow of that network.  The
-        source side is s plus the rows and columns s reaches in the
-        residual graph; its capacity is summed from ``adj`` less ``removed``,
-        not from ``reach``, which a wrong ``repair`` could narrow too far.
-        With ``short`` the flow must also fall below n * b: level b is infeasible.
+        The source side is s and the last fill's ``cut``.  Its capacity is
+        summed from ``adj`` less ``removed``, not from ``reach``, which a
+        wrong ``repair`` could narrow too far.  No flow exceeds any cut, so
+        one whose capacity equals H's value proves both optimal, wherever
+        it came from: a search that missed a path, or a stale or forged
+        cut, leaves them apart.  Valid only before a raise, while H is a
+        flow of that network.  With ``short`` the flow must also fall below
+        n * b: level b is infeasible.
         """
-        n, row_cols, col_rows = self.g.n_left, self.row_cols, self.col_rows
-        adj = self.adj
-        if removed:
-            adj = adj[:]
-            for (i, j) in removed:
-                adj[i] = [c for c in adj[i] if c != j]
-        rows = {i for i in range(n) if len(row_cols[i]) < b}
-        cols = set()
-        queue = deque(rows)
-        while queue:
-            u = queue.popleft()
-            for j in adj[u]:
-                if j in row_cols[u] or j in cols:
-                    continue
-                if len(col_rows[j]) < b:
-                    raise VerificationError(
-                        f"an augmenting path remains at level {b}; flow is not maximum"
-                    )
-                cols.add(j)
-                for w in col_rows[j]:
-                    if w not in rows:
-                        rows.add(w)
-                        queue.append(w)
+        n, adj, (rows, cols) = self.g.n_left, self.adj, self.cut
+        removed = set(removed)
         capacity = b * (n - len(rows) + len(cols))
-        capacity += sum(1 for i in rows for j in adj[i] if j not in cols)
-        value = sum(len(held) for held in row_cols)
+        capacity += sum(1 for i in rows for j in adj[i] if j not in cols and (i, j) not in removed)
+        value = sum(len(held) for held in self.row_cols)
         if capacity != value:
             raise VerificationError(f"max-flow {value} != min-cut {capacity} at level {b}")
         if short and value >= n * b:

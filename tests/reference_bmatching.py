@@ -21,6 +21,7 @@ class SearchOnlyBMatching(_BMatching):
     def fill(self, b: int) -> int:
         """Augment every row up to degree b, in row order, one search per unit."""
         closed = set()
+        self.cut = (set(), closed)
         room = free = None
         if self.pi_row is not None:
             free = dict(self.classes)
@@ -102,6 +103,7 @@ class SearchOnlyBMatching(_BMatching):
                     col_rows[j].discard(u)
             return True
         closed.update(via)
+        self.cut[0].update(parent)
         for c in unvisited:
             free[c] = [j for j in free.get(c, ()) if j not in closed]
         return False

@@ -3,12 +3,41 @@
 The library solves its one min-cost problem, the fair b-matching, with the
 primal-dual engine in ``sprank.flow``.  This generic successive-shortest-path
 solver on an explicit ``FlowNetwork`` is what the tests compare it against.
+The engine's min cut at a level is the one its fill's failed searches
+closed; :func:`residual_cut` walks the residual graph again for the tests
+to compare that cut against.
 """
 
+from collections import deque
 import heapq
 
-from sprank.flow import Flow, FlowNetwork, _residual_adjacency, _verify_min_cut
+from sprank.flow import Flow, FlowNetwork, _BMatching, _residual_adjacency, _verify_min_cut
 from sprank.pattern import BipartiteGraph
+
+
+def residual_cut(h: _BMatching, b: int, removed=()) -> tuple[set, set]:
+    """The rows and columns the short rows of h reach in its residual graph at level b.
+
+    A breadth-first walk over g less ``removed`` at zero potentials: from a
+    row over its pairs outside H, and from a column back over its pairs of
+    H to their rows.  A column with room is taken like any other, so a
+    flow that is not maximum gives a set that no min cut equals.
+    """
+    removed = set(removed)
+    rows = {i for i, held in enumerate(h.row_cols) if len(held) < b}
+    cols = set()
+    queue = deque(rows)
+    while queue:
+        u = queue.popleft()
+        for j in h.adj[u]:
+            if j in h.row_cols[u] or j in cols or (u, j) in removed:
+                continue
+            cols.add(j)
+            for w in h.col_rows[j]:
+                if w not in rows:
+                    rows.add(w)
+                    queue.append(w)
+    return rows, cols
 
 
 def flow_subgraph(g: BipartiteGraph, f: Flow) -> BipartiteGraph:

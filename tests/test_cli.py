@@ -33,6 +33,18 @@ from test_io import FIG3_TEXT, HOSTILE_JSON, LONG_BAD_STAR
 FIG7_TEXT = "2 3\n* * 0\n* * 0\n"
 DEFICIENT_TEXT = "2 2\n* 0\n* 0\n"
 EMPTY_TEXT = "2 2\n0 0\n0 0\n"
+K66_TEXT = "6 6\n" + "* * * * * *\n" * 6
+K77_TEXT = "7 7\n" + "* * * * * * *\n" * 7
+GAP4_TEXT = "4 4\n* * * 0\n* 0 0 *\n0 * 0 *\n0 0 * *\n"
+P36_TEXT = "3 6\n* * * * 0 0\n0 * * * * 0\n* 0 * 0 * *\n"
+DEF23_TEXT = "2 3\n* 0 0\n0 0 0\n"
+ALL_PASSED = (
+    "PASS: rank flow vs oracle\n"
+    "PASS: strong resilience flow vs oracle\n"
+    "PASS: weak resilience enumeration vs oracle\n"
+    "PASS: weak >= strong sandwich\n"
+    "all checks passed\n"
+)
 
 
 @pytest.fixture
@@ -226,6 +238,95 @@ class TestVerify:
         )
         assert proc.returncode == 4, proc.stderr
         assert "budget exceeded" in proc.stderr
+
+
+class TestPinnedRuns:
+    # Whole runs, pinned to their exit code, stdout and stderr.  The tests
+    # also run under python -O, which strips assert statements, so these
+    # show that every check on their paths raises.
+    @pytest.mark.parametrize(
+        "text, args, code, out, err",
+        [
+            (FIG7_TEXT, ["verify"], 0, ALL_PASSED, ""),
+            # Both weak-resilience enumerations pass every subset of the
+            # complete 6 x 6 that misses a matching they have already found.
+            (K66_TEXT, ["verify"], 0, ALL_PASSED, ""),
+            # The complete 7 x 7: ell* = d_min = 7, so weak resilience is 6
+            # once the budget, C(49, 1) + ... + C(49, 7) subsets, reaches a
+            # row's edges; the default budget of 10^6 runs out in size 5.
+            (K77_TEXT, ["resilience", "--weak", "--budget", "102022809"], 0,
+             "weak_resilience: 6\n", ""),
+            (K77_TEXT, ["resilience", "--weak"], 4, "",
+             "sprank: budget exceeded: weak resilience budget exhausted; >= 4 certified\n"),
+            # The weak gap, ell* = 1 < d_min = 2: verify's weak check
+            # enumerates from the checked sweep of its strong check, and the
+            # deciding subset is proven by the min cut of its repair's fill.
+            (GAP4_TEXT, ["verify"], 0, ALL_PASSED, ""),
+            (GAP4_TEXT, ["resilience", "--weak"], 0, "weak_resilience: 1\n", ""),
+            # Fig 3's 10 edges cover size 1 but no subset of size ell* = 2.
+            (FIG3_TEXT, ["resilience", "--weak", "--budget", "10"], 4, "",
+             "sprank: budget exceeded: weak resilience budget exhausted; >= 1 certified\n"),
+            # Fig 3 has d_min = 2: at target 1 the checked sweep finds it
+            # met; at target 2 the bound proves it short without a sweep.
+            (FIG3_TEXT, ["augment", "--target", "1"], 0,
+             "delta_star: 0, achieved_resilience: 1\n", ""),
+            (FIG3_TEXT, ["augment", "--target", "2"], 0,
+             "delta_star: 2, achieved_resilience: 2\nadded: (1,3) (4,1)\n", ""),
+            # Fills that take columns both from each row's own reach and,
+            # after a raise, from the columns with room.
+            (P36_TEXT, ["augment", "--target", "4"], 0,
+             "delta_star: 3, achieved_resilience: 4\nadded: (1,5) (2,1) (3,2)\n", ""),
+            (P36_TEXT, ["augment", "--target", "5"], 0,
+             "delta_star: 6, achieved_resilience: 5\n"
+             "added: (1,5) (1,6) (2,1) (2,6) (3,2) (3,4)\n", ""),
+            (FIG7_TEXT, ["augment", "--target", "2"], 0,
+             "delta_star: 2, achieved_resilience: 2\nadded: (1,3) (2,3)\n", ""),
+            # augment --budget plans each target upward from the current
+            # resilience until one costs more than the budget.
+            (FIG7_TEXT, ["augment", "--budget", "1"], 0,
+             "delta_star: 0, achieved_resilience: 1\n", ""),
+            (FIG7_TEXT, ["augment", "--budget", "2"], 0,
+             "delta_star: 2, achieved_resilience: 2\nadded: (1,3) (2,3)\n", ""),
+            # Rank deficient: a budget of 0 restores nothing, 1 the rank.
+            (DEF23_TEXT, ["augment", "--budget", "0"], 3,
+             "delta_star: 0, achieved_resilience: -1\n", ""),
+            (DEF23_TEXT, ["augment", "--budget", "1"], 0,
+             "delta_star: 1, achieved_resilience: 0\nadded: (2,2)\n", ""),
+        ],
+        ids=[
+            "fig7-verify", "k66-verify", "k77-weak-budget", "k77-weak",
+            "gap4-verify", "gap4-weak", "fig3-weak-budget", "fig3-target-1",
+            "fig3-target-2", "p36-target-4", "p36-target-5", "fig7-target-2",
+            "fig7-budget-1", "fig7-budget-2", "def23-budget-0", "def23-budget-1",
+        ],
+    )
+    def test_run(self, tmp_path, capsys, text, args, code, out, err):
+        path = tmp_path / "pattern.spm"
+        path.write_text(text)
+        assert invoke([args[0], str(path), *args[1:]]) == (code, out)
+        assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize(
+        "name, text, args, first, lines",
+        [
+            # A sparse 1500 x 1500 diagonal, over the n*m dense-size cap:
+            # the plan and its certificate run on the implicit complement.
+            ("d1500.json",
+             json.dumps({"n": 1500, "m": 1500, "stars": [[i, i] for i in range(1, 1501)]}),
+             ["augment", "--target", "2"], "delta_star: 3000, achieved_resilience: 2", 2),
+            # 1 x 3000, every cell a star: one line per matching, after the
+            # Koenig colouring, the decomposition's one check, has split
+            # the wide witness.
+            ("star3000.spm", "1 3000\n" + " ".join(["*"] * 3000) + "\n",
+             ["decompose"], "ell_star: 3000", 3001),
+        ],
+        ids=["d1500", "star3000"],
+    )
+    def test_wide_run(self, tmp_path, name, text, args, first, lines):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out = invoke([args[0], str(path), *args[1:]])
+        assert (code, out.splitlines()[0], len(out.splitlines())) == (0, first, lines)
 
 
 class TestErrorPaths:

@@ -3,7 +3,7 @@ import random
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 import sprank as sp
 from sprank import flow as flow_engine
@@ -17,9 +17,10 @@ from conftest import (
     random_graph,
     shifted_union,
     small_graphs,
+    weak_gap_graph,
 )
 from reference_bmatching import SearchOnlyBMatching
-from reference_flow import flow_subgraph, min_cost_max_flow
+from reference_flow import flow_subgraph, min_cost_max_flow, residual_cut
 
 
 class TestResilienceNetwork:
@@ -244,6 +245,69 @@ class TestFirstFill:
             assert held <= g.edges
             assert all(len(rows) <= b for rows in h.col_rows)
             assert len(held) == sp.max_flow(sp.build_resilience_network(g, b)).value
+
+
+class TestRecordedCut:
+    @differential
+    @given(hub_graphs(), st.data())
+    def test_fill_records_the_residual_cut(self, g, data):
+        # The rows and columns a fill's failed searches reached are those
+        # the short rows reach once it ends, at every level up to d_min + 1
+        # and after each repair of g less a subset.
+        h = _BMatching(g)
+        for b in range(1, min(g.left_degrees()) + 2):
+            h.fill(b)
+            assert h.cut == residual_cut(h, b)
+        h = _BMatching(g)
+        if h.fill(1):
+            return
+        match = [next(iter(held)) for held in h.row_cols]
+        subsets = st.sets(st.sampled_from(g.sorted_edges), min_size=1, max_size=3)
+        for removed in data.draw(st.lists(subsets, max_size=8)):
+            removed = tuple(sorted(removed))
+            h.repair(match, removed)
+            assert h.cut == residual_cut(h, 1, removed)
+
+    FORGES = {
+        "drop-row": lambda h, b, rows, cols, saturated: (rows - {min(rows)}, cols),
+        "drop-column": lambda h, b, rows, cols, saturated: (rows, cols - {min(cols)}),
+        "add-room": lambda h, b, rows, cols, saturated: (
+            rows, cols | {min(j for j, held in enumerate(h.col_rows) if len(held) < b)}
+        ),
+        "saturated-cut": lambda h, b, rows, cols, saturated: saturated,
+    }
+
+    @pytest.mark.parametrize(
+        "graph, b, forge",
+        [
+            pytest.param(graph, b, forge, id=f"{graph}-{forge}")
+            for graph, b, forges in [
+                # Fig 3's cut at level 3 is rows {0, 3} and no column, so
+                # only the weak gap's, which holds column 3, can lose one.
+                ("fig3", 3, ["drop-row", "add-room", "saturated-cut"]),
+                ("weak-gap", 2, list(FORGES)),
+            ]
+            for forge in forges
+        ],
+    )
+    def test_forged_cut_is_refused(self, fig3_graph, graph, b, forge):
+        # Fill every level up to b, the first that falls short, and forge
+        # the cut that fill recorded.
+        g = fig3_graph if graph == "fig3" else weak_gap_graph()
+        h = _BMatching(g)
+        for level in range(1, b):
+            assert not h.fill(level)
+        saturated = h.cut
+        assert h.fill(b)
+        h.verify_min_cut(b, short=True)
+        h.cut = self.FORGES[forge](h, b, *h.cut, saturated)
+        with pytest.raises(VerificationError, match=f"min-cut .* at level {b}"):
+            h.verify_min_cut(b, short=True)
+
+    def test_cut_before_any_fill_is_refused(self, fig3_graph):
+        # Before any fill the cut is {s} alone, which no flow of 0 meets.
+        with pytest.raises(VerificationError, match="max-flow 0 != min-cut 4 at level 1"):
+            _BMatching(fig3_graph).verify_min_cut(1, short=True)
 
 
 class TestDirectStep:

@@ -365,8 +365,9 @@ class TestWeakResilience:
     def test_forged_narrowing_is_caught(self, monkeypatch):
         # A repair that drops (1, 0) from reach as well as the subset fails
         # wrongly on the first subset it sees, {(0, 0)}: column 0 loses its
-        # last edge.  The deciding min cut reads g less the true subset
-        # from g's own adjacency, where an augmenting path remains.
+        # last edge.  The deciding min cut sums the cut its fill closed
+        # over g less the true subset, from g's own adjacency, where the
+        # pair (1, 0) leaves the cut and lifts its capacity above the flow.
         repair = flow_engine._BMatching.repair
 
         def forged(self, match, removed):
@@ -374,7 +375,7 @@ class TestWeakResilience:
             return repair(self, match, removed + extra)
 
         monkeypatch.setattr(flow_engine._BMatching, "repair", forged)
-        with pytest.raises(VerificationError, match="augmenting path remains"):
+        with pytest.raises(VerificationError, match="max-flow 3 != min-cut 4 at level 1"):
             sp.weak_resilience(weak_gap_graph())
 
     def test_forged_repaired_matching_is_caught(self, monkeypatch):
