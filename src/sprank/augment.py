@@ -113,23 +113,20 @@ def best_within_budget(
     """Best strong resilience reachable by adding at most p edges.
 
     A strongly (k+1)-resilient graph is strongly k-resilient, so delta*
-    never decreases in k and the affordable targets form a prefix of
-    [0, m-1]: targets are tried upward until the first one costs more than
-    p.  With ``exact_spend`` the plan is padded with the
+    never decreases in k: from the empty plan at the current resilience
+    (-1 if g is rank-deficient), targets are tried upward until one costs
+    more than p.  With ``exact_spend`` the plan is padded with the
     lexicographically-smallest unused complement edges to spend exactly p.
     """
     if p < 0:
         raise ValueError("budget must be nonnegative")
     current = _sweep(g).ell_star - 1
-    best = None
-    for k in range(g.n_right):
+    best = _plan(g, current, current)
+    for k in range(current + 1, g.n_right):
         plan = _plan(g, k, current)
         if plan.delta_star > p:
             break
         best = plan
-    if best is None:
-        # Not even rank can be restored within budget.
-        return AugmentationPlan((), 0, -1, g, None)
     if exact_spend and best.delta_star < p:
         # The cells in row-major order are the complement's sorted order.
         check_dense_size(g.n_left, g.n_right)

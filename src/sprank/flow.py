@@ -56,7 +56,6 @@ of the level's minimum cut, which :meth:`_BMatching.verify_min_cut` checks.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 import heapq
@@ -311,8 +310,8 @@ class _BMatching:
     ``build_resilience_network(g, b)``.  Rank and the sweep never raise,
     so the potentials, the classes and g's column sets are built on first
     use; ``pi_row`` is None until then.  ``repair`` never raises either; it
-    narrows ``reach`` to a subgraph of g.  ``cut`` holds the rows and the
-    columns the last fill's failed searches reached; both are empty until
+    narrows ``reach`` to a subgraph of g.  :meth:`_search` reads the last
+    fill's ``cut`` and ``room`` (see :meth:`fill`); the cut is empty until
     the first fill.
     """
 
@@ -325,7 +324,7 @@ class _BMatching:
         self.row_cols = [set() for _ in range(g.n_left)]
         self.col_rows = [set() for _ in range(g.n_right)]
         self.cut = (set(), set())
-        self.pi_row = self.pi_col = self.in_g = self.classes = None
+        self.pi_row = self.pi_col = self.in_g = self.classes = self.room = None
 
     def _build_potentials(self) -> None:
         """Zero potentials and g's column set per row, unless already built."""
@@ -336,32 +335,31 @@ class _BMatching:
             self.pi_t = 0
             self.classes = {0: list(range(self.g.n_right))}
 
-    def _search(self, r: int, b: int, closed: set, room, free) -> bool:
+    def _search(self, r: int, b: int) -> bool:
         """A breadth-first search for an augmenting path from row r; False if none.
 
         :meth:`fill` calls it only once row r's own pass has taken every
         column it could, so the root's first scan finds nothing to take.
-        ``closed`` holds the columns that earlier failed searches of the
-        same fill reached, and a failure adds the columns it reached, and
-        the rows, to the fill's ``cut``.  A failed search reaches a set
-        that no residual arc of zero reduced cost leaves and in which no
-        column has room.  A later augmenting path avoids that set and
-        flips arcs outside it only, so the set stays closed until b or the
-        potentials change, and skipping it keeps the order in which every
-        other node is found.
+        The search skips the columns of the fill's ``cut``, which earlier
+        failed searches of the same fill reached, and a failure adds the
+        columns it reached, and the rows, to that cut.  A failed search
+        reaches a set that no residual arc of zero reduced cost leaves and
+        in which no column has room.  A later augmenting path avoids that
+        set and flips arcs outside it only, so the set stays closed until b
+        or the potentials change, and skipping it keeps the order in which
+        every other node is found.
 
-        After a raise, ``room`` and ``free`` are given and row u goes on to
-        its class c = pi(u) + 1.  A column with room sits at pi(t), so if c
-        is pi(t), the first column of ``room`` outside g(u) and H(u) is
-        where an ascending scan of the class would stop.  Otherwise the
-        search visits the class's columns outside g(u) and H(u) that it has
-        not reached yet, ascending: ``free[c]``, narrowed per search in
-        ``unvisited``, so each column is visited once per search and row u
-        skips only the columns of g(u) and H(u).  A failure drops the
-        columns it closed from ``free``.
+        Once ``room`` is a list, row u goes on to its class c = pi(u) + 1.
+        A column with room sits at pi(t), so if c is pi(t), the first
+        column of ``room`` outside g(u) and H(u) is where an ascending scan
+        of the class would stop.  Otherwise the search visits the columns
+        of ``classes[c]`` outside the cut that it has not reached yet,
+        ascending, narrowed per search in ``unvisited``: each is visited
+        once per search, and row u skips only those of g(u) and H(u).
         """
         reach, row_cols, col_rows = self.reach, self.row_cols, self.col_rows
         pi_row, pi_col, in_g = self.pi_row, self.pi_col, self.in_g
+        (rows, closed), room = self.cut, self.room
         via = {}  # column -> the row that reached it over a pair outside H
         parent = {r: -1}  # row -> the column that reached it over a pair of H
         unvisited = {}  # class -> its columns this search has not reached
@@ -384,7 +382,7 @@ class _BMatching:
                         parent[w] = j
                         queue.append(w)
             else:
-                if free is None:
+                if room is None:
                     continue
                 mine, c = in_g[u], pi_row[u] + 1
                 j = -1
@@ -395,7 +393,7 @@ class _BMatching:
                             break
                 if j < 0:
                     kept = []
-                    for j in unvisited.get(c, free.get(c, ())):
+                    for j in unvisited.get(c, self.classes.get(c, ())):
                         if j in via or j in closed:
                             continue
                         if j in held or j in mine:
@@ -412,7 +410,7 @@ class _BMatching:
             # Column j has room: flip the path, each row taking its new
             # column and dropping the column it was reached through.
             if room is not None and len(col_rows[j]) == b - 1:
-                del room[bisect_left(room, j)]
+                room.remove(j)
             while j >= 0:
                 u = via[j]
                 row_cols[u].add(j)
@@ -423,9 +421,7 @@ class _BMatching:
                     col_rows[j].discard(u)
             return True
         closed.update(via)
-        self.cut[0].update(parent)
-        for c in unvisited:
-            free[c] = [j for j in free.get(c, ()) if j not in closed]
+        rows.update(parent)
         return False
 
     def fill(self, b: int) -> int:
@@ -439,9 +435,9 @@ class _BMatching:
         skipped for the rest of this call only, since a raise changes which
         arcs have reduced cost 0.  ``cut`` starts empty and gathers the
         rows and columns of this call's failed searches: with no raise
-        since, the min cut :meth:`verify_min_cut` checks.  ``room`` lists
-        the columns of class pi(t) with room, ascending, and drops each as
-        it fills.
+        since, the min cut :meth:`verify_min_cut` checks.  ``room``, None
+        until the potentials exist, lists the columns of class pi(t) with
+        room, ascending, and drops each as it fills.
 
         Each short row i first takes, in one pass, the columns the search
         would pick first from i.  Before the first raise these are the
@@ -456,12 +452,10 @@ class _BMatching:
         the pass picks what a search per unit would.
         """
         reach, row_cols, col_rows = self.reach, self.row_cols, self.col_rows
-        closed = set()
-        self.cut = (set(), closed)
-        room = free = None
+        self.cut = (set(), set())
+        room = self.room = None
         if self.pi_row is not None:
-            free = dict(self.classes)
-            room = [j for j in free.get(self.pi_t, ()) if len(col_rows[j]) < b]
+            room = self.room = [j for j in self.classes.get(self.pi_t, ()) if len(col_rows[j]) < b]
         short = 0
         for i in range(self.g.n_left):
             held = row_cols[i]
@@ -483,7 +477,7 @@ class _BMatching:
                     if len(col_rows[j]) == b:
                         room.remove(j)
             while len(held) < b:
-                if not self._search(i, b, closed, room, free):
+                if not self._search(i, b):
                     short += 1
                     break
         return short

@@ -67,6 +67,15 @@ def invoke(argv):
     return code, out.getvalue()
 
 
+def python(*args, timeout=60, **env):
+    """Run ``python *args`` with sprank importable, under -O when these tests are."""
+    env = dict(os.environ, PYTHONPATH=str(Path(sprank.__file__).parents[1]), **env)
+    return subprocess.run(
+        [sys.executable, *["-O"] * sys.flags.optimize, *args],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
+
+
 class TestRank:
     def test_full_rank(self, fig3_file):
         code, out = invoke(["rank", fig3_file])
@@ -178,19 +187,11 @@ class TestAugment:
 class TestModuleEntryPoint:
     def test_import_does_not_load_numpy(self):
         # Only the oracle's rank, run by verify, needs numpy.
-        env = dict(os.environ, PYTHONPATH=str(Path(sprank.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, sprank.cli; print('numpy' in sys.modules)"],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        proc = python("-c", "import sys, sprank.cli; print('numpy' in sys.modules)")
         assert (proc.returncode, proc.stdout) == (0, "False\n")
 
     def test_python_m_matches_run(self, fig3_file):
-        env = dict(os.environ, PYTHONPATH=str(Path(sprank.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "sprank.cli", "rank", fig3_file],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        proc = python("-m", "sprank.cli", "rank", fig3_file)
         assert (proc.returncode, proc.stdout) == invoke(["rank", fig3_file])
 
 
@@ -215,14 +216,8 @@ class TestVerify:
         # 1000 subset tests then run out in weak resilience.
         path = tmp_path / "k66.spm"
         path.write_text("6 6\n" + "* * * * * *\n" * 6)
-        env = dict(
-            os.environ,
-            PYTHONPATH=str(Path(sprank.__file__).parents[1]),
-            SPRANK_ORACLE_BUDGET="1000",
-        )
-        proc = subprocess.run(
-            [sys.executable, "-m", "sprank.cli", "verify", str(path)],
-            capture_output=True, text=True, env=env, timeout=30,
+        proc = python(
+            "-m", "sprank.cli", "verify", str(path), timeout=30, SPRANK_ORACLE_BUDGET="1000"
         )
         assert proc.returncode == 4, proc.stderr
 
@@ -231,11 +226,7 @@ class TestVerify:
         # matching enumeration must run out of nodes, not hang.
         path = tmp_path / "tri24.json"
         path.write_text(serialize_json(sprank.from_bipartite(upper_triangle(24))))
-        env = dict(os.environ, PYTHONPATH=str(Path(sprank.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "sprank.cli", "verify", str(path)],
-            capture_output=True, text=True, env=env, timeout=30,
-        )
+        proc = python("-m", "sprank.cli", "verify", str(path), timeout=30)
         assert proc.returncode == 4, proc.stderr
         assert "budget exceeded" in proc.stderr
 
@@ -263,6 +254,8 @@ class TestPinnedRuns:
             # deciding subset is proven by the min cut of its repair's fill.
             (GAP4_TEXT, ["verify"], 0, ALL_PASSED, ""),
             (GAP4_TEXT, ["resilience", "--weak"], 0, "weak_resilience: 1\n", ""),
+            (GAP4_TEXT, ["resilience", "--weak", "--json"], 0, '{"weak_resilience": 1}\n', ""),
+            (DEF23_TEXT, ["resilience", "--weak", "--json"], 3, '{"weak_resilience": -1}\n', ""),
             # Fig 3's 10 edges cover size 1 but no subset of size ell* = 2.
             (FIG3_TEXT, ["resilience", "--weak", "--budget", "10"], 4, "",
              "sprank: budget exceeded: weak resilience budget exhausted; >= 1 certified\n"),
@@ -292,12 +285,15 @@ class TestPinnedRuns:
              "delta_star: 0, achieved_resilience: -1\n", ""),
             (DEF23_TEXT, ["augment", "--budget", "1"], 0,
              "delta_star: 1, achieved_resilience: 0\nadded: (2,2)\n", ""),
+            (FIG7_TEXT, ["augment", "--target", "abc"], 2, "",
+             "sprank: argument --target: expected a nonnegative integer, got 'abc'\n"),
         ],
         ids=[
             "fig7-verify", "k66-verify", "k77-weak-budget", "k77-weak",
-            "gap4-verify", "gap4-weak", "fig3-weak-budget", "fig3-target-1",
-            "fig3-target-2", "p36-target-4", "p36-target-5", "fig7-target-2",
-            "fig7-budget-1", "fig7-budget-2", "def23-budget-0", "def23-budget-1",
+            "gap4-verify", "gap4-weak", "gap4-weak-json", "def23-weak-json",
+            "fig3-weak-budget", "fig3-target-1", "fig3-target-2", "p36-target-4",
+            "p36-target-5", "fig7-target-2", "fig7-budget-1", "fig7-budget-2",
+            "def23-budget-0", "def23-budget-1", "fig7-target-abc",
         ],
     )
     def test_run(self, tmp_path, capsys, text, args, code, out, err):
@@ -371,11 +367,7 @@ class TestErrorPaths:
     def test_invalid_utf8_is_input_error(self, tmp_path, name, data, offset):
         path = tmp_path / name
         path.write_bytes(data)
-        env = dict(os.environ, PYTHONPATH=str(Path(sprank.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "sprank.cli", "rank", str(path)],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        proc = python("-m", "sprank.cli", "rank", str(path))
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr == f"sprank: not valid UTF-8: byte 0xff at offset {offset}\n"
         assert "Traceback" not in proc.stderr
@@ -384,11 +376,7 @@ class TestErrorPaths:
     def test_hostile_json_is_input_error(self, tmp_path, doc, reason):
         path = tmp_path / "hostile.json"
         path.write_text(doc)
-        env = dict(os.environ, PYTHONPATH=str(Path(sprank.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "sprank.cli", "rank", str(path)],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        proc = python("-m", "sprank.cli", "rank", str(path))
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr == f"sprank: invalid JSON: {reason}\n"
 
@@ -396,11 +384,7 @@ class TestErrorPaths:
     def test_bad_star_entry_is_one_short_line(self, tmp_path, doc):
         path = tmp_path / "bad.json"
         path.write_text(doc)
-        env = dict(os.environ, PYTHONPATH=str(Path(sprank.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "sprank.cli", "rank", str(path)],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        proc = python("-m", "sprank.cli", "rank", str(path))
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr.startswith("sprank: bad star entry ")
         assert proc.stderr.count("\n") == 1 and len(proc.stderr.encode()) < 200

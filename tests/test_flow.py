@@ -216,6 +216,12 @@ class TestFairFlowCertificate:
         with pytest.raises(VerificationError, match="reduced cost"):
             h.certify(2)
 
+    def test_raise_after_no_fill_is_refused(self, fig7_graph):
+        # With no fill every row is short and reaches a column with room
+        # over its own edge: t lies at reduced cost 0, so the raise refuses.
+        with pytest.raises(VerificationError, match="reduced cost 0 remains at level 1"):
+            _BMatching(fig7_graph).raise_potentials(1)
+
     def test_short_row_rejected(self, fig7_graph):
         h = self.solved(fig7_graph, 2)
         h.row_cols[1].discard(0)
@@ -304,6 +310,14 @@ class TestRecordedCut:
         with pytest.raises(VerificationError, match=f"min-cut .* at level {b}"):
             h.verify_min_cut(b, short=True)
 
+    def test_saturated_level_said_short_is_refused(self, fig3_graph):
+        # Fig 3 saturates level 1: its empty cut meets the flow of 4, but
+        # a level said to fall short must not carry n * b.
+        h = _BMatching(fig3_graph)
+        assert not h.fill(1)
+        with pytest.raises(VerificationError, match="flow 4 saturates level 1 said to fall short"):
+            h.verify_min_cut(1, short=True)
+
     def test_cut_before_any_fill_is_refused(self, fig3_graph):
         # Before any fill the cut is {s} alone, which no flow of 0 meets.
         with pytest.raises(VerificationError, match="max-flow 0 != min-cut 4 at level 1"):
@@ -382,10 +396,10 @@ class TestDirectStep:
         searched = []
         search = _BMatching._search
 
-        def spy(self, r, b, closed, room, free):
-            if free is not None:
+        def spy(self, r, b):
+            if self.room is not None:
                 searched.append((self.pi_t, self.pi_row[r] + 1 == self.pi_t))
-            return search(self, r, b, closed, room, free)
+            return search(self, r, b)
 
         with patch.object(_BMatching, "_search", spy):
             return flow_engine.min_cost_b_matching(g, b), searched
@@ -402,8 +416,12 @@ class TestDirectStep:
             ),
             # At pi(t) = 1 the one column with room is row 2's own in H.
             ({(0, 2), (1, 2)}, 3, 2, [(1, True)]),
+            # Row 2 holds both columns of room, so its search ends through
+            # row 0 at column 2 and fills it: row 3's direct picks must then
+            # skip column 2 and take column 3.
+            ({(0, 3), (3, 0), (3, 1)}, 4, 3, [(1, True)]),
         ],
-        ids=["pi_t-2", "pi_t-2-b3", "room-held"],
+        ids=["pi_t-2", "pi_t-2-b3", "room-held", "search-fills-room"],
     )
     def test_post_raise_fallback_matches_reference(self, edges, n, b, expected):
         # Where the direct step after a raise cannot serve the row, the

@@ -85,6 +85,9 @@ class TestTextContract:
     def test_whitespace_separators(self, src):
         assert io_mod.parse_text(src) == sp.pattern_from_stars(2, 3, [(1, 1), (2, 2)])
 
+    def test_only_comments_is_empty(self):
+        assert _error("# made by hand\n\n  # nothing else\n") == ("empty document", None, None)
+
     def test_too_many_rows(self):
         assert _error("1 1\n*\n0\n") == ("too many rows: expected 1, found 2", None, None)
 
@@ -244,6 +247,18 @@ class TestJsonFormat:
     def test_missing_field(self):
         with pytest.raises(ParseError, match="stars"):
             io_mod.parse_json('{"n":1,"m":1}')
+
+    @pytest.mark.parametrize(
+        "doc, reason",
+        [
+            ("[]", "^top-level value must be an object$"),
+            ('{"n":1,"m":1,"stars":{}}', "^'stars' must be an array"),
+        ],
+        ids=["array", "stars-object"],
+    )
+    def test_wrong_container_type(self, doc, reason):
+        with pytest.raises(ParseError, match=reason):
+            io_mod.parse_json(doc)
 
     @pytest.mark.parametrize(
         "doc",
