@@ -318,8 +318,10 @@ class _BMatching:
     def __init__(self, g: BipartiteGraph):
         self.g = g
         self.adj = [[] for _ in range(g.n_left)]
-        for (i, j) in g.sorted_edges:
+        for (i, j) in g.edges:
             self.adj[i].append(j)
+        for cols in self.adj:
+            cols.sort()
         self.reach = self.adj
         self.row_cols = [set() for _ in range(g.n_left)]
         self.col_rows = [set() for _ in range(g.n_right)]

@@ -2,12 +2,12 @@
 
 The text format (``.spm``) is a header line "n m" followed by n rows of m
 tokens.  Every token is a single ``*`` (a star), ``0`` or ``.`` (a zero);
-tokens are separated by any whitespace that ``str.split`` accepts (spaces,
-tabs, ...), and a line may end in LF or CRLF.  Lines starting with ``#``
-are comments; they still count in the line numbers of a ``ParseError``,
-whose column is the index of the offending token in its row.  All
-serialized indices are 1-based to match the row/column labels used in
-documentation.
+tokens are separated by any character that ``str.isspace`` accepts (the
+ones ``str.split`` splits on), and lines end where ``str.splitlines``
+ends them (LF, CRLF, ...).  Lines starting with ``#`` are comments; they
+still count in the line numbers of a ``ParseError``, whose column is the
+index of the offending token in its row.  All serialized indices are
+1-based to match the row/column labels used in documentation.
 """
 
 from __future__ import annotations
@@ -20,12 +20,23 @@ from .pattern import (
     BipartiteGraph,
     Matching,
     SparsityPattern,
+    _check_pattern_shape,
     _check_positive_shape,
+    _checked,
     pattern_from_stars,
 )
 
-# str.translate table deleting the three cell characters.
+# The 29 code points that str.isspace() accepts, which are the ones
+# str.split() and str.strip() split on.  Written out: finding them by a scan
+# of every code point would add about 0.1 s to each start-up.
+_SPACE = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004"
+          "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
+
+# str.translate tables: delete the separators, delete the three cell
+# characters, and map each cell character to "x".
+_DROP_SPACE = str.maketrans("", "", _SPACE)
 _DROP_CELLS = str.maketrans("", "", "*0.")
+_MARK_CELLS = str.maketrans("*0.", "xxx")
 
 # A JSON header states n and m outright, so a few bytes could claim a grid
 # whose rows and columns alone fill memory.  Each star covers one row and one
@@ -42,7 +53,11 @@ def _is_int(x) -> bool:
 
 
 def parse_text(src: str) -> SparsityPattern:
-    """Parse the .spm text format."""
+    """Parse the .spm text format.
+
+    Each row is checked by three ``str.translate`` passes; only a malformed
+    row is split into tokens, to name its fault.
+    """
     rows: list[tuple[int, str]] = []
     for lineno, raw in enumerate(src.splitlines(), start=1):
         stripped = raw.strip()
@@ -65,16 +80,24 @@ def parse_text(src: str) -> SparsityPattern:
     if len(rows) - 1 > n:
         raise ParseError(f"too many rows: expected {n}, found {len(rows) - 1}")
     stars = []
-    for r, (lineno, line) in enumerate(rows[1:], start=1):
-        tokens = line.split()
-        if len(tokens) != m:
-            raise ParseError(
-                f"expected {m} entries, found {len(tokens)}", line=lineno
-            )
-        # m tokens joined into m characters, none outside "*0.", means
-        # every token is exactly one of "*", "0" and ".".
-        cells = "".join(tokens)
-        if len(cells) != m or cells.translate(_DROP_CELLS):
+    for r, (lineno, line) in enumerate(rows[1:]):
+        # cells holds the row's non-space characters.  If there are m of
+        # them, all are cells ("*", "0" or "."), and no two cells touch in
+        # the line, then every token is exactly one cell, so the m tokens
+        # are the m characters of cells, in order.  A row of m one-cell
+        # tokens passes all three tests, so a row that fails one has a
+        # wrong token count or a bad token, and the split below raises.
+        cells = line.translate(_DROP_SPACE)
+        if (
+            len(cells) != m
+            or cells.translate(_DROP_CELLS)
+            or "xx" in line.translate(_MARK_CELLS)
+        ):
+            tokens = line.split()
+            if len(tokens) != m:
+                raise ParseError(
+                    f"expected {m} entries, found {len(tokens)}", line=lineno
+                )
             for c, tok in enumerate(tokens, start=1):
                 if tok not in ("*", "0", "."):
                     raise ParseError(
@@ -82,9 +105,12 @@ def parse_text(src: str) -> SparsityPattern:
                     )
         c = cells.find("*")
         while c >= 0:
-            stars.append((r, c + 1))
+            stars.append((r, c))
             c = cells.find("*", c + 1)
-    return pattern_from_stars(n, m, stars)
+    # Each star is in range and found once, so pattern_from_stars would
+    # only copy them.
+    _check_pattern_shape(n, m)
+    return _checked(SparsityPattern, n=n, m=m, stars=frozenset(stars))
 
 
 def serialize_text(p: SparsityPattern) -> str:

@@ -1,9 +1,9 @@
 """Reference ``.spm`` parser and serializer for the tests.
 
 These are the plain per-token and per-cell loops that ``sprank.io`` once
-used.  The library now tokenizes each row with str methods; the tests
-require it to give the same pattern, the same ``ParseError`` and the same
-bytes as these loops.
+used.  The library now checks each row with three ``str.translate`` passes
+and splits only a malformed row into tokens; the tests require it to give
+the same pattern, the same ``ParseError`` and the same bytes as these loops.
 """
 
 from sprank.errors import ParseError, ShapeError

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -80,6 +81,7 @@ class TestTextContract:
             "2 3\n*\t0\t.\n0\t*\t0\n",
             "2 3\r\n* 0 .\r\n0 * 0\r\n",
             "2 3\n \t* \t 0  .\t\n0\t\t* \u00a00\r\n",
+            "2 3\n*\x1f0\u3000.\n0\u2009*\u202f0\n",
         ],
     )
     def test_whitespace_separators(self, src):
@@ -102,13 +104,35 @@ class TestTextContract:
         found = len(row.split())
         assert _error(f"1 3\n{row}\n") == (f"expected 3 entries, found {found}", 2, None)
 
+    def test_space_table_is_what_split_splits_on(self):
+        space = "".join(chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace())
+        assert io_mod._SPACE == space
+
+    def test_parse_peak_below_8_bytes_per_cell(self):
+        # One 200,000-cell row of zeros.  A list of one token per cell
+        # alone takes 8 bytes a cell; the translate passes take about 5.
+        m = 200_000
+        src = f"1 {m}\n" + " ".join(["0"] * m) + "\n"
+        tracemalloc.start()
+        try:
+            p = io_mod.parse_text(src)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (p.n, p.m, p.dim()) == (1, m, 0)
+        assert peak < 8 * m
+
 
 _GOOD_TOKENS = st.sampled_from(["*", "0", "."])
 _BAD_TOKENS = st.one_of(
-    st.sampled_from(["**", "0*", "*0", "..", "x", "1", "o", "\u2217"]),
+    st.sampled_from(
+        ["**", "0*", "*0", "..", "x", "1", "o", "\u2217", "\u200b", "\ufeff", "*\u200b"]
+    ),
     st.text(alphabet="*0.x1#", min_size=1, max_size=3),
 )
-_SEPARATORS = st.sampled_from([" ", " ", "  ", "\t", " \t ", "\u00a0"])
+_SEPARATORS = st.sampled_from(
+    [" ", " ", "  ", "\t", " \t ", "\u00a0", "\x1f", "\u3000", "\u2009", "\u202f"]
+)
 
 
 @st.composite
@@ -116,11 +140,13 @@ def spm_documents(draw):
     """.spm text with mixed separators, comments and blank lines.
 
     About half are well formed; the rest carry one kind of defect: a bad
-    header, a wrong row count, a row of the wrong width, or bad tokens.
+    header, a wrong row count, a row of the wrong width, bad tokens, or two
+    cells with no separator between them.
+    m runs from n - 1 to n + 2, so some headers have m < n.
     """
     n = draw(st.integers(1, 4))
-    m = n + draw(st.integers(0, 2))
-    defect = draw(st.sampled_from([None] * 4 + ["header", "rows", "width", "token"]))
+    m = max(1, n + draw(st.integers(-1, 2)))
+    defect = draw(st.sampled_from([None] * 5 + ["header", "rows", "width", "token", "join"]))
     header = f"{n} {m}"
     if defect == "header":
         header = draw(
@@ -138,6 +164,10 @@ def spm_documents(draw):
         for _ in range(draw(st.integers(1, 2))):
             row = rows[draw(st.integers(0, len(rows) - 1))]
             row[draw(st.integers(0, m - 1))] = draw(_BAD_TOKENS)
+    if defect == "join" and rows and m > 1:
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        k = draw(st.integers(0, m - 2))
+        row[k:k + 2] = [row[k] + row[k + 1]]
     lines = [header]
     for row in rows:
         lines.append("".join(draw(_SEPARATORS) + tok for tok in row))
