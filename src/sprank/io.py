@@ -4,7 +4,8 @@ The text format (``.spm``) is a header line "n m" followed by n rows of m
 tokens.  Every token is a single ``*`` (a star), ``0`` or ``.`` (a zero);
 tokens are separated by any character that ``str.isspace`` accepts (the
 ones ``str.split`` splits on), and lines end where ``str.splitlines``
-ends them (LF, CRLF, ...).  Lines starting with ``#`` are comments; they
+ends them (LF, CRLF, ...); a wrong row count names the first line break
+other than LF, CR or CRLF.  Lines starting with ``#`` are comments; they
 still count in the line numbers of a ``ParseError``, whose column is the
 index of the offending token in its row.  All serialized indices are
 1-based to match the row/column labels used in documentation.
@@ -37,6 +38,10 @@ _SPACE = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003
 _DROP_SPACE = str.maketrans("", "", _SPACE)
 _DROP_CELLS = str.maketrans("", "", "*0.")
 _MARK_CELLS = str.maketrans("*0.", "xxx")
+
+# The line breaks of str.splitlines besides LF, CR and CRLF: VT, FF, the
+# three separators FS, GS and RS, NEL, and U+2028 and U+2029.
+_ODD_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 # A JSON header states n and m outright, so a few bytes could claim a grid
 # whose rows and columns alone fill memory.  Each star covers one row and one
@@ -75,10 +80,8 @@ def parse_text(src: str) -> SparsityPattern:
     except ValueError:
         raise ParseError("header must contain two integers", line=header_line)
     _check_positive_shape(n, m)
-    if len(rows) - 1 < n:
-        raise ParseError(f"missing row: expected {n} rows, found {len(rows) - 1}")
-    if len(rows) - 1 > n:
-        raise ParseError(f"too many rows: expected {n}, found {len(rows) - 1}")
+    if len(rows) - 1 != n:
+        _raise_row_count(src, n, len(rows) - 1)
     stars = []
     for r, (lineno, line) in enumerate(rows[1:]):
         # cells holds the row's non-space characters.  If there are m of
@@ -111,6 +114,25 @@ def parse_text(src: str) -> SparsityPattern:
     # only copy them.
     _check_pattern_shape(n, m)
     return _checked(SparsityPattern, n=n, m=m, stars=frozenset(stars))
+
+
+def _raise_row_count(src: str, n: int, found: int):
+    """Raise the ParseError for a document with ``found`` rows, not ``n``.
+
+    A line break other than LF, CR or CRLF splits a row in two without
+    showing it, so the error names the first one and its line.
+    """
+    if found < n:
+        reason = f"missing row: expected {n} rows, found {found}"
+    else:
+        reason = f"too many rows: expected {n}, found {found}"
+    for lineno, line in enumerate(src.splitlines(keepends=True), start=1):
+        if line[-1] in _ODD_BREAKS:
+            raise ParseError(
+                f"{reason}; line break U+{ord(line[-1]):04X} (not LF, CR or CRLF)",
+                line=lineno,
+            )
+    raise ParseError(reason)
 
 
 def serialize_text(p: SparsityPattern) -> str:

@@ -17,13 +17,16 @@ the family search every disjointness test).  Subset enumerations charge one
 unit per subset to ``max_subsets``; the weak-resilience enumeration
 searches only a subset that hits every matching it has found so far.
 Budgets count work, never wall-clock, so budget failures are deterministic.
-Only the rank needs numpy, and it imports numpy where it runs, so importing
-the package does not load it.
+The module is pure Python: the realization's rows are packed into Python
+integers, one 64-bit slot per column, and eliminated a whole row at a time.
 """
 
 from __future__ import annotations
 
+import random
+import sys
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 
 from .errors import BudgetExceededError, InvalidKError, VerificationError
@@ -44,8 +47,14 @@ class OracleBudget:
 
 DEFAULT_BUDGET = OracleBudget()
 
-# The largest prime below 2**31, so a product of two residues fits int64.
+# The Mersenne prime 2**31 - 1.  As 2**31 = 1 mod p, a value reduces mod p
+# by adding its bits from bit 31 up to its low 31 bits.
 _PRIME = 2**31 - 1
+# One column's 64-bit slot in a packed row, and the masks that pick, in
+# every slot at once, its low 31 bits and the 33 bits above them.
+_SLOT = 2**64 - 1
+_LOW = (2**31 - 1).to_bytes(8, "little")
+_HIGH = (2**33 - 1).to_bytes(8, "little")
 
 
 def _adjacency(g: BipartiteGraph) -> list[list[int]]:
@@ -106,56 +115,111 @@ def _first_left_perfect_matching(
         ) from None
 
 
-def _rank_mod_p(matrix: np.ndarray) -> int:
-    """Rank over GF(p) by fraction-free Gaussian elimination in int64.
+def _pack(row: list[tuple[int, int]]) -> tuple[int, int]:
+    """A row's leading column, and the row packed into one int from there.
 
-    Every entry is kept as a residue in [0, p), p = ``_PRIME``, so no
-    product of two reaches 2**62.  In each column the first row with a
-    nonzero entry a there is the pivot.  Every other row holding an entry f
-    in that column becomes a * row - f * pivot row, mod p, from that column
-    on, which zeroes its entry and scales the row by a != 0 without an
-    inverse.  The pivot row then retires: it is zeroed, so no later column
-    picks or updates it again, and no row is ever swapped.  The rank is
-    the number of pivots.
+    ``row`` holds (column, residue) pairs with distinct columns and
+    residues in [1, p).  Slot k, bits 64k to 64k + 63, holds the residue in
+    column lead + k, or 0.  The slots are written into one bytearray, and
+    the int is read from it once.
     """
-    import numpy as np
+    lead = min(row)[0]
+    buf = bytearray(8 * (max(row)[0] - lead + 1))
+    slots = memoryview(buf).cast("Q")
+    for j, v in row:
+        slots[j - lead] = v
+    return lead, int.from_bytes(buf, sys.byteorder)
 
+
+def _rank_mod_p(rows: list[list[tuple[int, int]]]) -> int:
+    """Rank over GF(p), p = ``_PRIME``, of the matrix with the given rows.
+
+    Each row lists (column, residue) pairs, as ``_pack`` takes them.  Rows
+    are packed once and kept in buckets by their leading column, so slot 0
+    of a row is its leading entry.  Columns are taken in increasing order.
+    The first row in a column's bucket is the pivot: it is scaled by the
+    inverse of its leading entry, and every other row x there, with leading
+    entry f, becomes x + (p - f) * pivot, folded.  That zeroes x's slot 0
+    mod p, so x drops the slot and moves to the bucket of its first slot
+    that is nonzero mod p, or dies.  A row whose new slot 0 is nonzero
+    skips the scan for its lowest set bit, so a sparse row costs only its
+    own length.  The pivot retires, rows in other buckets are not touched,
+    and the rank is the number of pivots.
+    """
+    # The fold, (y & low) + ((y >> 31) & high), maps every slot
+    # s = 2**31 h + l, l < 2**31, to l + h, which is s mod p.  No slot
+    # overflows its 64 bits:
+    # - Packed residues are below p, and every stored row keeps its slots
+    #   below 2**33.
+    # - The pivot's slots times the inverse (below 2**31) stay below 2**64.
+    #   One fold leaves them below 2**31 + 2**33, and a second at most
+    #   2**31 + 2: there h <= 4, and h = 4 leaves l <= 2**31 - 2.
+    # - An update adds at most (p - 1)(2**31 + 2) < 2**62 to a slot below
+    #   2**33, so no slot carries into the next.  The fold then leaves
+    #   l + h < 2**31 + (2**31 + 4) = 2**32 + 4, below 2**33 again.
+    # Below 2**32 + 4 the multiples of p are 0, p and 2p, and % p reads all
+    # three as zero.
     p = _PRIME
-    a = np.asarray(matrix, dtype=np.int64) % p
-    rows, cols = a.shape
+    buckets: dict[int, list[int]] = {}
+    width = 0
+    for row in rows:
+        if row:
+            lead, x = _pack(row)
+            buckets.setdefault(lead, []).append(x)
+            width = max(width, x.bit_length())
+    low = high = 0  # the fold's masks, built for the first update
+    columns = list(buckets)
+    heapify(columns)
     rank = 0
-    for col in range(cols):
-        if rank == rows:
-            break
-        live = np.flatnonzero(a[:, col])
-        if not live.size:
-            continue
-        pivot, rest = live[0], live[1:]
-        if rest.size:
-            head = a[pivot, col:]
-            a[rest, col:] = (head[0] * a[rest, col:] - a[rest, col, None] * head) % p
-        a[pivot] = 0
+    while columns:
+        col = heappop(columns)
+        pivot, *rest = buckets.pop(col)
         rank += 1
+        if not rest:
+            continue
+        if not low:
+            slots = -(-width // 64)
+            low = int.from_bytes(_LOW * slots, "little")
+            high = int.from_bytes(_HIGH * slots, "little")
+        y = pivot * pow(pivot & _SLOT, -1, p)
+        y = (y & low) + ((y >> 31) & high)
+        pivot = (y & low) + ((y >> 31) & high)
+        for x in rest:
+            y = x + (p - (x & _SLOT) % p) * pivot
+            y = ((y & low) + ((y >> 31) & high)) >> 64
+            lead = col + 1
+            while y:
+                if (y & _SLOT) % p:
+                    if lead in buckets:
+                        buckets[lead].append(y)
+                    else:
+                        buckets[lead] = [y]
+                        heappush(columns, lead)
+                    break
+                # Skip to the lowest nonzero slot, or past slot 0 when that
+                # holds p or 2p.
+                skip = ((y & -y).bit_length() - 1) // 64 or 1
+                y >>= 64 * skip
+                lead += skip
     return rank
 
 
-def brute_rank(g: BipartiteGraph, rng: np.random.Generator | None = None) -> int:
+def brute_rank(g: BipartiteGraph, rng: random.Random | None = None) -> int:
     """Structural rank as the exact rank over GF(p) of one random realization.
 
-    Each star gets a residue drawn uniformly from [1, p), in ``g.edges``
+    Each star gets a residue ``rng.randrange(1, p)``, drawn in ``g.edges``
     order, with p = 2**31 - 1.  The result never exceeds the structural
     rank r; it falls short only when a nonzero polynomial of degree r in
     the draws vanishes, which happens with probability at most r/(p - 1)
     (Schwartz-Zippel).  The default seed makes the answer deterministic.
     """
-    import numpy as np
-
+    # Fill-in can grow the packed rows to n x m slots.
     check_dense_size(g.n_left, g.n_right)
-    rng = rng if rng is not None else np.random.default_rng(20240817)
-    a = np.zeros((g.n_left, g.n_right), dtype=np.int64)
-    stars = tuple(np.array(list(g.edges), dtype=np.intp).reshape(-1, 2).T)
-    a[stars] = rng.integers(1, _PRIME, len(g.edges), dtype=np.int64)
-    return _rank_mod_p(a)
+    draw = (rng if rng is not None else random.Random(20240817)).randrange
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(g.n_left)]
+    for (i, j) in g.edges:
+        rows[i].append((j, draw(1, _PRIME)))
+    return _rank_mod_p(rows)
 
 
 def enumerate_left_perfect_matchings(

@@ -4,6 +4,8 @@ These are the plain per-token and per-cell loops that ``sprank.io`` once
 used.  The library now checks each row with three ``str.translate`` passes
 and splits only a malformed row into tokens; the tests require it to give
 the same pattern, the same ``ParseError`` and the same bytes as these loops.
+A wrong row count names the first line break other than LF, CR or CRLF,
+found here by a scan of every character.
 """
 
 from sprank.errors import ParseError, ShapeError
@@ -31,9 +33,9 @@ def parse_text(src: str) -> SparsityPattern:
     if n < 1 or m < 1:
         raise ShapeError(f"pattern dimensions must be positive, got ({n}, {m})")
     if len(rows) - 1 < n:
-        raise ParseError(f"missing row: expected {n} rows, found {len(rows) - 1}")
+        _row_count_error(src, f"missing row: expected {n} rows, found {len(rows) - 1}")
     if len(rows) - 1 > n:
-        raise ParseError(f"too many rows: expected {n}, found {len(rows) - 1}")
+        _row_count_error(src, f"too many rows: expected {n}, found {len(rows) - 1}")
     stars = []
     for r, (lineno, line) in enumerate(rows[1:], start=1):
         tokens = line.split()
@@ -49,6 +51,17 @@ def parse_text(src: str) -> SparsityPattern:
             else:
                 raise ParseError(f"unexpected token {tok!r}", line=lineno, column=c)
     return pattern_from_stars(n, m, stars)
+
+
+def _row_count_error(src: str, reason: str):
+    """Raise ``reason``, naming the first line break other than LF, CR or CRLF."""
+    for k, ch in enumerate(src):
+        if ch in "\v\f\x1c\x1d\x1e\x85\u2028\u2029":
+            raise ParseError(
+                f"{reason}; line break U+{ord(ch):04X} (not LF, CR or CRLF)",
+                line=len(src[:k + 1].splitlines()),
+            )
+    raise ParseError(reason)
 
 
 def serialize_text(p: SparsityPattern) -> str:

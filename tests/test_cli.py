@@ -186,9 +186,32 @@ class TestAugment:
 
 class TestModuleEntryPoint:
     def test_import_does_not_load_numpy(self):
-        # Only the oracle's rank, run by verify, needs numpy.
+        # The runtime is pure Python; numpy is a test dependency only.
         proc = python("-c", "import sys, sprank.cli; print('numpy' in sys.modules)")
         assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rank"],
+            ["resilience", "--weak"],
+            ["decompose", "--json"],
+            ["augment", "--target", "2"],
+            ["verify"],
+        ],
+        ids=["rank", "resilience", "decompose", "augment", "verify"],
+    )
+    def test_subcommand_does_not_load_numpy(self, fig3_file, argv):
+        # Every subcommand runs on pure Python, verify's GF(p) rank included.
+        argv = [argv[0], fig3_file, *argv[1:]]
+        code = (
+            "import io, sys\n"
+            "from sprank.cli import run\n"
+            f"code = run({argv!r}, out=io.StringIO())\n"
+            "print(code, 'numpy' in sys.modules)\n"
+        )
+        proc = python("-c", code)
+        assert (proc.returncode, proc.stdout) == (0, f"{invoke(argv)[0]} False\n")
 
     def test_python_m_matches_run(self, fig3_file):
         proc = python("-m", "sprank.cli", "rank", fig3_file)

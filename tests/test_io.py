@@ -93,6 +93,26 @@ class TestTextContract:
     def test_too_many_rows(self):
         assert _error("1 1\n*\n0\n") == ("too many rows: expected 1, found 2", None, None)
 
+    @pytest.mark.parametrize(
+        "src, code",
+        [("1 2\n*\u20280\n", "2028"), ("1 2\n*\x1c0\n", "001C"), ("1 2\n*\x0c0\n", "000C")],
+        ids=["line-separator", "file-separator", "form-feed"],
+    )
+    def test_odd_line_break_is_named(self, src, code):
+        # str.splitlines ends a line at each of these, so the row splits in
+        # two; the error names the break and the line it ends.
+        reason = f"too many rows: expected 1, found 2; line break U+{code} (not LF, CR or CRLF)"
+        assert _error(src) == (reason, 2, None)
+        assert _outcome(reference_io.parse_text, src) == (ParseError, reason, 2, None)
+
+    @pytest.mark.parametrize(
+        "src",
+        ["# c\r\n2 2\r\n* 0\x0b0 *\r\n", "2 2\n* 0\u2029\n", "1 1\n*\r\x850\n"],
+        ids=["split-row-accepted", "missing-row", "after-cr"],
+    )
+    def test_odd_line_break_matches_reference(self, src):
+        assert _outcome(io_mod.parse_text, src) == _outcome(reference_io.parse_text, src)
+
     def test_three_part_header(self):
         assert _error("# c\n1 1 1\n*\n") == ("header must be 'n m'", 2, None)
 

@@ -10,6 +10,7 @@ import sprank as sp
 from sprank import oracle
 from sprank.errors import BudgetExceededError, InvalidKError
 
+import reference_rank
 import reference_weak
 from conftest import differential, pruning_proof_block, random_graph, small_graphs, upper_triangle
 
@@ -31,6 +32,13 @@ def _row_loop_rank_mod_p(matrix, p):
                 a[r] = [(x - f * y) % p for x, y in zip(a[r], a[rank])]
         rank += 1
     return rank
+
+
+def _packed_rank(matrix):
+    """``oracle._rank_mod_p`` on the rows of a dense matrix, as residues."""
+    p = oracle._PRIME
+    rows = [[(j, x % p) for j, x in enumerate(row) if x % p] for row in matrix.tolist()]
+    return oracle._rank_mod_p(rows)
 
 
 class TestBruteRank:
@@ -75,8 +83,8 @@ class TestBruteRank:
 
     def test_rank_mod_p_matches_row_loop(self):
         # Small entries give singular minors; full residues push every
-        # product towards 2**62; a row planted as c * (row 0) mod p is
-        # dependent only over GF(p).
+        # slot towards the fold's bound; a row planted as c * (row 0) mod p
+        # is dependent only over GF(p).
         p = oracle._PRIME
         rng = np.random.default_rng(101)
         for t in range(2000):
@@ -87,13 +95,13 @@ class TestBruteRank:
             a = mask * values
             if t % 3 == 0 and n > 1:
                 a[-1] = int(rng.integers(1, p)) * a[0] % p
-            assert oracle._rank_mod_p(a) == _row_loop_rank_mod_p(a.tolist(), p)
+            assert _packed_rank(a) == _row_loop_rank_mod_p(a.tolist(), p) == reference_rank.rank_mod_p(a)
 
     def test_rank_mod_p_matches_row_loop_tall_and_wide(self):
-        # Tall, wide and square shapes up to 12 x 14: a pivot row keeps
-        # nonzero entries right of its column, so unless it retires a later
-        # column picks it again.  Planted rows c * (row 0) + d * (row 1)
-        # mod p are dependent only over GF(p).
+        # Tall, wide and square shapes up to 12 x 14: rows meet in many
+        # buckets, and a row can skip several columns at once.  Planted
+        # rows c * (row 0) + d * (row 1) mod p are dependent only over
+        # GF(p), so their slots fold to p or 2p, which must read as zero.
         p = oracle._PRIME
         rng = np.random.default_rng(211)
         for t in range(600):
@@ -105,18 +113,51 @@ class TestBruteRank:
             if t % 3 == 0 and n > 2:
                 c, d = (int(x) for x in rng.integers(1, p, 2))
                 a[-1] = (c * a[0] % p + d * a[1] % p) % p
-            assert oracle._rank_mod_p(a) == _row_loop_rank_mod_p(a.tolist(), p)
+            assert _packed_rank(a) == _row_loop_rank_mod_p(a.tolist(), p) == reference_rank.rank_mod_p(a)
 
     @pytest.mark.parametrize("n, m", [(1, 1), (5, 7), (12, 9), (40, 40)])
     def test_rank_mod_p_near_2_62(self, n, m):
-        # Every entry p - 1: each update multiplies two residues of
-        # (p - 1)**2 = 2**62 - 2**33 + 4, so an int64 overflow shows here.
+        # Every entry p - 1: each update adds (p - f) times a pivot slot
+        # near 2**31 to a slot that can be near 2**32, close to the
+        # 2**62 + 2**33 the fold's bound allows.
         p = oracle._PRIME
         block = np.full((n, m), p - 1, dtype=np.int64)
-        assert oracle._rank_mod_p(block) == 1
+        assert _packed_rank(block) == 1
         # p - 2 on the diagonal: -(J + I) mod p, of full rank.
         np.fill_diagonal(block, p - 2)
-        assert oracle._rank_mod_p(block) == _row_loop_rank_mod_p(block.tolist(), p) == min(n, m)
+        assert _packed_rank(block) == _row_loop_rank_mod_p(block.tolist(), p) == min(n, m)
+        assert reference_rank.rank_mod_p(block) == min(n, m)
+
+    def test_long_update_chain_on_one_row(self):
+        # The same -(J + I) block at 200 x 200: the last row takes 199
+        # updates in a row, each folded once, so a slot that crept past the
+        # bound would carry into its neighbour and change the rank.
+        p, n = oracle._PRIME, 200
+        block = np.full((n, n), p - 1, dtype=np.int64)
+        np.fill_diagonal(block, p - 2)
+        assert _packed_rank(block) == reference_rank.rank_mod_p(block) == n
+        block[-1] = (3 * block[0] + 5 * block[1]) % p
+        assert _packed_rank(block) == reference_rank.rank_mod_p(block) == n - 1
+
+    def test_wide_row_packs_in_one_pass(self):
+        # A 1 x 10**6 row with 1,000 stars: packing by one |= per star
+        # copies the whole 8 MB int per star.
+        rng = random.Random(1)
+        row = [(j, rng.randrange(1, oracle._PRIME)) for j in sorted(rng.sample(range(10**6), 1000))]
+        start = time.perf_counter()
+        assert oracle._rank_mod_p([row]) == 1
+        assert time.perf_counter() - start < 1.0
+
+    def test_deficient_all_star_300(self):
+        # Rows 1-2 hold only column 1 and the other 298 every other column:
+        # rank 299, with all 298 dense rows in one bucket at every pivot.
+        n = 300
+        edges = {(0, 0), (1, 0)} | {(i, j) for i in range(2, n) for j in range(1, n)}
+        g = sp.BipartiteGraph(n, n, frozenset(edges))
+        start = time.perf_counter()
+        rank = oracle.brute_rank(g)
+        assert time.perf_counter() - start < 1.0
+        assert rank == n - 1 == sp.structural_rank(g)
 
     def test_random_sparse_300(self):
         rng = random.Random(300)
@@ -130,16 +171,18 @@ class TestBruteRank:
         assert oracle.brute_rank(sp.BipartiteGraph(3, 4, frozenset())) == 0
 
     def test_realizations_match_per_star_draws(self, fig3_graph, monkeypatch):
-        # One realization: a residue in [1, p) at each star and nowhere
-        # else, drawn as one vector in g.edges order.
+        # One realization: a residue rng.randrange(1, p) at each star and
+        # nowhere else, drawn in g.edges order.
         seen = []
-        monkeypatch.setattr(oracle, "_rank_mod_p", lambda a: seen.append(a.copy()) or 4)
-        assert oracle.brute_rank(fig3_graph, rng=np.random.default_rng(7)) == 4
+        monkeypatch.setattr(oracle, "_rank_mod_p", lambda rows: seen.append(rows) or 4)
+        assert oracle.brute_rank(fig3_graph, rng=random.Random(7)) == 4
         assert len(seen) == 1
-        a, edges = seen[0], list(fig3_graph.edges)
-        draws = np.random.default_rng(7).integers(1, oracle._PRIME, len(edges), dtype=np.int64)
-        assert a.dtype == np.int64 and np.count_nonzero(a) == len(edges)
-        assert [int(a[i, j]) for (i, j) in edges] == draws.tolist()
+        rows, edges = seen[0], list(fig3_graph.edges)
+        draws = random.Random(7)
+        expected = [[] for _ in range(fig3_graph.n_left)]
+        for (i, j) in edges:
+            expected[i].append((j, draws.randrange(1, oracle._PRIME)))
+        assert rows == expected
 
 
 class TestBruteWeakResilience:
