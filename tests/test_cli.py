@@ -326,6 +326,31 @@ class TestPinnedRuns:
         assert capsys.readouterr().err == err
 
     @pytest.mark.parametrize(
+        "name, text, budget, err",
+        [
+            # 1000 subsets: the library's enumeration, which runs before
+            # the oracle's, runs out in size 3 of K(6,6)'s 36 edges.
+            ("k66.spm", K66_TEXT, "1000",
+             "sprank: budget exceeded: weak resilience budget exhausted; >= 2 certified\n"),
+            # The rank passes; the matching enumeration behind
+            # brute_strong_resilience walks K(9,9) into the three rows'
+            # dead end and runs out of its 10^5 nodes.
+            ("b990.json", serialize_json(sprank.from_bipartite(pruning_proof_block(990))), None,
+             "sprank: budget exceeded: matching search exceeded 100000 nodes\n"),
+        ],
+        ids=["k66-verify-budget-1000", "b990-verify"],
+    )
+    def test_verify_budget_run(self, tmp_path, capsys, monkeypatch, name, text, budget, err):
+        if budget is None:
+            monkeypatch.delenv("SPRANK_ORACLE_BUDGET", raising=False)
+        else:
+            monkeypatch.setenv("SPRANK_ORACLE_BUDGET", budget)
+        path = tmp_path / name
+        path.write_text(text)
+        assert invoke(["verify", str(path)]) == (4, "")
+        assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize(
         "name, text, args, first, lines",
         [
             # A sparse 1500 x 1500 diagonal, over the n*m dense-size cap:
