@@ -236,6 +236,8 @@ def build_parser() -> _ArgumentParser:
     p_ver.add_argument("file")
     p_ver.set_defaults(func=_cmd_verify)
 
+    # Each subcommand's own parser, by name, for run to call directly.
+    parser._commands = sub.choices
     return parser
 
 
@@ -247,7 +249,12 @@ def run(argv, out=None) -> int:
     """Dispatch a command line; returns the exit code."""
     out = out if out is not None else sys.stdout
     try:
-        args = _PARSER.parse_args(argv)
+        # A named subcommand goes straight to its own parser, which the top
+        # level would hand every argument after the name.  Anything else,
+        # help and unknown commands included, takes the top level.  Usage
+        # errors print only their message, so both routes print the same.
+        command = argv and _PARSER._commands.get(argv[0])
+        args = command.parse_args(argv[1:]) if command else _PARSER.parse_args(argv)
         return args.func(args, out)
     except _UsageError as exc:
         print(f"sprank: {exc}", file=sys.stderr)

@@ -17,8 +17,8 @@ the family search every disjointness test).  Subset enumerations charge one
 unit per subset to ``max_subsets``; the weak-resilience enumeration
 searches only a subset that hits every matching it has found so far.
 Budgets count work, never wall-clock, so budget failures are deterministic.
-The module is pure Python: the realization's rows are packed into Python
-integers, one 64-bit slot per column, and eliminated a whole row at a time.
+The module is pure Python: matchings and their pools are int bitmasks, and
+the realization's rows are Python integers too, one 64-bit slot per column.
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ import random
 import sys
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import combinations
+from itertools import accumulate, combinations, count
 
 from .errors import BudgetExceededError, InvalidKError, VerificationError
-from .pattern import BipartiteGraph, MatchingPool, check_dense_size, complement
+from .pattern import BipartiteGraph, check_dense_size, complement
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,12 @@ def _adjacency(g: BipartiteGraph) -> list[list[int]]:
     for (i, j) in sorted(g.edges):
         adj[i].append(j)
     return adj
+
+
+def _edge_index(adj: list[list[int]]) -> list[dict[int, int]]:
+    """Per row i, column j -> k when (i, j) is the k-th of the sorted edges."""
+    starts = accumulate(map(len, adj), initial=0)
+    return [dict(zip(cols, count(k))) for cols, k in zip(adj, starts)]
 
 
 def _left_perfect_matchings(adj: list[list[int]], max_nodes: int):
@@ -99,35 +105,21 @@ def _left_perfect_matchings(adj: list[list[int]], max_nodes: int):
         choices.append(iter(adj[len(taken)]))
 
 
-def _first_left_perfect_matching(
-    adj: list[list[int]], max_nodes: int, certified: int
-) -> tuple[int, ...] | None:
-    """The first left-perfect matching of ``adj``, or None, within ``max_nodes`` search nodes.
-
-    Running out raises BudgetExceededError with ``certified``, the weak
-    resilience proven so far, as its lower bound.
-    """
-    try:
-        return next(_left_perfect_matchings(adj, max_nodes), None)
-    except BudgetExceededError as exc:
-        raise BudgetExceededError(
-            f"{exc}; weak resilience >= {certified}", lower_bound=certified
-        ) from None
-
-
 def _pack(row: list[tuple[int, int]]) -> tuple[int, int]:
     """A row's leading column, and the row packed into one int from there.
 
     ``row`` holds (column, residue) pairs with distinct columns and
     residues in [1, p).  Slot k, bits 64k to 64k + 63, holds the residue in
-    column lead + k, or 0.  The slots are written into one bytearray, and
-    the int is read from it once.
+    column lead + k, or 0.  The slots are written into one bytearray, which
+    bytes replace before the int is read (``int.from_bytes`` copies a
+    bytearray), so at most two copies of the row live at once.
     """
     lead = min(row)[0]
     buf = bytearray(8 * (max(row)[0] - lead + 1))
-    slots = memoryview(buf).cast("Q")
-    for j, v in row:
-        slots[j - lead] = v
+    with memoryview(buf).cast("Q") as slots:
+        for j, v in row:
+            slots[j - lead] = v
+    buf = bytes(buf)
     return lead, int.from_bytes(buf, sys.byteorder)
 
 
@@ -238,50 +230,72 @@ def brute_weak_resilience(
 ) -> int:
     """Exact weak resilience by testing every removal subset.
 
-    g's sorted adjacency is built once, and so is a pool of the
-    left-perfect matchings found so far, starting with the one that shows
-    g has any.  A subset that misses a pooled matching passes at once.
-    Any other subset drops its edges from the rows they touch, and a
-    backtracking search of at most ``b.max_matchings`` nodes tests what is
-    left for a left-perfect matching; the one it finds joins the pool.
+    A pool keeps the left-perfect matchings found so far: pooled matching
+    t is bit t, and ``through[k]`` has the bits of those through sorted
+    edge k.  A subset whose masks OR to less than the pool misses a pooled
+    matching and passes at once.  Any other drops its edges from g's
+    adjacency, and a search of at most ``b.max_matchings`` nodes tests
+    what is left for a left-perfect matching, which joins the pool.
     Subsets come in increasing size, edges in sorted order, one unit of
-    ``b.max_subsets`` each.  Running out of either budget raises
-    BudgetExceededError with the certified lower bound: -1 while g itself
-    is untested.
+    ``b.max_subsets`` each but the empty one, g itself.  Running out of
+    either budget raises BudgetExceededError with the certified lower
+    bound: -1 while g itself is untested.
     """
     adj = _adjacency(g)
-    found = _first_left_perfect_matching(adj, b.max_matchings, -1)
-    if found is None:
-        return -1
-    pool = MatchingPool()
-    pool.add(enumerate(found))
+    index = _edge_index(adj)
     edges = g.sorted_edges
-    remaining = b.max_subsets
-    verified = 0
-    for size in range(1, len(edges) + 1):
-        for removed in combinations(edges, size):
+    through = [0] * len(edges)
+    pool = 0
+    remaining = b.max_subsets + 1  # the empty subset, g itself, is free
+    verified = -1
+    for size in range(len(edges) + 1):
+        for removed in combinations(range(len(edges)), size):
             if remaining <= 0:
                 raise BudgetExceededError(
                     f"subset budget exhausted; >= {verified} certified",
                     lower_bound=verified,
                 )
             remaining -= 1
-            if pool.spares(removed):
+            hit = 0
+            for k in removed:
+                hit |= through[k]
+            if hit != pool:
                 continue
             reduced = adj.copy()
-            for (i, j) in removed:
+            for k in removed:
+                i, j = edges[k]
                 reduced[i] = [c for c in reduced[i] if c != j]
-            found = _first_left_perfect_matching(reduced, b.max_matchings, verified)
+            try:
+                found = next(_left_perfect_matchings(reduced, b.max_matchings), None)
+            except BudgetExceededError as exc:
+                raise BudgetExceededError(
+                    f"{exc}; weak resilience >= {verified}", lower_bound=verified
+                ) from None
             if found is None:
                 return size - 1
-            pool.add(enumerate(found))
+            bit = pool + 1  # the lowest bit not yet in use
+            for row, j in zip(index, found):
+                through[row[j]] |= bit
+            pool |= bit
         verified = size
     return len(edges) - 1
 
 
-def _disjoint_family(
-    matchings: list[frozenset[tuple[int, int]]], stop: int, max_tests: int
-) -> int:
+def _matching_masks(g: BipartiteGraph, max_nodes: int) -> list[int]:
+    """``enumerate_left_perfect_matchings(g, max_nodes)`` as ints, bit k for sorted edge k."""
+    # Bits number edges, not cells, so a mask is at most |E| bits long.
+    adj = _adjacency(g)
+    index = _edge_index(adj)
+    masks = []
+    for cols in _left_perfect_matchings(adj, max_nodes):
+        mask = 0
+        for row, j in zip(index, cols):
+            mask |= 1 << row[j]
+        masks.append(mask)
+    return masks
+
+
+def _disjoint_family(matchings: list[int], stop: int, max_tests: int) -> int:
     """Size of a largest pairwise-disjoint subfamily, or ``stop`` once one that large is found.
 
     Depth-first over the matchings in list order, with its own stack
@@ -292,7 +306,7 @@ def _disjoint_family(
     bound on strong resilience.
     """
     total = len(matchings)
-    union: set[tuple[int, int]] = set()  # the edges of the chosen matchings
+    union = 0  # the edges of the chosen matchings
     chosen: list[int] = []
     start = best = tests = 0  # start: the next matching to try at this level
     while True:
@@ -308,7 +322,7 @@ def _disjoint_family(
                     f"strong resilience >= {best - 1}",
                     lower_bound=best - 1,
                 )
-            if union.isdisjoint(matchings[start]):
+            if not union & matchings[start]:
                 chosen.append(start)
                 union |= matchings[start]
             start += 1
@@ -316,7 +330,7 @@ def _disjoint_family(
         if not chosen:
             return best
         last = chosen.pop()
-        union -= matchings[last]
+        union ^= matchings[last]
         start = last + 1
 
 
@@ -331,7 +345,7 @@ def brute_strong_resilience(
     units; BudgetExceededError's ``lower_bound`` is None if the enumeration
     runs out, and the best family minus one if the family search does.
     """
-    matchings = enumerate_left_perfect_matchings(g, cap=b.max_matchings)
+    matchings = _matching_masks(g, b.max_matchings)
     if not matchings:
         return -1
     return _disjoint_family(matchings, min(g.left_degrees()), b.max_matchings) - 1
@@ -349,7 +363,7 @@ def has_disjoint_matchings(
         return True
     if min(g.left_degrees()) < k:
         return False
-    matchings = enumerate_left_perfect_matchings(g, cap=cap)
+    matchings = _matching_masks(g, cap)
     return _disjoint_family(matchings, k, cap) >= k
 
 

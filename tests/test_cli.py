@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import sprank
+from sprank import cli
 from sprank import flow as flow_engine
 from sprank import pattern as pattern_mod
 from sprank import resilience as resilience_mod
@@ -371,6 +372,62 @@ class TestPinnedRuns:
         path.write_text(text)
         code, out = invoke([args[0], str(path), *args[1:]])
         assert (code, out.splitlines()[0], len(out.splitlines())) == (0, first, lines)
+
+
+# Every subcommand and flag in valid use, --opt=value forms and
+# abbreviations, "--", usage errors of each kind, help at both levels, and
+# argv that no subcommand names.  {f} is Fig 3, {x} a missing file, {o} a
+# file to write.
+DISPATCH_ARGVS = [
+    ["rank", "{f}"], ["rank", "--json", "{f}"], ["rank", "{f}", "--js"],
+    ["resilience", "{f}"], ["resilience", "{f}", "--json"],
+    ["resilience", "{f}", "--weak"], ["resilience", "{f}", "--weak", "--json"],
+    ["resilience", "{f}", "--weak", "--budget", "3"], ["resilience", "{f}", "--weak", "--budget=30"],
+    ["resilience", "{f}", "--wea"], ["resilience", "{f}", "--wea", "--bud", "3"],
+    ["resilience", "{f}", "--budget", "3"], ["resilience", "{f}", "--weak", "--budget", "x"],
+    ["decompose", "{f}"], ["decompose", "{f}", "--json"], ["decompose", "{f}", "--dot", "{o}"],
+    ["decompose", "{f}", "--dot={o}", "--json"],
+    ["augment", "{f}", "--target", "2"], ["augment", "{f}", "--target=2", "--json"],
+    ["augment", "{f}", "--tar", "1", "--out", "{o}"], ["augment", "{f}", "--budget", "2", "--out={o}"],
+    ["augment", "{f}", "--target", "1", "--budget", "2"], ["augment", "{f}"],
+    ["augment", "{f}", "--target", "abc"], ["augment", "{f}", "--budget", "-1"],
+    ["augment", "{f}", "--target", "1.5"], ["augment", "{f}", "--target", "9"],
+    ["verify", "{f}"], ["verify", "--", "{f}"], ["rank", "{f}", "--"], ["rank", "--", "--json"],
+    ["rank", "{x}"], ["verify", "{x}"], ["rank"], ["verify"],
+    ["rank", "{f}", "{f}"], ["verify", "{f}", "extra"], ["rank", "{f}", "--bogus"],
+    ["--help"], ["-h"], ["--he"], ["-h", "rank"], ["rank", "--help"], ["augment", "-h"],
+    ["verify", "{f}", "--help"], ["decompose", "--he"],
+    ["bogus", "{f}"], ["ran", "{f}"], ["res", "{f}", "--weak"], ["--", "rank", "{f}"], ["--json"], [],
+]
+
+
+def _dispatch_outcome(argv, capsys):
+    """Exit code or SystemExit code, run's stdout, and what reached sys.stdout and stderr."""
+    out = io.StringIO()
+    try:
+        result = ("code", run(argv, out=out))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return result, out.getvalue(), captured.out, captured.err
+
+
+class TestDispatch:
+    def test_every_subcommand_has_a_direct_route(self):
+        assert set(cli._PARSER._commands) == {"rank", "resilience", "decompose", "augment", "verify"}
+
+    @pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=" ".join)
+    def test_matches_top_level_parser(self, tmp_path, capsys, monkeypatch, argv):
+        # The reference runner sends every argv through _PARSER.parse_args,
+        # as run did before a named subcommand went to its own parser.
+        (tmp_path / "fig3.spm").write_text(FIG3_TEXT)
+        paths = {"f": tmp_path / "fig3.spm", "x": tmp_path / "missing.spm", "o": tmp_path / "out"}
+        concrete = [a.format(**paths) for a in argv]
+        direct = _dispatch_outcome(concrete, capsys)
+        with monkeypatch.context() as patched:
+            patched.setattr(cli._PARSER, "_commands", {})
+            reference = _dispatch_outcome(concrete, capsys)
+        assert direct == reference
 
 
 class TestErrorPaths:

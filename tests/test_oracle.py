@@ -1,6 +1,8 @@
 import math
 import random
+import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +12,17 @@ import sprank as sp
 from sprank import oracle
 from sprank.errors import BudgetExceededError, InvalidKError
 
+import reference_oracle
 import reference_rank
 import reference_weak
-from conftest import differential, pruning_proof_block, random_graph, small_graphs, upper_triangle
+from conftest import (
+    differential,
+    planted_hub,
+    pruning_proof_block,
+    random_graph,
+    small_graphs,
+    upper_triangle,
+)
 
 
 def _row_loop_rank_mod_p(matrix, p):
@@ -148,6 +158,21 @@ class TestBruteRank:
         assert oracle._rank_mod_p([row]) == 1
         assert time.perf_counter() - start < 1.0
 
+    def test_wide_row_packs_within_two_copies(self):
+        # The same 1 x 10**6 row: the 8 MB packed int and, while it is
+        # built, one byte string of it; a third 8 MB copy is too many.
+        rng = random.Random(1)
+        row = [(j, rng.randrange(1, oracle._PRIME)) for j in sorted(rng.sample(range(10**6), 1000))]
+        tracemalloc.start()
+        try:
+            lead, packed = oracle._pack(row)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.2 * sys.getsizeof(packed)
+        slots = memoryview(packed.to_bytes(8 * (row[-1][0] - lead + 1), sys.byteorder)).cast("Q")
+        assert [(lead + k, v) for k, v in enumerate(slots) if v] == row
+
     def test_deficient_all_star_300(self):
         # Rows 1-2 hold only column 1 and the other 298 every other column:
         # rank 299, with all 298 dense rows in one bucket at every pivot.
@@ -268,6 +293,21 @@ class TestBruteStrongResilience:
         assert oracle.brute_strong_resilience(g) == 1099
         assert oracle.has_disjoint_matchings(g, 1050)
 
+    def test_masks_grow_with_edges_not_cells(self):
+        # A 1000 x 1000 diagonal with eight 2 x 2 blocks: 256 matchings of
+        # 1,016 edges.  Masks over the 10**6 cells would hold 256 x 125 KB.
+        n = 1000
+        edges = {(i, i) for i in range(n - 16)}
+        edges |= {(r + a, r + b) for r in range(n - 16, n, 2) for a in (0, 1) for b in (0, 1)}
+        g = sp.BipartiteGraph(n, n, frozenset(edges))
+        tracemalloc.start()
+        try:
+            assert oracle.brute_strong_resilience(g) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
     def test_matching_enumeration_is_node_capped(self):
         start = time.perf_counter()
         with pytest.raises(BudgetExceededError):
@@ -324,6 +364,56 @@ class TestBruteStrongResilience:
             deficient = oracle.brute_rank(g) < g.n_left
             assert (oracle.brute_strong_resilience(g) == -1) == deficient
             assert (oracle.brute_weak_resilience(g) == -1) == deficient
+
+
+def _frozen_reference_graphs():
+    """Seeded random graphs up to 6 x 8, the complete 6 x 6 and planted hubs."""
+    rng = random.Random(2107)
+    graphs = []
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        graphs.append(random_graph(rng, n, rng.randint(n, 8), rng.uniform(0.3, 0.8)))
+    graphs.append(sp.complete_graph(6, 6))
+    graphs += [planted_hub(random.Random(seed), 6, 8, ell) for seed, ell in ((1, 1), (2, 2), (3, 2))]
+    return graphs
+
+
+def _outcome(solve, g, budget):
+    try:
+        return ("value", solve(g, budget))
+    except BudgetExceededError as exc:
+        return ("budget", str(exc), exc.lower_bound)
+
+
+class TestFrozenReference:
+    # The bitmask oracle against its frozenset form, kept verbatim in
+    # reference_oracle: the same value, or the same budget error with the
+    # same lower bound, at budgets that run out at every stage.
+    GRAPHS = _frozen_reference_graphs()
+
+    def test_strong_matches_reference(self):
+        seen = set()
+        for g in self.GRAPHS:
+            for cap in (1, 2, 5, 20, 100, 1000, 10**4, 10**5):
+                budget = oracle.OracleBudget(max_matchings=cap)
+                got = _outcome(oracle.brute_strong_resilience, g, budget)
+                assert got == _outcome(reference_oracle.brute_strong_resilience, g, budget), (g, cap)
+                seen.add(got[0] if got[0] == "value" else got[1].split()[0])
+        # Values, and budget errors from both the enumeration and the family search.
+        assert seen == {"value", "matching", "disjoint-family"}
+
+    def test_weak_matches_reference(self):
+        seen = set()
+        for g in self.GRAPHS:
+            for subsets, nodes in [(s, 10**5) for s in (1, 2, 7, 50, 400, 3000)] + [
+                (3000, t) for t in (1, 2, 5, 20, 100)
+            ]:
+                budget = oracle.OracleBudget(max_subsets=subsets, max_matchings=nodes)
+                got = _outcome(oracle.brute_weak_resilience, g, budget)
+                assert got == _outcome(reference_oracle.brute_weak_resilience, g, budget), (g, budget)
+                seen.add(got[0] if got[0] == "value" else got[1].split()[0])
+        # Values, and budget errors from both the subsets and a matching search.
+        assert seen == {"value", "subset", "matching"}
 
 
 class TestBruteMinAugmentation:

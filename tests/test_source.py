@@ -76,16 +76,35 @@ def _sprank_modules_imported(tree) -> list[str]:
     return found
 
 
+ORACLE_PATTERN_NAMES = {"BipartiteGraph", "check_dense_size", "complement"}
+
+
 def test_oracle_is_independent_of_the_flow_algorithms():
     # The oracle is the independent route that verify checks the flow
     # results against, so it may share only the error types and the
-    # pattern data model with them.
+    # pattern data model with them.  From pattern it takes the graph, the
+    # size cap and the complement, not the library's MatchingPool: a wrong
+    # pool would then make both weak resilience routes wrong alike.
     path = Path(sprank.__file__).parent / "oracle.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     imported = _sprank_modules_imported(tree)
     assert "errors" in imported and "pattern" in imported
     outside = [name for name in imported if name.split(".")[0] not in ("errors", "pattern")]
     assert not outside, f"oracle.py imports sprank modules beyond errors and pattern: {outside}"
+    from_pattern = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "pattern"
+        for alias in node.names
+    }
+    assert from_pattern <= ORACLE_PATTERN_NAMES, f"oracle.py imports from pattern: {from_pattern}"
+    pools = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "MatchingPool")
+        or (isinstance(node, ast.Attribute) and node.attr == "MatchingPool")
+    ]
+    assert not pools, f"oracle.py uses MatchingPool at lines {pools}"
 
 
 NETWORK_SOLVERS = {"max_flow", "build_resilience_network", "build_augmentation_network"}
