@@ -249,10 +249,10 @@ def run(argv, out=None) -> int:
     """Dispatch a command line; returns the exit code."""
     out = out if out is not None else sys.stdout
     try:
-        # A named subcommand goes straight to its own parser, which the top
-        # level would hand every argument after the name.  Anything else,
-        # help and unknown commands included, takes the top level.  Usage
-        # errors print only their message, so both routes print the same.
+        # A named subcommand goes straight to its own parser: the top level
+        # would only hand it the rest of argv.  Anything else, help and
+        # unknown commands included, takes the top level.  Usage errors
+        # print only their message, so both routes print the same bytes.
         command = argv and _PARSER._commands.get(argv[0])
         args = command.parse_args(argv[1:]) if command else _PARSER.parse_args(argv)
         return args.func(args, out)
