@@ -32,7 +32,7 @@ from itertools import islice
 
 from . import flow as flow_engine
 from .errors import InvalidKError, PreconditionFailedError, VerificationError
-from .pattern import BipartiteGraph, _check_pattern_shape, check_dense_size, complement
+from .pattern import BipartiteGraph, _check_pattern_shape, check_dense_size
 from .pattern import is_union_of_k_matchings
 from .resilience import _sweep
 
@@ -175,22 +175,17 @@ def boost_by(
 
 
 def complement_matching_structure(g: BipartiteGraph) -> int:
-    """For a square union of k perfect matchings, verify the complement is one of n-k.
+    """n - k, for g a square union of k disjoint perfect matchings: its complement's count.
 
-    Returns n - k.
+    Rows of degree k and columns of at most k hold nk edges only if every
+    column has k, so the complement is (n - k)-regular (Koenig); never built.
     """
     if g.n_left != g.n_right:
         raise PreconditionFailedError("graph must be square (n_left == n_right)")
-    n = g.n_left
     degs = g.left_degrees()
-    k = degs[0] if degs else 0
+    k = degs[0]
     if any(d != k for d in degs) or (k > 0 and not is_union_of_k_matchings(g, k)):
         raise PreconditionFailedError(
             "graph is not a union of disjoint perfect matchings"
         )
-    comp = complement(g)
-    if k < n and not is_union_of_k_matchings(comp, n - k):
-        raise PreconditionFailedError(
-            "complement fails the disjoint perfect matching decomposition"
-        )
-    return n - k
+    return g.n_left - k

@@ -173,7 +173,6 @@ def parse_json(src: str) -> SparsityPattern:
         raise ParseError("'n' and 'm' must be integers")
     if not isinstance(stars, list):
         raise ParseError("'stars' must be an array of [row, col] pairs")
-    coords = []
     for entry in stars:
         if (
             not isinstance(entry, list)
@@ -181,13 +180,12 @@ def parse_json(src: str) -> SparsityPattern:
             or not all(_is_int(x) for x in entry)
         ):
             raise ParseError(f"bad star entry {reprlib.repr(entry)}")
-        coords.append((entry[0], entry[1]))
-    if n + m > 2 * len(coords) + MAX_EMPTY_LINES:
+    if n + m > 2 * len(stars) + MAX_EMPTY_LINES:
         raise ShapeError(
-            f"header claims {n} x {m} for {len(coords)} stars: n + m may exceed "
+            f"header claims {n} x {m} for {len(stars)} stars: n + m may exceed "
             f"twice the star count by at most {MAX_EMPTY_LINES}"
         )
-    return pattern_from_stars(n, m, coords)
+    return pattern_from_stars(n, m, stars)
 
 
 def serialize_json(p: SparsityPattern) -> str:

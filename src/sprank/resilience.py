@@ -6,22 +6,21 @@ One ascending sweep of the flow engine, run once per request by ``_sweep``,
 finds that ell together with a saturated flow, checked to be a union of ell
 disjoint left-perfect matchings of g, which Koenig's edge-colouring theorem
 splits apart; the colouring checks its classes, and nothing checks them
-again.  Weak resilience has no known efficient algorithm.  Two certified
-bounds, strong <= weak <= d_min - 1 with d_min the least row degree,
-settle it at once when ell* = d_min; otherwise removal subsets are
-enumerated under a work budget, from size ell*, since every smaller size
-passes.  A pool keeps the witness's ell* matchings and every matching found
-since.  A removal subset S that misses a pooled matching passes without a
-solve; one that hits them all is checked by repairing a matching in g - S
-by one level-1 fill on the weak engine, and the repaired matching joins
-the pool.  The first repair that fails decides the answer, and the same
-engine's min cut of g - S proves it.
+again.  Weak resilience has no known efficient algorithm.  Removal subsets
+are charged to a work budget by size, then in lexicographic order of the
+sorted edges.  The answer is ell* - 1 once the budget left past the sizes
+below ell* exceeds the least rank of the certified failing subsets of size
+ell*; otherwise subsets are enumerated from ell*.  A pool keeps the
+witness's ell* matchings and every matching found since.  Only a subset S
+that hits every pooled matching is checked, by repairing a matching in g - S
+with one level-1 fill on the weak engine; the repaired matching joins the
+pool, and the first failed repair decides, proven by that engine's min cut.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 
 from . import flow as flow_engine
@@ -154,15 +153,15 @@ def weak_resilience(g: BipartiteGraph, budget: int = DEFAULT_WEAK_BUDGET) -> int
     ell* passes, so it is charged in full without enumerating it.  Once
     ``budget`` units are spent, BudgetExceededError carries the certified
     lower bound, the largest size whose subsets all passed, exactly where
-    a test of every subset would have run out.  If ell* = d_min and the
-    budget reaches, in size ell*, the edges of the first row of least
-    degree, the test of every subset would stop there or earlier, so the
-    answer is ell* - 1.  Otherwise the subsets are enumerated from size
-    ell*.  A pool starts with the witness's ell* matchings, and an S that
-    misses one passes at once; otherwise a matching of g less S is
-    repaired in g - S by one level-1 fill and, checked against g and S,
-    joins the pool as the witness that S passes.  The first S whose repair
-    fails decides the answer, proven by that fill's min cut in g - S.
+    a test of every subset would have run out.  A budget left above the
+    least lexicographic rank of the certified failing subsets of size ell*
+    (the first row of degree ell*, if any) answers ell* - 1, as that test
+    would.  Otherwise subsets are enumerated from size ell*.  A pool starts
+    with the witness's ell* matchings, and an S that misses one passes at
+    once; otherwise a matching of g less S is repaired in g - S by one
+    level-1 fill and, checked against g and S, joins the pool as the witness
+    that S passes.  The first S whose repair fails decides the answer,
+    proven by that fill's min cut in g - S.
     """
     return _weak_resilience(g, _sweep(g), budget)
 
@@ -178,14 +177,16 @@ def _weak_resilience(g: BipartiteGraph, sweep: flow_engine.ResilienceSweep, budg
         remaining -= comb(len(edges), size)
         if remaining < 0:
             raise _exhausted(size - 1)
+    # The certified failing subsets of size ell, as indices into edges: the
+    # rows of degree ell, each a run of edges after those of the rows before
+    # it.  They exist only where ell = d_min, and the first ranks least, so
+    # only it is ranked.  A test of every subset in order stops at the
+    # least-ranked candidate or earlier, so a budget left above its rank
+    # answers ell - 1.
     degrees = g.left_degrees()
-    if ell == min(degrees):
-        # The first row of least degree has its edges at p, p + 1, ... in
-        # sorted order, so comb(|E|, ell) - comb(|E| - p, ell) subsets of
-        # size ell come before them; that many tests and one more reach a
-        # subset that fails, theirs or an earlier one.
-        p = sum(degrees[: degrees.index(ell)])
-        if remaining > comb(len(edges), ell) - comb(len(edges) - p, ell):
+    candidates = [range(p, p + d) for p, d in zip(accumulate(degrees, initial=0), degrees) if d == ell]
+    for c in candidates[:1]:
+        if remaining > _lex_rank(c, len(edges)):
             return ell - 1
     if remaining <= 0:
         # What the first subset below would raise, before the witness is
@@ -211,6 +212,16 @@ def _weak_resilience(g: BipartiteGraph, sweep: flow_engine.ResilienceSweep, budg
             return size - 1
     # Unreachable for nonempty graphs: removing all edges kills the matching.
     return len(edges) - 1
+
+
+def _lex_rank(indices, n: int) -> int:
+    """Index of ascending ``indices`` in ``combinations(range(n), len(indices))``.
+
+    Combinatorial number system: the subsets after it are, for each t, the
+    C(n - 1 - c_t, k - t) that agree with it before t and then lie above c_t.
+    """
+    k = len(indices)
+    return comb(n, k) - 1 - sum(comb(n - 1 - c, k - t) for t, c in enumerate(indices))
 
 
 def _exhausted(verified: int) -> BudgetExceededError:

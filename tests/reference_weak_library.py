@@ -5,9 +5,9 @@ certified bounds strong <= weak <= d_min - 1: g is solved once for a
 left-perfect matching M, and every removal subset is enumerated from size
 1, one budget unit each, with a pool of the matchings found so far.  The
 library now charges the sizes below ell* in bulk and returns without
-enumerating when ell* = d_min; the tests require it to give the same value,
-or the same ``BudgetExceededError.lower_bound``, as this loop at every
-budget.
+enumerating once the budget passes the lexicographic rank of a certified
+failing subset; the tests require it to give the same value, or the same
+``BudgetExceededError.lower_bound``, as this loop at every budget.
 """
 
 from itertools import combinations

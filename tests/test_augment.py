@@ -385,8 +385,24 @@ class TestComplementMatchingStructure:
         assert sp.complement_matching_structure(sp.complete_graph(3, 3)) == 0
 
     def test_rejects_non_square(self, fig7_graph):
-        with pytest.raises(PreconditionFailedError):
+        with pytest.raises(PreconditionFailedError, match=r"must be square \(n_left == n_right\)"):
             sp.complement_matching_structure(fig7_graph)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [{(0, 0), (1, 1), (1, 0)}, {(0, 0), (1, 0)}, {(1, 1)}],
+        ids=["uneven-rows", "shared-column", "empty-row"],
+    )
+    def test_rejects_non_union(self, edges):
+        g = sp.BipartiteGraph(2, 2, frozenset(edges))
+        with pytest.raises(PreconditionFailedError, match="not a union of disjoint perfect"):
+            sp.complement_matching_structure(g)
+
+    def test_diagonal_past_the_dense_cap(self):
+        # The complement of the 1100 x 1100 diagonal has 1,208,900 cells,
+        # past the dense-size cap, and is never built.
+        g = sp.BipartiteGraph(1100, 1100, frozenset((i, i) for i in range(1100)))
+        assert sp.complement_matching_structure(g) == 1099
 
 
 class TestOracleAgreement:

@@ -39,6 +39,7 @@ K77_TEXT = "7 7\n" + "* * * * * * *\n" * 7
 GAP4_TEXT = "4 4\n* * * 0\n* 0 0 *\n0 * 0 *\n0 0 * *\n"
 P36_TEXT = "3 6\n* * * * 0 0\n0 * * * * 0\n* 0 * 0 * *\n"
 DEF23_TEXT = "2 3\n* 0 0\n0 0 0\n"
+ROW2_TEXT = "3 4\n0 * * *\n* 0 0 *\n* * * *\n"
 ALL_PASSED = (
     "PASS: rank flow vs oracle\n"
     "PASS: strong resilience flow vs oracle\n"
@@ -283,6 +284,13 @@ class TestPinnedRuns:
             # Fig 3's 10 edges cover size 1 but no subset of size ell* = 2.
             (FIG3_TEXT, ["resilience", "--weak", "--budget", "10"], 4, "",
              "sprank: budget exceeded: weak resilience budget exhausted; >= 1 certified\n"),
+            # ell* = d_min = 2 and |E| = 9, with row 2's edges at indices 3
+            # and 4: after the 9 subsets of size 1, they rank 21 in size 2,
+            # so a budget of 30 runs out and 31 reaches them.
+            (ROW2_TEXT, ["resilience", "--weak", "--budget", "30"], 4, "",
+             "sprank: budget exceeded: weak resilience budget exhausted; >= 1 certified\n"),
+            (ROW2_TEXT, ["resilience", "--weak", "--budget", "31"], 0,
+             "weak_resilience: 1\n", ""),
             # Fig 3 has d_min = 2: at target 1 the checked sweep finds it
             # met; at target 2 the bound proves it short without a sweep.
             (FIG3_TEXT, ["augment", "--target", "1"], 0,
@@ -315,9 +323,10 @@ class TestPinnedRuns:
         ids=[
             "fig7-verify", "k66-verify", "k77-weak-budget", "k77-weak",
             "gap4-verify", "gap4-weak", "gap4-weak-json", "def23-weak-json",
-            "fig3-weak-budget", "fig3-target-1", "fig3-target-2", "p36-target-4",
-            "p36-target-5", "fig7-target-2", "fig7-budget-1", "fig7-budget-2",
-            "def23-budget-0", "def23-budget-1", "fig7-target-abc",
+            "fig3-weak-budget", "row2-weak-budget-30", "row2-weak-budget-31",
+            "fig3-target-1", "fig3-target-2", "p36-target-4", "p36-target-5",
+            "fig7-target-2", "fig7-budget-1", "fig7-budget-2", "def23-budget-0",
+            "def23-budget-1", "fig7-target-abc",
         ],
     )
     def test_run(self, tmp_path, capsys, text, args, code, out, err):

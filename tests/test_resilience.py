@@ -2,6 +2,7 @@ import math
 import random
 import time
 import tracemalloc
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -455,7 +456,7 @@ class TestWeakResilience:
     @differential
     @given(st.one_of(small_graphs(), hub_graphs(), planted_hubs()))
     def test_bounds_match_enumeration_reference(self, g):
-        # The bulk charge below ell*, the return where ell* = d_min and the
+        # The bulk charge below ell*, the lexicographic-rank return and the
         # enumeration from ell* answer or run out exactly where the
         # enumeration from size 1 and the oracle do.  S(k) charges every
         # subset up to size k; B0 is the oracle's full cost, every subset
@@ -469,6 +470,13 @@ class TestWeakResilience:
         w = oracle.brute_weak_resilience(g)
         b0 = sum(math.comb(size, s) for s in range(w + 1))
         budgets = {0, 1, size, charge(ell - 1), charge(ell - 1) + 1, charge(ell), charge(ell) + 1}
+        degrees = g.left_degrees()
+        if ell in degrees:
+            # The first row of degree ell*: its edges start at index p, so
+            # C(size, ell) - C(size - p, ell) subsets of size ell* precede them.
+            p = sum(degrees[: degrees.index(ell)])
+            rank = math.comb(size, ell) - math.comb(size - p, ell)
+            budgets |= {charge(ell - 1) + rank, charge(ell - 1) + rank + 1}
         for budget in sorted(budgets | {b0, b0 + 1}):
             solvers = [
                 lambda: sp.weak_resilience(g, budget),
@@ -479,6 +487,27 @@ class TestWeakResilience:
                 solvers.append(lambda: oracle.brute_weak_resilience(g, capped))
             outcomes = [_outcome(solve) for solve in solvers]
             assert len(set(outcomes)) == 1, (budget, outcomes)
+
+    def test_first_row_of_least_degree_ranks_least(self, monkeypatch):
+        # Rows 2 and 4 both have d_min = ell* = 2 edges.  Row 2's, at indices
+        # 4 and 5 of 13, rank 42 in size 2, row 4's 77: 13 + 42 + 1 units
+        # answer with no subset tested, one fewer runs out.
+        rows = ["0 * * * *", "* 0 0 * 0", "* * * * *", "0 * 0 0 *"]
+        g = sp.BipartiteGraph(4, 5, frozenset(
+            (i, j) for i, row in enumerate(rows) for j, c in enumerate(row.split()) if c == "*"
+        ))
+        extracted = count_calls(monkeypatch, resilience_mod, "_colour_matchings")
+        assert sp.weak_resilience(g, budget=56) == 1
+        assert extracted == [0]
+        with pytest.raises(BudgetExceededError) as exc:
+            sp.weak_resilience(g, budget=55)
+        assert exc.value.lower_bound == 1
+
+    def test_lex_rank_is_the_combinations_index(self):
+        for n in range(9):
+            for k in range(n + 1):
+                for index, subset in enumerate(combinations(range(n), k)):
+                    assert resilience_mod._lex_rank(subset, n) == index, (n, subset)
 
     def test_pool_saves_the_searches_on_complete_6x6(self, monkeypatch):
         # Every subset of the 36 edges that misses a matching already found
