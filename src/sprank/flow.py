@@ -31,16 +31,19 @@ the flow is the flow of the resilience network at level b:
 * :func:`min_cost_b_matching` solves the 0/1-cost fair b-matching on the
   implicit complete graph by the primal-dual method: fills over the arcs
   of zero reduced cost, starting from the maximum b-matching of g itself,
-  alternate with one Dijkstra each, and the final dual potentials certify
-  the result; lifting a union of k matchings by ell is the same solve at
-  b = k+ell.  The complement of g is never listed: a pair outside g costs
-  1, so its column matters only through its potential, and the columns
-  are grouped into potential classes.  The Dijkstra, the fills and the
-  certificate each treat a class as a whole, skipping only the row's own
-  columns in g and H, so a solve costs about (|E| + n*b) per class rather
-  than n*m.  Each fill first gives a short row, in one pass, the
-  columns a search from it would pick first, and searches only for the
-  units still missing;
+  alternate with one raise of the potentials each, and the final dual
+  potentials certify the result; lifting a union of k matchings by ell is
+  the same solve at b = k+ell.  The first raise reads its distances off
+  the first fill's cut, 0 inside it and 1 outside, where a cut row has a
+  column with room outside its pairs; a later raise, or a first one
+  without such a row, runs one Dijkstra.  The complement of g is never
+  listed: a pair outside g costs 1, so its column matters only through
+  its potential, and the columns are grouped into potential classes.  The
+  Dijkstra, the fills and the certificate each treat a class as a whole,
+  skipping only the row's own columns in g and H, so a solve costs about
+  (|E| + n*b) per class rather than n*m.  Each fill first gives a short
+  row, in one pass, the columns a search from it would pick first, and
+  searches only for the units still missing;
 * weak resilience starts from the sweep and, where its bounds do not
   settle it, repairs per removal subset S one of the witness's matchings
   by a level-1 fill of g - S (:meth:`_BMatching.repair`); the min cut of
@@ -283,6 +286,13 @@ def _classes(pi_col: list[int]) -> dict[int, list[int]]:
     return classes
 
 
+def _open_path(b: int) -> VerificationError:
+    """A raise's refusal: t lies at reduced cost 0 from a short row."""
+    return VerificationError(
+        f"a path of reduced cost 0 remains at level {b}; the fill was not maximum"
+    )
+
+
 class _BMatching:
     """A b-matching H of K(n, m): the flow of s -> rows -> columns -> t.
 
@@ -444,7 +454,7 @@ class _BMatching:
         Each short row i first takes, in one pass, the columns the search
         would pick first from i.  Before the first raise these are the
         columns of ``reach[i]`` it does not hold and that have room.  After
-        a raise, a short row has been a source of every Dijkstra and is
+        a raise, a short row has been a source of every raise and is
         still at potential 0, below t, so ``reach[i]`` holds only full
         columns; where pi(i) + 1 is pi(t) the search then stops at the
         columns of ``room`` outside g(i) and H(i), ascending.  Only the
@@ -529,10 +539,64 @@ class _BMatching:
             raise VerificationError(f"flow {value} saturates level {b} said to fall short")
 
     def raise_potentials(self, b: int) -> bool:
+        """Raise the potentials by the distances from the short rows; False if t is out of reach.
+
+        Each potential rises by min(dist, dist(t)), dist measured in reduced
+        costs, which keeps every reduced cost >= 0 and brings a shortest
+        path to t to reduced cost 0.  The first raise reads the distances
+        off the last fill's cut where that cut shows dist(t) = 1
+        (:meth:`_raise_by_cut`); every other raise runs one Dijkstra
+        (:meth:`_raise_by_dijkstra`).  ``reach`` and ``classes`` are then
+        rebuilt from the new potentials.
+        """
+        first = self.pi_row is None
+        self._build_potentials()
+        if not ((first and self._raise_by_cut(b)) or self._raise_by_dijkstra(b)):
+            return False
+        pi_col = self.pi_col
+        self.classes = _classes(pi_col)
+        self.reach = [[j for j in cols if pi_col[j] == p] for cols, p in zip(self.adj, self.pi_row)]
+        return True
+
+    def _raise_by_cut(self, b: int) -> bool:
+        """The first raise, read off the last fill's ``cut``; False if the cut cannot tell.
+
+        At zero potentials a pair of g costs 0 and any other pair 1.  After
+        a maximum fill at level b, the nodes at distance 0 from the short
+        rows are those its failed searches reached, its cut, and every
+        other node lies at distance 1 or more.  A cut row x with a column j
+        of room outside H(x) puts t at distance 1: j is outside g(x), or
+        x's search would have taken it.  Then every node outside the cut,
+        reached or not, and t rise by min(dist, 1) = 1, with no heap.
+        Without such a row this returns False, and the Dijkstra runs.
+
+        The cut must first show t out of reach at reduced cost 0: it holds
+        every short row and no column with room, and no arc of reduced cost
+        0 leaves it, neither a pair of g outside H forward nor a pair of H
+        backward.  Otherwise the raise refuses, as the Dijkstra would.
+        """
+        rows, cols = self.cut
+        adj, row_cols, col_rows = self.adj, self.row_cols, self.col_rows
+        room = [j for j, held in enumerate(col_rows) if len(held) < b]
+        if not any(j not in row_cols[x] for x in rows for j in room):
+            return False
+        if (
+            any(len(held) < b and i not in rows for i, held in enumerate(row_cols))
+            or any(len(col_rows[j]) < b for j in cols)
+            or any(j not in cols for x in rows for j in adj[x] if j not in row_cols[x])
+            or any(w not in rows for j in cols for w in col_rows[j])
+        ):
+            raise _open_path(b)
+        self.pi_row, self.pi_col, self.pi_t = [1] * len(row_cols), [1] * len(col_rows), 1
+        for i in rows:
+            self.pi_row[i] = 0
+        for j in cols:
+            self.pi_col[j] = 0
+        return True
+
+    def _raise_by_dijkstra(self, b: int) -> bool:
         """One Dijkstra from the short rows in reduced costs; False if t is out of reach.
 
-        Each potential rises by min(dist, dist(t)), which keeps every
-        reduced cost >= 0 and brings a shortest path to t to reduced cost 0.
         Arcs out of t are left out: what they reach lies at least dist(t)
         away, and the update never adds more than dist(t).
 
@@ -542,10 +606,8 @@ class _BMatching:
         unsettled columns outside g(x) and H(x) at that distance; the ones
         it skips are charged to x's degree and b.  That is
         O((|E| + n*b)*P + m) heap work for P classes, and the distances
-        are those of the dense scan.  ``reach`` and ``classes`` are then
-        rebuilt from the new potentials.
+        are those of the dense scan.
         """
-        self._build_potentials()
         n, m = self.g.n_left, self.g.n_right
         adj, row_cols, col_rows, in_g = self.adj, self.row_cols, self.col_rows, self.in_g
         pi_row, pi_col, pi_t = self.pi_row, self.pi_col, self.pi_t
@@ -604,14 +666,10 @@ class _BMatching:
             return False
         if d_t == 0:
             # The fill before this raise was a max flow over these very arcs.
-            raise VerificationError(
-                f"a path of reduced cost 0 remains at level {b}; the fill was not maximum"
-            )
-        self.pi_row = pi_row = [p + min(d, d_t) for p, d in zip(pi_row, d_row)]
-        self.pi_col = pi_col = [p + min(d, d_t) for p, d in zip(pi_col, d_col)]
+            raise _open_path(b)
+        self.pi_row = [p + min(d, d_t) for p, d in zip(pi_row, d_row)]
+        self.pi_col = [p + min(d, d_t) for p, d in zip(pi_col, d_col)]
         self.pi_t = pi_t + d_t
-        self.classes = _classes(pi_col)
-        self.reach = [[j for j in adj[u] if pi_col[j] == pi_row[u]] for u in range(n)]
         return True
 
     def certify(self, b: int) -> int:
@@ -720,12 +778,14 @@ def min_cost_b_matching(
     """A b-matching of K(n, m) with every row at degree b and fewest pairs outside g.
 
     Returns the pairs and how many lie outside g.  Phases of max flow over
-    the zero-reduced-cost arcs alternate with one Dijkstra each until no
-    row is short; the first phase, at zero potentials, is the maximum
-    b-matching of g, so only the rows it leaves short cost a Dijkstra.
-    The final potentials certify the result.  The complement of g is
-    never listed, so the n*b pairs returned, not the n*m cells, are held
-    to the dense-size cap.
+    the zero-reduced-cost arcs alternate with one raise of the potentials
+    each until no row is short; the first phase, at zero potentials, is the
+    maximum b-matching of g, so only the rows it leaves short cost a raise.
+    The first raise is read off that phase's cut where the cut shows t one
+    step away, with no Dijkstra; every later raise runs one.  The final
+    potentials certify the result.  The complement of g is never listed,
+    so the n*b pairs returned, not the n*m cells, are held to the
+    dense-size cap.
     """
     check_dense_size(g.n_left, b)
     h = _BMatching(g)

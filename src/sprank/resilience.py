@@ -20,7 +20,7 @@ pool, and the first failed repair decides, proven by that engine's min cut.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, islice
 from math import comb
 
 from . import flow as flow_engine
@@ -180,12 +180,12 @@ def _weak_resilience(g: BipartiteGraph, sweep: flow_engine.ResilienceSweep, budg
     # The certified failing subsets of size ell, as indices into edges: the
     # rows of degree ell, each a run of edges after those of the rows before
     # it.  They exist only where ell = d_min, and the first ranks least, so
-    # only it is ranked.  A test of every subset in order stops at the
-    # least-ranked candidate or earlier, so a budget left above its rank
-    # answers ell - 1.
+    # only it is laid out and ranked.  A test of every subset in order stops
+    # at the least-ranked candidate or earlier, so a budget left above its
+    # rank answers ell - 1.
     degrees = g.left_degrees()
-    candidates = [range(p, p + d) for p, d in zip(accumulate(degrees, initial=0), degrees) if d == ell]
-    for c in candidates[:1]:
+    candidates = (range(p, p + d) for p, d in zip(accumulate(degrees, initial=0), degrees) if d == ell)
+    for c in islice(candidates, 1):
         if remaining > _lex_rank(c, len(edges)):
             return ell - 1
     if remaining <= 0:

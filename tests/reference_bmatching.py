@@ -1,18 +1,26 @@
-"""Reference fill for the tests: a search for every augmenting path.
+"""Reference fill and raise for the tests.
 
-This is ``sprank.flow._BMatching.fill`` as it was before the direct picks:
-every unit a short row needs runs the breadth-first search, even when the
-row's own ``reach`` has a column with room, or, after a raise, when its
-class is that of t and ``room`` has a column outside g(r) and H(r).  The
-engine's fill takes those columns in one pass per row, as the search's own
-first picks; the tests require the engine and :class:`SearchOnlyBMatching`
-to produce the same b-matchings, sweeps, costs and repairs.
+:class:`SearchOnlyBMatching` is ``sprank.flow._BMatching.fill`` as it was
+before the direct picks: every unit a short row needs runs the
+breadth-first search, even when the row's own ``reach`` has a column with
+room, or, after a raise, when its class is that of t and ``room`` has a
+column outside g(r) and H(r).  The engine's fill takes those columns in one
+pass per row, as the search's own first picks; the tests require the engine
+and :class:`SearchOnlyBMatching` to produce the same b-matchings, sweeps,
+costs and repairs.
+
+:class:`DijkstraOnlyBMatching` is ``sprank.flow._BMatching.raise_potentials``
+as it was before the first raise read its distances off the fill's cut:
+every raise runs the Dijkstra.  The tests require the engine and it to hold
+the same b-matching and potentials after every raise.
 """
 
 from bisect import bisect_left
 from collections import deque
+import heapq
 
-from sprank.flow import _BMatching
+from sprank.errors import VerificationError
+from sprank.flow import _BMatching, _classes
 
 
 class SearchOnlyBMatching(_BMatching):
@@ -107,3 +115,93 @@ class SearchOnlyBMatching(_BMatching):
         for c in unvisited:
             free[c] = [j for j in free.get(c, ()) if j not in closed]
         return False
+
+
+class DijkstraOnlyBMatching(_BMatching):
+    """The engine with every raise done by the Dijkstra."""
+
+    def raise_potentials(self, b: int) -> bool:
+        """One Dijkstra from the short rows in reduced costs; False if t is out of reach.
+
+        Each potential rises by min(dist, dist(t)), which keeps every
+        reduced cost >= 0 and brings a shortest path to t to reduced cost 0.
+        Arcs out of t are left out: what they reach lies at least dist(t)
+        away, and the update never adds more than dist(t).
+
+        A popped row x relaxes its columns in g one by one and each class q
+        up to pi(x) + 1 as a whole, by one heap entry at distance
+        d(x) + pi(x) + 1 - q.  When that entry pops, it settles the class's
+        unsettled columns outside g(x) and H(x) at that distance; the ones
+        it skips are charged to x's degree and b.  That is
+        O((|E| + n*b)*P + m) heap work for P classes, and the distances
+        are those of the dense scan.  ``reach`` and ``classes`` are then
+        rebuilt from the new potentials.
+        """
+        self._build_potentials()
+        n, m = self.g.n_left, self.g.n_right
+        adj, row_cols, col_rows, in_g = self.adj, self.row_cols, self.col_rows, self.in_g
+        pi_row, pi_col, pi_t = self.pi_row, self.pi_col, self.pi_t
+        inf = float("inf")
+        d_row = [0 if len(held) < b else inf for held in row_cols]
+        d_col = [inf] * m
+        d_t = inf
+        settled = [False] * m
+        unsettled = dict(self.classes)  # class -> columns not yet settled, ascending
+        # (dist, 0, row), (dist, 1, column), (dist, 2, 0) for t, (dist, 3, (class, row))
+        heap = [(0, 0, i) for i in range(n) if d_row[i] == 0]
+        while heap:
+            d, side, x = heapq.heappop(heap)
+            if side == 2:
+                break
+            if side == 0:
+                if d > d_row[x]:
+                    continue
+                held, base = row_cols[x], d + pi_row[x]
+                for j in adj[x]:
+                    if j not in held:
+                        nd = base - pi_col[j]
+                        if nd < d_col[j]:
+                            d_col[j] = nd
+                            heapq.heappush(heap, (nd, 1, j))
+                for q, cols in unsettled.items():
+                    nd = base + 1 - q
+                    # A class above pi(x) + 1 holds only columns of H(x).
+                    if cols and d <= nd < d_t:
+                        heapq.heappush(heap, (nd, 3, (q, x)))
+                continue
+            if side == 1:
+                if settled[x] or d > d_col[x]:
+                    continue
+                batch = (x,)
+            else:
+                q, r = x
+                held, mine, kept, batch = row_cols[r], in_g[r], [], []
+                for j in unsettled[q]:
+                    if not settled[j]:
+                        (kept if j in held or j in mine else batch).append(j)
+                unsettled[q] = kept
+            for j in batch:
+                settled[j] = True
+                d_col[j] = d
+                rows, base = col_rows[j], d + pi_col[j]
+                if len(rows) < b and base - pi_t < d_t:
+                    d_t = base - pi_t
+                    heapq.heappush(heap, (d_t, 2, 0))
+                for w in rows:
+                    nd = base - (j not in in_g[w]) - pi_row[w]
+                    if nd < d_row[w]:
+                        d_row[w] = nd
+                        heapq.heappush(heap, (nd, 0, w))
+        if d_t == inf:
+            return False
+        if d_t == 0:
+            # The fill before this raise was a max flow over these very arcs.
+            raise VerificationError(
+                f"a path of reduced cost 0 remains at level {b}; the fill was not maximum"
+            )
+        self.pi_row = pi_row = [p + min(d, d_t) for p, d in zip(pi_row, d_row)]
+        self.pi_col = pi_col = [p + min(d, d_t) for p, d in zip(pi_col, d_col)]
+        self.pi_t = pi_t + d_t
+        self.classes = _classes(pi_col)
+        self.reach = [[j for j in adj[u] if pi_col[j] == pi_row[u]] for u in range(n)]
+        return True

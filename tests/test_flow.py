@@ -1,5 +1,7 @@
+import heapq
 import itertools
 import random
+from types import SimpleNamespace
 from unittest.mock import patch
 
 import pytest
@@ -11,15 +13,17 @@ from sprank.errors import NotMaximalError, VerificationError
 from sprank.flow import Arc, FlowNetwork, _BMatching
 
 from conftest import (
+    count_calls,
     differential,
     hub_graphs,
     planted_hub,
     random_graph,
+    random_union_of_matchings,
     shifted_union,
     small_graphs,
     weak_gap_graph,
 )
-from reference_bmatching import SearchOnlyBMatching
+from reference_bmatching import DijkstraOnlyBMatching, SearchOnlyBMatching
 from reference_flow import flow_subgraph, min_cost_max_flow, residual_cut
 
 
@@ -176,7 +180,8 @@ class TestMinCostMaxFlow:
 
 class TestFairFlowCertificate:
     # Fig 3 at b = 3 ends with potentials rows (0, 1, 1, 0), every column 1
-    # and t at 1, after one Dijkstra.
+    # and t at 1, after one raise read off the first fill's cut, rows {0, 3}
+    # and no column.
     def solved(self, g, b):
         h = _BMatching(g)
         while h.fill(b) and h.raise_potentials(b):
@@ -235,6 +240,100 @@ class TestFairFlowCertificate:
         h.row_cols = [{0}, {0}]
         with pytest.raises(VerificationError, match="column 0"):
             h.certify(1)
+
+
+class TestFirstRaise:
+    # The first raise of a fair b-matching reads its distances off the
+    # fill's cut where a cut row has a column of room outside its pairs;
+    # otherwise, and on every later raise, the Dijkstra runs.  Its result
+    # must be the Dijkstra's in either case.
+    @pytest.fixture
+    def heap_pops(self, monkeypatch):
+        """Count the heap entries the engine pops; the reference's heap is not counted."""
+        count = [0]
+
+        def heappop(heap):
+            count[0] += 1
+            return heapq.heappop(heap)
+
+        monkeypatch.setattr(
+            flow_engine, "heapq", SimpleNamespace(heappush=heapq.heappush, heappop=heappop)
+        )
+        return count
+
+    def test_every_raise_matches_the_dijkstra(self, heap_pops):
+        # Lockstep on random and dense square graphs, n <= 9, m <= 11, at
+        # every level b from 1 to m: the same H after every fill, the same
+        # potentials after every raise and the same certified cost.
+        rng = random.Random(29)
+        paths = {"cut": 0, "dijkstra": 0}
+        for trial in range(200):
+            n = rng.randint(1, 9)
+            if trial % 4:
+                g = random_graph(rng, n, rng.randint(n, 11), rng.choice((0.2, 0.5, 0.8)))
+            else:
+                g = random_graph(rng, n, n, 0.9)
+            for b in range(1, g.n_right + 1):
+                h, ref = _BMatching(g), DijkstraOnlyBMatching(g)
+                first = True
+                while True:
+                    short = h.fill(b)
+                    assert ref.fill(b) == short
+                    assert h.row_cols == ref.row_cols
+                    if not short:
+                        break
+                    before = heap_pops[0]
+                    assert h.raise_potentials(b) and ref.raise_potentials(b)
+                    assert (h.pi_row, h.pi_col, h.pi_t) == (ref.pi_row, ref.pi_col, ref.pi_t)
+                    if first:
+                        paths["dijkstra" if heap_pops[0] > before else "cut"] += 1
+                        first = False
+                cost = h.certify(b)
+                assert ref.certify(b) == cost == flow_engine.min_cost_b_matching(g, b)[1]
+        assert paths["cut"] > 0 and paths["dijkstra"] > 0, paths
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_plan_solves_pop_no_heap_entry(self, monkeypatch, heap_pops, seed):
+        # A union of ell matchings plus noise, as the plan benchmark draws
+        # it, lifted to targets ell and ell + 2: the one raise each solve
+        # needs is read off the cut.
+        rng = random.Random(seed)
+        n = rng.choice((20, 30, 40))
+        m, ell = n + rng.randint(2, n // 4 + 2), rng.choice((1, 2))
+        union = random_union_of_matchings(rng, n, m, ell)
+        noise = set(rng.sample(sorted(set(itertools.product(range(n), range(m))) - union.edges), n // 2))
+        g = sp.BipartiteGraph(n, m, union.edges | noise)
+        raises = count_calls(monkeypatch, _BMatching, "raise_potentials")
+        for k in (ell, ell + 2):
+            sp.fair_b_matching(g, k)
+        assert raises[0] >= 2
+        assert heap_pops[0] == 0
+
+    # Both rows of a 2 x 3 graph have column 0 alone: at level 1 row 1
+    # falls short and its failed search records the cut rows {0, 1},
+    # column {0}, and column 1 has room outside H(1).
+    FORGED_CUTS = {
+        "column-with-room": ({0, 1}, {0, 1}),
+        "short-row-outside": ({0}, {0}),
+        "g-column-outside": ({0, 1}, set()),
+        "h-row-outside": ({1}, {0}),
+    }
+
+    @pytest.mark.parametrize("forge", FORGED_CUTS)
+    def test_forged_cut_is_refused(self, heap_pops, forge):
+        h = _BMatching(sp.BipartiteGraph(2, 3, frozenset({(0, 0), (1, 0)})))
+        assert h.fill(1) == 1
+        assert h.cut == ({0, 1}, {0})
+        h.cut = self.FORGED_CUTS[forge]
+        with pytest.raises(VerificationError, match="reduced cost 0 remains at level 1"):
+            h.raise_potentials(1)
+        assert heap_pops[0] == 0
+
+    def test_cut_raise_on_the_true_cut(self, heap_pops):
+        h = _BMatching(sp.BipartiteGraph(2, 3, frozenset({(0, 0), (1, 0)})))
+        assert h.fill(1) == 1
+        assert h.raise_potentials(1)
+        assert (h.pi_row, h.pi_col, h.pi_t, heap_pops[0]) == ([0, 0], [0, 1, 1], 1, 0)
 
 
 class TestFirstFill:
