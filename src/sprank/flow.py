@@ -782,14 +782,22 @@ def min_cost_b_matching(
     each until no row is short; the first phase, at zero potentials, is the
     maximum b-matching of g, so only the rows it leaves short cost a raise.
     The first raise is read off that phase's cut where the cut shows t one
-    step away, with no Dijkstra; every later raise runs one.  The final
-    potentials certify the result.  The complement of g is never listed,
-    so the n*b pairs returned, not the n*m cells, are held to the
-    dense-size cap.
+    step away, with no Dijkstra; every later raise runs one.  A raise
+    brings a path to t to reduced cost 0, so the fill after it must add a
+    unit: one that adds none raises VerificationError, and at most n*b
+    phases run.  The final potentials certify the result.  The complement
+    of g is never listed, so the n*b pairs returned, not the n*m cells,
+    are held to the dense-size cap.
     """
     check_dense_size(g.n_left, b)
     h = _BMatching(g)
-    while h.fill(b) and h.raise_potentials(b):
-        pass
+    value = -1  # H's size after the last phase's fill
+    while h.fill(b):
+        held = sum(map(len, h.row_cols))
+        if held == value:
+            raise VerificationError(f"the fill after a raise at level {b} added no unit")
+        if not h.raise_potentials(b):
+            break
+        value = held
     cost = h.certify(b)
     return frozenset((i, j) for i, held in enumerate(h.row_cols) for j in held), cost

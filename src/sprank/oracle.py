@@ -8,12 +8,15 @@ algorithms so the two routes can check each other.
 
 The rank spends no budget: it is that of one seeded random realization,
 eliminated exactly over GF(p), which never exceeds the structural rank r
-and falls short only with probability at most r/(p - 1).  The disjoint-family
-search is branch-and-bound: it skips a choice that cannot beat the best
-family found so far, and stops as soon as one reaches its upper bound.
-Every backtracking search charges its nodes to ``OracleBudget.max_matchings``
-(a matching search charges every partial and complete matching it visits,
-the family search every disjointness test).  Subset enumerations charge one
+and falls short only with probability at most r/(p - 1).  Every matching
+comes from one search, ``_matchings``, in lexicographic order, as a mask
+with bit k for the k-th sorted edge; it skips the edges of a ``banned``
+mask at no charge, as if they were removed.  The disjoint-family search is
+branch-and-bound: it skips a choice that cannot beat the best family found
+so far, and stops as soon as one reaches its upper bound.  Every
+backtracking search charges its nodes to ``OracleBudget.max_matchings``
+(the matching search every partial and complete matching it visits, the
+family search every disjointness test).  Subset enumerations charge one
 unit per subset to ``max_subsets``; the weak-resilience enumeration
 searches only a subset that hits every matching it has found so far.
 Budgets count work, never wall-clock, so budget failures are deterministic.
@@ -27,7 +30,7 @@ import random
 import sys
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, combinations, count
+from itertools import combinations
 
 from .errors import BudgetExceededError, InvalidKError, VerificationError
 from .pattern import BipartiteGraph, check_dense_size, complement
@@ -57,52 +60,53 @@ _LOW = (2**31 - 1).to_bytes(8, "little")
 _HIGH = (2**33 - 1).to_bytes(8, "little")
 
 
-def _adjacency(g: BipartiteGraph) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(g.n_left)]
-    for (i, j) in sorted(g.edges):
-        adj[i].append(j)
-    return adj
+def _edge_rows(g: BipartiteGraph) -> list[list[tuple[int, int]]]:
+    """Per row i, (1 << j, 1 << k) for each edge (i, j), the k-th of the sorted edges."""
+    # Bits number edges, not cells, so a mask is at most |E| bits long.
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(g.n_left)]
+    for k, (i, j) in enumerate(g.sorted_edges):
+        rows[i].append((1 << j, 1 << k))
+    return rows
 
 
-def _edge_index(adj: list[list[int]]) -> list[dict[int, int]]:
-    """Per row i, column j -> k when (i, j) is the k-th of the sorted edges."""
-    starts = accumulate(map(len, adj), initial=0)
-    return [dict(zip(cols, count(k))) for cols, k in zip(adj, starts)]
+def _matchings(rows: list[list[tuple[int, int]]], max_nodes: int, banned: int = 0):
+    """Yield every left-perfect matching of ``rows`` as its edge mask.
 
-
-def _left_perfect_matchings(adj: list[list[int]], max_nodes: int):
-    """Yield every left-perfect matching of ``adj`` as its columns, one per row in index order.
-
-    Rows choose their columns in turn, each from its adjacency list in
-    order, so sorted lists give the matchings in lexicographic order.
-    Every search node, each matching included, is charged to ``max_nodes``.
-    The search keeps its own stack instead of recursing,
-    so no row count reaches Python's recursion limit.
+    ``rows[i]`` lists row i's edges as ``_edge_rows`` builds them.  Rows
+    choose an edge in turn, each in list order, so sorted rows give the
+    matchings in lexicographic order of their columns.  The root and every
+    edge taken, each completed matching included, cost one node of
+    ``max_nodes``.  An edge whose column is taken, or whose bit is in
+    ``banned``, is skipped at no charge: banning edges costs what a search
+    of the graph less them would.  The search keeps its own stack instead
+    of recursing, so no row count reaches Python's recursion limit.
     """
-    n = len(adj)
-    used: set[int] = set()
-    taken: list[int] = []  # the column of each decided row
-    choices = [iter(adj[0])]  # the columns left to try at each open row
+    last = len(rows) - 1
+    cols = mask = 0  # the column and edge bits of the decided rows
+    stack = []  # each decided row's choices left, column bit and edge bit
+    choices = iter(rows[0])
     nodes = 1
-    while choices:
-        j = next(choices[-1], None)
-        if j is None:
-            choices.pop()
-            if taken:
-                used.discard(taken.pop())
-            continue
-        if j in used:
-            continue
-        nodes += 1
-        if nodes > max_nodes:
-            raise BudgetExceededError(f"matching search exceeded {max_nodes} nodes")
-        taken.append(j)
-        if len(taken) == n:
-            yield tuple(taken)
-            taken.pop()
-            continue
-        used.add(j)
-        choices.append(iter(adj[len(taken)]))
+    while True:
+        for c, e in choices:
+            if cols & c or banned & e:
+                continue
+            nodes += 1
+            if nodes > max_nodes:
+                raise BudgetExceededError(f"matching search exceeded {max_nodes} nodes")
+            if len(stack) == last:
+                yield mask | e
+                continue
+            stack.append((choices, c, e))
+            cols |= c
+            mask |= e
+            choices = iter(rows[len(stack)])
+            break
+        else:
+            if not stack:
+                return
+            choices, c, e = stack.pop()
+            cols ^= c
+            mask ^= e
 
 
 def _pack(row: list[tuple[int, int]]) -> tuple[int, int]:
@@ -199,18 +203,22 @@ def _rank_mod_p(rows: list[list[tuple[int, int]]]) -> int:
 def brute_rank(g: BipartiteGraph, rng: random.Random | None = None) -> int:
     """Structural rank as the exact rank over GF(p) of one random realization.
 
-    Each star gets a residue ``rng.randrange(1, p)``, drawn in ``g.edges``
-    order, with p = 2**31 - 1.  The result never exceeds the structural
-    rank r; it falls short only when a nonzero polynomial of degree r in
-    the draws vanishes, which happens with probability at most r/(p - 1)
-    (Schwartz-Zippel).  The default seed makes the answer deterministic.
+    Each star gets the residue that ``rng.randrange(1, p)`` would draw,
+    drawn in ``g.edges`` order, with p = 2**31 - 1.  The result never
+    exceeds the structural rank r; it falls short only when a nonzero
+    polynomial of degree r in the draws vanishes, which happens with
+    probability at most r/(p - 1) (Schwartz-Zippel).  The default seed makes the answer deterministic.
     """
     # Fill-in can grow the packed rows to n x m slots.
     check_dense_size(g.n_left, g.n_right)
-    draw = (rng if rng is not None else random.Random(20240817)).randrange
+    bits = (rng if rng is not None else random.Random(20240817)).getrandbits
     rows: list[list[tuple[int, int]]] = [[] for _ in range(g.n_left)]
     for (i, j) in g.edges:
-        rows[i].append((j, draw(1, _PRIME)))
+        # randrange(1, p)'s own draw: 31 random bits, redrawn until below p - 1.
+        r = bits(31)
+        while r >= _PRIME - 1:
+            r = bits(31)
+        rows[i].append((j, r + 1))
     return _rank_mod_p(rows)
 
 
@@ -222,7 +230,8 @@ def enumerate_left_perfect_matchings(
     The search may visit at most ``cap`` nodes, each matching included;
     running out raises BudgetExceededError with ``lower_bound`` None.
     """
-    return [frozenset(enumerate(cols)) for cols in _left_perfect_matchings(_adjacency(g), cap)]
+    edges, masks = g.sorted_edges, _matchings(_edge_rows(g), cap)
+    return [frozenset(e for k, e in enumerate(edges) if mask >> k & 1) for mask in masks]
 
 
 def brute_weak_resilience(
@@ -233,23 +242,22 @@ def brute_weak_resilience(
     A pool keeps the left-perfect matchings found so far: pooled matching
     t is bit t, and ``through[k]`` has the bits of those through sorted
     edge k.  A subset whose masks OR to less than the pool misses a pooled
-    matching and passes at once.  Any other drops its edges from g's
-    adjacency, and a search of at most ``b.max_matchings`` nodes tests
-    what is left for a left-perfect matching, which joins the pool.
+    matching and passes at once.  A search of g of at most
+    ``b.max_matchings`` nodes that bans any other subset's edges tests g
+    less them for a left-perfect matching, which joins the pool.
     Subsets come in increasing size, edges in sorted order, one unit of
     ``b.max_subsets`` each but the empty one, g itself.  Running out of
     either budget raises BudgetExceededError with the certified lower
     bound: -1 while g itself is untested.
     """
-    adj = _adjacency(g)
-    index = _edge_index(adj)
-    edges = g.sorted_edges
-    through = [0] * len(edges)
+    rows = _edge_rows(g)
+    n_edges = len(g.edges)
+    through = [0] * n_edges
     pool = 0
     remaining = b.max_subsets + 1  # the empty subset, g itself, is free
     verified = -1
-    for size in range(len(edges) + 1):
-        for removed in combinations(range(len(edges)), size):
+    for size in range(n_edges + 1):
+        for removed in combinations(range(n_edges), size):
             if remaining <= 0:
                 raise BudgetExceededError(
                     f"subset budget exhausted; >= {verified} certified",
@@ -261,12 +269,11 @@ def brute_weak_resilience(
                 hit |= through[k]
             if hit != pool:
                 continue
-            reduced = adj.copy()
+            banned = 0
             for k in removed:
-                i, j = edges[k]
-                reduced[i] = [c for c in reduced[i] if c != j]
+                banned |= 1 << k
             try:
-                found = next(_left_perfect_matchings(reduced, b.max_matchings), None)
+                found = next(_matchings(rows, b.max_matchings, banned), None)
             except BudgetExceededError as exc:
                 raise BudgetExceededError(
                     f"{exc}; weak resilience >= {verified}", lower_bound=verified
@@ -274,25 +281,13 @@ def brute_weak_resilience(
             if found is None:
                 return size - 1
             bit = pool + 1  # the lowest bit not yet in use
-            for row, j in zip(index, found):
-                through[row[j]] |= bit
+            while found:
+                low = found & -found
+                through[low.bit_length() - 1] |= bit
+                found ^= low
             pool |= bit
         verified = size
-    return len(edges) - 1
-
-
-def _matching_masks(g: BipartiteGraph, max_nodes: int) -> list[int]:
-    """``enumerate_left_perfect_matchings(g, max_nodes)`` as ints, bit k for sorted edge k."""
-    # Bits number edges, not cells, so a mask is at most |E| bits long.
-    adj = _adjacency(g)
-    index = _edge_index(adj)
-    masks = []
-    for cols in _left_perfect_matchings(adj, max_nodes):
-        mask = 0
-        for row, j in zip(index, cols):
-            mask |= 1 << row[j]
-        masks.append(mask)
-    return masks
+    return n_edges - 1
 
 
 def _disjoint_family(matchings: list[int], stop: int, max_tests: int) -> int:
@@ -345,7 +340,7 @@ def brute_strong_resilience(
     units; BudgetExceededError's ``lower_bound`` is None if the enumeration
     runs out, and the best family minus one if the family search does.
     """
-    matchings = _matching_masks(g, b.max_matchings)
+    matchings = list(_matchings(_edge_rows(g), b.max_matchings))
     if not matchings:
         return -1
     return _disjoint_family(matchings, min(g.left_degrees()), b.max_matchings) - 1
@@ -363,7 +358,7 @@ def has_disjoint_matchings(
         return True
     if min(g.left_degrees()) < k:
         return False
-    matchings = _matching_masks(g, cap)
+    matchings = list(_matchings(_edge_rows(g), cap))
     return _disjoint_family(matchings, k, cap) >= k
 
 

@@ -1,22 +1,72 @@
 """Reference resilience oracles for the tests: matchings as frozensets.
 
-``sprank.oracle`` once held these four functions verbatim.  The library
-now keeps each matching, and each edge's set of pooled matchings, as one
-int bitmask; the tests require it to return the same value, or raise the
-same ``BudgetExceededError``, as these.
+``sprank.oracle`` once held these functions verbatim.  The library now
+keeps each matching, and each edge's set of pooled matchings, as one int
+bitmask; the tests require it to return the same value, or raise the
+same ``BudgetExceededError``, as these.  ``_left_perfect_matchings`` is
+the matching search the library ran before its search yielded edge
+masks and skipped a banned edge mask: the frozen reference its kernel
+must match in order and in node charges.
 """
 
 from itertools import combinations
 
 from sprank.errors import BudgetExceededError
-from sprank.oracle import (
-    DEFAULT_BUDGET,
-    OracleBudget,
-    _adjacency,
-    _left_perfect_matchings,
-    enumerate_left_perfect_matchings,
-)
+from sprank.oracle import DEFAULT_BUDGET, OracleBudget
 from sprank.pattern import BipartiteGraph, MatchingPool
+
+
+def _adjacency(g: BipartiteGraph) -> list[list[int]]:
+    adj: list[list[int]] = [[] for _ in range(g.n_left)]
+    for (i, j) in sorted(g.edges):
+        adj[i].append(j)
+    return adj
+
+
+def _left_perfect_matchings(adj: list[list[int]], max_nodes: int):
+    """Yield every left-perfect matching of ``adj`` as its columns, one per row in index order.
+
+    Rows choose their columns in turn, each from its adjacency list in
+    order, so sorted lists give the matchings in lexicographic order.
+    Every search node, each matching included, is charged to ``max_nodes``.
+    The search keeps its own stack instead of recursing,
+    so no row count reaches Python's recursion limit.
+    """
+    n = len(adj)
+    used: set[int] = set()
+    taken: list[int] = []  # the column of each decided row
+    choices = [iter(adj[0])]  # the columns left to try at each open row
+    nodes = 1
+    while choices:
+        j = next(choices[-1], None)
+        if j is None:
+            choices.pop()
+            if taken:
+                used.discard(taken.pop())
+            continue
+        if j in used:
+            continue
+        nodes += 1
+        if nodes > max_nodes:
+            raise BudgetExceededError(f"matching search exceeded {max_nodes} nodes")
+        taken.append(j)
+        if len(taken) == n:
+            yield tuple(taken)
+            taken.pop()
+            continue
+        used.add(j)
+        choices.append(iter(adj[len(taken)]))
+
+
+def enumerate_left_perfect_matchings(
+    g: BipartiteGraph, cap: int = DEFAULT_BUDGET.max_matchings
+) -> list[frozenset[tuple[int, int]]]:
+    """All left-perfect matchings, rows matched in index order.
+
+    The search may visit at most ``cap`` nodes, each matching included;
+    running out raises BudgetExceededError with ``lower_bound`` None.
+    """
+    return [frozenset(enumerate(cols)) for cols in _left_perfect_matchings(_adjacency(g), cap)]
 
 
 def _first_left_perfect_matching(

@@ -9,8 +9,10 @@ value, or the same ``BudgetExceededError.lower_bound``, as this loop.
 from itertools import combinations
 
 from sprank.errors import BudgetExceededError
-from sprank.oracle import DEFAULT_BUDGET, OracleBudget, _adjacency, _left_perfect_matchings
+from sprank.oracle import DEFAULT_BUDGET, OracleBudget
 from sprank.pattern import BipartiteGraph
+
+from reference_oracle import _adjacency, _left_perfect_matchings
 
 
 def _has_left_perfect_matching(adj: list[list[int]], max_nodes: int, certified: int) -> bool:

@@ -221,6 +221,26 @@ class TestFairFlowCertificate:
         with pytest.raises(VerificationError, match="reduced cost"):
             h.certify(2)
 
+    def test_raise_that_frees_no_path_is_refused(self, monkeypatch, fig3_graph):
+        # A forged raise that lifts only pi(t) brings no path to reduced
+        # cost 0, so the next fill adds no unit.  The solve must refuse
+        # rather than raise again; the forgery gives up after 50 raises, so
+        # a solve that keeps raising fails here instead of hanging.
+        raises = [0]
+
+        def lift_t_only(self, b):
+            raises[0] += 1
+            if raises[0] > 50:
+                pytest.fail("min_cost_b_matching kept raising after fills that added nothing")
+            self._build_potentials()
+            self.pi_t += 1
+            return True
+
+        monkeypatch.setattr(_BMatching, "raise_potentials", lift_t_only)
+        with pytest.raises(VerificationError, match="after a raise at level 3 added no unit"):
+            flow_engine.min_cost_b_matching(fig3_graph, 3)
+        assert raises[0] == 1
+
     def test_raise_after_no_fill_is_refused(self, fig7_graph):
         # With no fill every row is short and reaches a column with room
         # over its own edge: t lies at reduced cost 0, so the raise refuses.

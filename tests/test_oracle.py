@@ -63,6 +63,42 @@ class TestBruteRank:
         g = sp.BipartiteGraph(3, 3, frozenset({(0, 0), (0, 1), (0, 2)}))
         assert oracle.brute_rank(g) == 1
 
+    def test_residues_are_the_randrange_draws(self, monkeypatch):
+        # brute_rank draws 31 bits at a time itself; the residues it hands
+        # the elimination must be the ones randrange(1, p) draws, in
+        # g.edges order, so the seed keeps its realization.
+        p = oracle._PRIME
+        rank_mod_p, seen = oracle._rank_mod_p, []
+
+        def captured(rows):
+            seen.append([list(row) for row in rows])
+            return rank_mod_p(rows)
+
+        def expected(g, rng):
+            rows = [[] for _ in range(g.n_left)]
+            for (i, j) in g.edges:
+                rows[i].append((j, rng.randrange(1, p)))
+            return rows
+
+        class Scripted(random.Random):
+            # Opens with the two 31-bit values that randrange(1, p) rejects.
+            def seed(self, *args, **kwargs):
+                self.script = [p - 1, p]
+                super().seed(*args, **kwargs)
+
+            def getrandbits(self, k):
+                return self.script.pop(0) if self.script else super().getrandbits(k)
+
+        monkeypatch.setattr(oracle, "_rank_mod_p", captured)
+        shapes = random.Random(41)
+        for s in range(12):
+            g = random_graph(shapes, shapes.randint(1, 8), shapes.randint(1, 9))
+            for make in (random.Random, Scripted):
+                oracle.brute_rank(g, make(s))
+                assert seen.pop() == expected(g, make(s)), (s, make)
+            oracle.brute_rank(g)
+            assert seen.pop() == expected(g, random.Random(20240817)), s
+
     def test_matches_flow_rank(self):
         rng = random.Random(83)
         for _ in range(30):
@@ -414,6 +450,93 @@ class TestFrozenReference:
                 seen.add(got[0] if got[0] == "value" else got[1].split()[0])
         # Values, and budget errors from both the subsets and a matching search.
         assert seen == {"value", "subset", "matching"}
+
+
+class _Meter:
+    """A node cap that never runs out and logs each node count checked against it."""
+
+    def __init__(self, log: list):
+        self.log = log
+
+    def __lt__(self, nodes):  # nodes > cap, or cap < nodes; any other test is a TypeError
+        self.log.append(nodes)
+        return False
+
+
+def _drained(search) -> tuple[int, tuple[str, object] | None]:
+    """How many matchings a search yields before it ends, and its budget error, if any."""
+    count = 0
+    try:
+        for _ in search:
+            count += 1
+    except BudgetExceededError as exc:
+        return count, (str(exc), exc.lower_bound)
+    return count, None
+
+
+class TestMatchingKernel:
+    # The mask kernel in lockstep with the column-tuple search it replaced,
+    # kept verbatim in reference_oracle: a metered cap logs every node each
+    # search charges between the matchings it yields, and the two logs must
+    # be equal.  Then at every cap up to the node total both searches must
+    # yield as many matchings and raise the same budget error.
+    GRAPHS = _frozen_reference_graphs()
+
+    @staticmethod
+    def _searches(g, banned_edges=frozenset()):
+        """The kernel on g banning ``banned_edges``, and the reference on g less them.
+
+        Each is a function of the cap, yielding what its search yields.
+        """
+        banned = sum(1 << k for k, e in enumerate(g.sorted_edges) if e in banned_edges)
+        rows = oracle._edge_rows(g)
+        adj = reference_oracle._adjacency(
+            sp.BipartiteGraph(g.n_left, g.n_right, g.edges - banned_edges)
+        )
+        return (
+            lambda cap: oracle._matchings(rows, cap, banned),
+            lambda cap: reference_oracle._left_perfect_matchings(adj, cap),
+        )
+
+    @staticmethod
+    def _log(g, kernel, reference) -> tuple[list, list]:
+        """Each search's log: its node charges and, as sets of edges, its matchings."""
+        edges = g.sorted_edges
+        logs: tuple[list, list] = ([], [])
+        for mask in kernel(_Meter(logs[0])):
+            logs[0].append({e for k, e in enumerate(edges) if mask >> k & 1})
+        for cols in reference(_Meter(logs[1])):
+            logs[1].append(set(enumerate(cols)))
+        return logs
+
+    def test_same_matchings_and_node_charges(self):
+        totals = set()
+        for g in self.GRAPHS:
+            kernel, reference = self._searches(g)
+            got, log = self._log(g, kernel, reference)
+            assert got == log, g
+            total = max((x for x in log if isinstance(x, int)), default=1)
+            for cap in range(1, total + 1):
+                outcome = _drained(reference(cap))
+                assert _drained(kernel(cap)) == outcome, (g, cap)
+                assert outcome[1] == (
+                    None if cap == total else (f"matching search exceeded {cap} nodes", None)
+                )
+            matchings = [x for x in log if isinstance(x, set)]
+            assert matchings == [set(m) for m in oracle.enumerate_left_perfect_matchings(g)]
+            totals.add((len(matchings), total))
+        # K(6,6): 6! matchings, and 1 + 6 + 30 + 120 + 360 + 720 + 720 nodes.
+        assert (720, 1957) in totals
+        assert any(count == 0 and total > 1 for count, total in totals)
+
+    def test_banned_edges_as_if_removed(self):
+        rng = random.Random(3011)
+        for g in self.GRAPHS:
+            edges = g.sorted_edges
+            for size in (1, 2, 3, len(edges) // 2, len(edges)):
+                banned = frozenset(rng.sample(edges, min(size, len(edges))))
+                got, log = self._log(g, *self._searches(g, banned))
+                assert got == log, (g, banned)
 
 
 class TestBruteMinAugmentation:

@@ -153,3 +153,22 @@ def test_only_the_checked_sweep_entry_runs_the_sweep():
             or (isinstance(node, ast.alias) and node.name == "resilience_sweep")
         ]
     assert found == [("resilience.py", "_sweep")], found
+
+
+def test_oracle_has_one_matching_search():
+    # Every oracle route enumerates matchings through one search kernel,
+    # which yields edge masks and bans edges by mask; the column-tuple
+    # search it replaced lives on only in the tests' frozen reference.
+    path = Path(sprank.__file__).parent / "oracle.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    functions = [
+        node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    generators = [
+        fn.name
+        for fn in functions
+        if any(isinstance(node, (ast.Yield, ast.YieldFrom)) for node in ast.walk(fn))
+    ]
+    assert len(generators) == 1, f"oracle.py defines generator functions {generators}"
+    retired = {fn.name for fn in functions} & {"_adjacency", "_edge_index", "_left_perfect_matchings"}
+    assert not retired, f"oracle.py still defines {sorted(retired)}"
