@@ -315,24 +315,19 @@ class _BMatching:
     those are the search's own first picks, so the contract holds, and
     :meth:`_search` runs only for the units the pass leaves.
 
-    Before the first raise every potential is 0, ``reach`` is g's own
-    adjacency, no pair outside g has reduced cost 0, and H is the flow of
-    ``build_resilience_network(g, b)``.  Rank and the sweep never raise,
-    so the potentials, the classes and g's column sets are built on first
-    use; ``pi_row`` is None until then.  ``repair`` never raises either; it
-    narrows ``reach`` to a subgraph of g.  :meth:`_search` reads the last
-    fill's ``cut`` and ``room`` (see :meth:`fill`); the cut is empty until
-    the first fill.
+    ``adj`` is g's row layout, read and never copied.  Before the first
+    raise every potential is 0, ``reach`` is ``adj``, no pair outside g has
+    reduced cost 0, and H is the flow of ``build_resilience_network(g, b)``.
+    Rank and the sweep never raise, so the potentials, the classes and g's
+    column sets are built on first use; ``pi_row`` is None until then.
+    ``repair`` never raises either; it narrows ``reach`` to a subgraph of g.
+    :meth:`_search` reads the last fill's ``cut`` and ``room`` (see
+    :meth:`fill`); the cut is empty until the first fill.
     """
 
     def __init__(self, g: BipartiteGraph):
         self.g = g
-        self.adj = [[] for _ in range(g.n_left)]
-        for (i, j) in g.edges:
-            self.adj[i].append(j)
-        for cols in self.adj:
-            cols.sort()
-        self.reach = self.adj
+        self.adj = self.reach = g._layout.cols
         self.row_cols = [set() for _ in range(g.n_left)]
         self.col_rows = [set() for _ in range(g.n_right)]
         self.cut = (set(), set())
@@ -504,7 +499,7 @@ class _BMatching:
         ascending order.  H ends as a maximum flow of g minus ``removed``,
         so a failure is proven by ``verify_min_cut(1, True, removed)``.
         """
-        reach = self.reach = self.adj[:]
+        reach = self.reach = list(self.adj)
         self.row_cols = row_cols = [{j} for j in match]
         self.col_rows = col_rows = [set() for _ in range(self.g.n_right)]
         for i, j in enumerate(match):

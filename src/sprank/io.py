@@ -25,6 +25,7 @@ from .pattern import (
     _check_positive_shape,
     _checked,
     pattern_from_stars,
+    to_bipartite,
 )
 
 # The 29 code points that str.isspace() accepts, which are the ones
@@ -136,11 +137,8 @@ def _raise_row_count(src: str, n: int, found: int):
 
 
 def serialize_text(p: SparsityPattern) -> str:
-    cols_of: list[list[int]] = [[] for _ in range(p.n)]
-    for (i, j) in p.stars:
-        cols_of[i].append(j)
     lines = [f"{p.n} {p.m}"]
-    for cols in cols_of:
+    for cols in to_bipartite(p)._layout.cols:
         row = ["0"] * p.m
         for j in cols:
             row[j] = "*"

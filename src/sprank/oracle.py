@@ -9,9 +9,9 @@ algorithms so the two routes can check each other.
 The rank spends no budget: it is that of one seeded random realization,
 eliminated exactly over GF(p), which never exceeds the structural rank r
 and falls short only with probability at most r/(p - 1).  Every matching
-comes from one search, ``_matchings``, in lexicographic order, as a mask
-with bit k for the k-th sorted edge; it skips the edges of a ``banned``
-mask at no charge, as if they were removed.  The disjoint-family search is
+comes from one search, ``_matchings``, over g's row layout in lexicographic
+order, as a mask with bit k for the k-th sorted edge; it skips ``banned``
+edge indices at no charge, as if removed.  The disjoint-family search is
 branch-and-bound: it skips a choice that cannot beat the best family found
 so far, and stops as soon as one reaches its upper bound.  Every
 backtracking search charges its nodes to ``OracleBudget.max_matchings``
@@ -60,53 +60,47 @@ _LOW = (2**31 - 1).to_bytes(8, "little")
 _HIGH = (2**33 - 1).to_bytes(8, "little")
 
 
-def _edge_rows(g: BipartiteGraph) -> list[list[tuple[int, int]]]:
-    """Per row i, (1 << j, 1 << k) for each edge (i, j), the k-th of the sorted edges."""
-    # Bits number edges, not cells, so a mask is at most |E| bits long.
-    rows: list[list[tuple[int, int]]] = [[] for _ in range(g.n_left)]
-    for k, (i, j) in enumerate(g.sorted_edges):
-        rows[i].append((1 << j, 1 << k))
-    return rows
+def _matchings(g: BipartiteGraph, max_nodes: int, banned=()):
+    """Yield every left-perfect matching of g as its edge mask, bit k for the k-th sorted edge.
 
-
-def _matchings(rows: list[list[tuple[int, int]]], max_nodes: int, banned: int = 0):
-    """Yield every left-perfect matching of ``rows`` as its edge mask.
-
-    ``rows[i]`` lists row i's edges as ``_edge_rows`` builds them.  Rows
-    choose an edge in turn, each in list order, so sorted rows give the
-    matchings in lexicographic order of their columns.  The root and every
-    edge taken, each completed matching included, cost one node of
-    ``max_nodes``.  An edge whose column is taken, or whose bit is in
-    ``banned``, is skipped at no charge: banning edges costs what a search
-    of the graph less them would.  The search keeps its own stack instead
-    of recursing, so no row count reaches Python's recursion limit.
+    Rows choose an edge in turn along g's row layout, edge k of row i at
+    position k - offsets[i], so the matchings come in lexicographic order.
+    The root and every edge taken, each completed matching included, cost
+    one node of ``max_nodes``.  An edge whose column is taken, or whose
+    index is in ``banned``, is skipped at no charge: banning edges costs
+    what a search of g less them would.  Taken columns are flags in one
+    list, and a mask grows one bit per row as the search descends, so no
+    table per edge is built.  The search keeps its own stack instead of
+    recursing, so no row count reaches Python's recursion limit.
     """
+    rows, offsets = g._layout
     last = len(rows) - 1
-    cols = mask = 0  # the column and edge bits of the decided rows
-    stack = []  # each decided row's choices left, column bit and edge bit
-    choices = iter(rows[0])
+    taken = [False] * g.n_right
+    mask = 0  # the edge bits of the decided rows
+    stack = []  # each decided row's choices left, column and edge index
+    choices = enumerate(rows[0])
     nodes = 1
     while True:
-        for c, e in choices:
-            if cols & c or banned & e:
+        for k, j in choices:
+            if taken[j] or k in banned:
                 continue
             nodes += 1
             if nodes > max_nodes:
                 raise BudgetExceededError(f"matching search exceeded {max_nodes} nodes")
             if len(stack) == last:
-                yield mask | e
+                yield mask | 1 << k
                 continue
-            stack.append((choices, c, e))
-            cols |= c
-            mask |= e
-            choices = iter(rows[len(stack)])
+            stack.append((choices, j, k))
+            taken[j] = True
+            mask |= 1 << k
+            choices = enumerate(rows[len(stack)], offsets[len(stack)])
             break
         else:
             if not stack:
                 return
-            choices, c, e = stack.pop()
-            cols ^= c
-            mask ^= e
+            choices, j, k = stack.pop()
+            taken[j] = False
+            mask ^= 1 << k
 
 
 def _pack(row: list[tuple[int, int]]) -> tuple[int, int]:
@@ -230,7 +224,7 @@ def enumerate_left_perfect_matchings(
     The search may visit at most ``cap`` nodes, each matching included;
     running out raises BudgetExceededError with ``lower_bound`` None.
     """
-    edges, masks = g.sorted_edges, _matchings(_edge_rows(g), cap)
+    edges, masks = g.sorted_edges, _matchings(g, cap)
     return [frozenset(e for k, e in enumerate(edges) if mask >> k & 1) for mask in masks]
 
 
@@ -250,7 +244,6 @@ def brute_weak_resilience(
     either budget raises BudgetExceededError with the certified lower
     bound: -1 while g itself is untested.
     """
-    rows = _edge_rows(g)
     n_edges = len(g.edges)
     through = [0] * n_edges
     pool = 0
@@ -269,11 +262,8 @@ def brute_weak_resilience(
                 hit |= through[k]
             if hit != pool:
                 continue
-            banned = 0
-            for k in removed:
-                banned |= 1 << k
             try:
-                found = next(_matchings(rows, b.max_matchings, banned), None)
+                found = next(_matchings(g, b.max_matchings, removed), None)
             except BudgetExceededError as exc:
                 raise BudgetExceededError(
                     f"{exc}; weak resilience >= {verified}", lower_bound=verified
@@ -340,7 +330,7 @@ def brute_strong_resilience(
     units; BudgetExceededError's ``lower_bound`` is None if the enumeration
     runs out, and the best family minus one if the family search does.
     """
-    matchings = list(_matchings(_edge_rows(g), b.max_matchings))
+    matchings = list(_matchings(g, b.max_matchings))
     if not matchings:
         return -1
     return _disjoint_family(matchings, min(g.left_degrees()), b.max_matchings) - 1
@@ -358,8 +348,7 @@ def has_disjoint_matchings(
         return True
     if min(g.left_degrees()) < k:
         return False
-    matchings = list(_matchings(_edge_rows(g), cap))
-    return _disjoint_family(matchings, k, cap) >= k
+    return _disjoint_family(list(_matchings(g, cap)), k, cap) >= k
 
 
 def brute_min_augmentation(
@@ -373,8 +362,7 @@ def brute_min_augmentation(
     comp = complement(g).sorted_edges
     # Every row needs degree >= k*+1 in the augmented graph, which bounds
     # the answer below without any enumeration.
-    left_degs = g.left_degrees()
-    min_d = sum(max(0, (k_star + 1) - d) for d in left_degs)
+    min_d = sum(max(0, (k_star + 1) - d) for d in g.left_degrees())
     remaining = b.max_subsets
     for d in range(min_d, len(comp) + 1):
         for extra in combinations(comp, d):

@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import enum
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 
 from .errors import InvalidKError, NotDisjointError, OutOfRangeError, ShapeError
 
@@ -72,9 +75,22 @@ def _checked(cls, **fields):
     return obj
 
 
+# A graph's row layout: cols[i] holds row i's columns, ascending, and edge k
+# of row i, the k-th of the sorted edges, is cols[i][k - offsets[i]].
+# offsets has n_left + 1 entries, the last |E|.
+_RowLayout = namedtuple("_RowLayout", "cols offsets")
+
+
 @dataclass(frozen=True)
 class BipartiteGraph:
-    """Bipartite graph with left nodes 0..n_left-1 and right nodes 0..n_right-1."""
+    """Bipartite graph with left nodes 0..n_left-1 and right nodes 0..n_right-1.
+
+    ``_layout``, built on first use and kept, is its one row layout.  The
+    flow engine, weak resilience, the oracle, ``serialize_text``, the left
+    degrees and ``sorted_edges`` (so the colouring and the DOT export) read
+    it.  It holds only tuples; equality, hashing, ``repr``, copies and
+    pickles ignore it.
+    """
 
     n_left: int
     n_right: int
@@ -93,15 +109,25 @@ class BipartiteGraph:
                     f"{self.n_left} left and {self.n_right} right nodes"
                 )
 
+    @cached_property
+    def _layout(self) -> _RowLayout:
+        rows = [[] for _ in range(self.n_left)]
+        for (i, j) in self.edges:
+            rows[i].append(j)
+        for cols in rows:
+            cols.sort()
+        rows = tuple(map(tuple, rows))
+        return _RowLayout(rows, tuple(accumulate(map(len, rows), initial=0)))
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_layout"}
+
     @property
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        return [(i, j) for i, cols in enumerate(self._layout.cols) for j in cols]
 
     def left_degrees(self) -> list[int]:
-        degs = [0] * self.n_left
-        for (i, _) in self.edges:
-            degs[i] += 1
-        return degs
+        return list(map(len, self._layout.cols))
 
     def right_degrees(self) -> list[int]:
         degs = [0] * self.n_right
@@ -222,7 +248,7 @@ def degree(g: BipartiteGraph, side: str, index: int) -> int:
     if side == "left":
         if not 0 <= index < g.n_left:
             raise OutOfRangeError(f"left node a{index + 1} out of range")
-        return sum(1 for (i, _) in g.edges if i == index)
+        return len(g._layout.cols[index])
     if side == "right":
         if not 0 <= index < g.n_right:
             raise OutOfRangeError(f"right node b{index + 1} out of range")

@@ -20,7 +20,7 @@ pool, and the first failed repair decides, proven by that engine's min cut.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, combinations, islice
+from itertools import combinations, pairwise
 from math import comb
 
 from . import flow as flow_engine
@@ -178,16 +178,14 @@ def _weak_resilience(g: BipartiteGraph, sweep: flow_engine.ResilienceSweep, budg
         if remaining < 0:
             raise _exhausted(size - 1)
     # The certified failing subsets of size ell, as indices into edges: the
-    # rows of degree ell, each a run of edges after those of the rows before
-    # it.  They exist only where ell = d_min, and the first ranks least, so
-    # only it is laid out and ranked.  A test of every subset in order stops
-    # at the least-ranked candidate or earlier, so a budget left above its
-    # rank answers ell - 1.
-    degrees = g.left_degrees()
-    candidates = (range(p, p + d) for p, d in zip(accumulate(degrees, initial=0), degrees) if d == ell)
-    for c in islice(candidates, 1):
-        if remaining > _lex_rank(c, len(edges)):
-            return ell - 1
+    # rows of degree ell, each the run of edges from its offset in g's row
+    # layout.  They exist only where ell = d_min, and the first ranks least,
+    # so only it is ranked.  A test of every subset in order stops at the
+    # least-ranked candidate or earlier, so a budget left above its rank
+    # answers ell - 1.
+    first = next((range(p, q) for p, q in pairwise(g._layout.offsets) if q - p == ell), None)
+    if first and remaining > _lex_rank(first, len(edges)):
+        return ell - 1
     if remaining <= 0:
         # What the first subset below would raise, before the witness is
         # split into matchings that no subset would use.

@@ -255,6 +255,29 @@ class TestVerify:
         assert proc.returncode == 4, proc.stderr
         assert "budget exceeded" in proc.stderr
 
+    def test_dense_400_runs_out_of_nodes_not_memory(self, tmp_path):
+        # 320 kB of .spm: 400 x 400, every cell a star but row 0's last
+        # 399.  Under a 1.5 GiB address-space cap, set in the child only,
+        # the oracle's matching search must run out of nodes and exit 4
+        # with one line.  A table of one column bit and one edge bit per
+        # edge asked for about 1.6 GB before the first node and ended in a
+        # MemoryError traceback.  Measured at 4.2 s and 0.8 GB max RSS
+        # (2-core host, Python 3.11); the masks the node budget lets the
+        # search keep are most of that.
+        path = tmp_path / "dense400.spm"
+        path.write_text("400 400\n*" + " 0" * 399 + "\n" + ("*" + " *" * 399 + "\n") * 399)
+        assert path.stat().st_size == 320_008
+        cap = 3 * 2**29
+        code = (
+            f"import resource, sys; resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap})); "
+            "from sprank.cli import main; sys.argv[0] = 'sprank'; main()"
+        )
+        proc = python("-c", code, "verify", str(path), timeout=120)
+        assert (proc.returncode, proc.stdout) == (4, ""), proc.stderr[-2000:]
+        assert proc.stderr.count("\n") == 1, proc.stderr[-2000:]
+        assert proc.stderr.startswith("sprank: budget exceeded: matching search exceeded")
+        assert "Traceback" not in proc.stderr
+
 
 class TestPinnedRuns:
     # Whole runs, pinned to their exit code, stdout and stderr.  The tests

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -83,6 +86,55 @@ class TestDegrees:
     def test_degree_sums_match_edge_count(self, fig3_graph):
         assert sum(fig3_graph.left_degrees()) == len(fig3_graph.edges)
         assert sum(fig3_graph.right_degrees()) == len(fig3_graph.edges)
+
+
+class TestRowLayout:
+    EDGES = frozenset({(2, 3), (0, 1), (2, 0), (1, 2), (0, 0)})
+
+    def test_layout_changes_no_identity(self):
+        # The layout is a cache: building it changes nothing a caller can
+        # compare, hash, print, copy or pickle.
+        g = sp.BipartiteGraph(3, 4, self.EDGES)
+
+        def seen():
+            return g, hash(g), repr(g), copy.copy(g), copy.deepcopy(g), pickle.dumps(g)
+
+        before = seen()
+        assert "_layout" not in vars(g)
+        layout = g._layout
+        assert g._layout is layout  # built once
+        assert seen() == before
+        for clone in (copy.copy(g), pickle.loads(pickle.dumps(g))):
+            assert clone == g and "_layout" not in vars(clone)
+            assert clone._layout == layout
+
+    def test_same_layout_by_every_route(self):
+        stars = [(i + 1, j + 1) for (i, j) in self.EDGES]
+        routes = [
+            sp.BipartiteGraph(3, 4, self.EDGES),
+            sp.to_bipartite(sp.pattern_from_stars(3, 4, stars)),
+            pattern_mod._checked(sp.BipartiteGraph, n_left=3, n_right=4, edges=self.EDGES),
+        ]
+        for g in routes:
+            assert g._layout == (((0, 1), (2,), (0, 3)), (0, 2, 3, 5))
+            assert g.sorted_edges == sorted(self.EDGES)
+            assert g.left_degrees() == [2, 1, 2]
+
+    def test_layout_is_immutable(self):
+        g = sp.BipartiteGraph(3, 4, self.EDGES)
+        cols, offsets = g._layout
+        assert isinstance(g._layout, tuple)
+        assert type(cols) is tuple and type(offsets) is tuple
+        assert all(type(row) is tuple for row in cols)
+        # What the graph hands out is a fresh list each time.
+        g.sorted_edges.append((1, 1))
+        g.left_degrees().append(9)
+        assert g.sorted_edges == sorted(self.EDGES) and g.left_degrees() == [2, 1, 2]
+
+    def test_empty_rows(self):
+        g = sp.BipartiteGraph(3, 2, frozenset({(1, 1)}))
+        assert g._layout == (((), (1,), ()), (0, 0, 1, 1))
+        assert [sp.degree(g, "left", i) for i in range(3)] == [0, 1, 0]
 
 
 class TestUnionOfKMatchings:

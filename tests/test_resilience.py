@@ -523,9 +523,9 @@ class TestWeakResilience:
             calls["repair"] += 1
             return repair(self, match, removed)
 
-        def counted_search(rows, max_nodes, banned=0):
+        def counted_search(g, max_nodes, banned=()):
             calls["search"] += 1
-            return search(rows, max_nodes, banned)
+            return search(g, max_nodes, banned)
 
         monkeypatch.setattr(flow_engine._BMatching, "repair", counted_repair)
         monkeypatch.setattr(oracle, "_matchings", counted_search)

@@ -170,5 +170,5 @@ def test_oracle_has_one_matching_search():
         if any(isinstance(node, (ast.Yield, ast.YieldFrom)) for node in ast.walk(fn))
     ]
     assert len(generators) == 1, f"oracle.py defines generator functions {generators}"
-    retired = {fn.name for fn in functions} & {"_adjacency", "_edge_index", "_left_perfect_matchings"}
+    retired = {fn.name for fn in functions} & {"_adjacency", "_edge_index", "_edge_rows", "_left_perfect_matchings"}
     assert not retired, f"oracle.py still defines {sorted(retired)}"
