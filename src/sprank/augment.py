@@ -9,11 +9,10 @@ the primal-dual method without building the n*m-arc network:
 
 * phase 0, at zero potentials, is the maximum (k*+1)-matching of g itself,
   a warm start that uses only edges g already has;
-* while a row is short, one raise of the potentials, by the distances in
-  reduced costs, lets the next phase augment over the pairs whose reduced
-  cost is now 0 (a new edge is a pair one potential step up).  The first
-  raise reads those distances off phase 0's min cut; a later one runs a
-  Dijkstra;
+* while a row is short, one unit raise of the potentials off the last
+  phase's min cut lets the next phase augment over the pairs whose
+  reduced cost is now 0 (a new edge is a pair one potential step up);
+  at most n raises run;
 * the final potentials are a dual certificate, the plan's one check: rows
   at degree k*+1, columns at most k*+1 and no negative residual reduced
   cost prove the flow maximum and cheapest, else VerificationError.

@@ -31,19 +31,17 @@ the flow is the flow of the resilience network at level b:
 * :func:`min_cost_b_matching` solves the 0/1-cost fair b-matching on the
   implicit complete graph by the primal-dual method: fills over the arcs
   of zero reduced cost, starting from the maximum b-matching of g itself,
-  alternate with one raise of the potentials each, and the final dual
-  potentials certify the result; lifting a union of k matchings by ell is
-  the same solve at b = k+ell.  The first raise reads its distances off
-  the first fill's cut, 0 inside it and 1 outside, where a cut row has a
-  column with room outside its pairs; a later raise, or a first one
-  without such a row, runs one Dijkstra.  The complement of g is never
-  listed: a pair outside g costs 1, so its column matters only through
-  its potential, and the columns are grouped into potential classes.  The
-  Dijkstra, the fills and the certificate each treat a class as a whole,
-  skipping only the row's own columns in g and H, so a solve costs about
-  (|E| + n*b) per class rather than n*m.  Each fill first gives a short
-  row, in one pass, the columns a search from it would pick first, and
-  searches only for the units still missing;
+  alternate with one unit raise of the potentials each, and the final
+  dual potentials certify the result; lifting a union of k matchings by
+  ell is the same solve at b = k+ell.  Each raise lifts every node
+  outside the last fill's cut, and t, by one, so at most n raises run.
+  The complement of g is never listed: a pair outside g costs 1, so its
+  column matters only through its potential, and the columns are grouped
+  into potential classes.  The raises, the fills and the certificate each
+  treat a class as a whole, skipping only the row's own columns in g and
+  H, so a raise costs about |E| + n*b + m rather than n*m.  Each fill
+  first gives a short row, in one pass, the columns a search from it
+  would pick first, and searches only for the units still missing;
 * weak resilience starts from the sweep and, where its bounds do not
   settle it, repairs per removal subset S one of the witness's matchings
   by a level-1 fill of g - S (:meth:`_BMatching.repair`); the min cut of
@@ -61,7 +59,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-import heapq
 from itertools import islice
 
 from .errors import NotMaximalError, VerificationError
@@ -286,13 +283,6 @@ def _classes(pi_col: list[int]) -> dict[int, list[int]]:
     return classes
 
 
-def _open_path(b: int) -> VerificationError:
-    """A raise's refusal: t lies at reduced cost 0 from a short row."""
-    return VerificationError(
-        f"a path of reduced cost 0 remains at level {b}; the fill was not maximum"
-    )
-
-
 class _BMatching:
     """A b-matching H of K(n, m): the flow of s -> rows -> columns -> t.
 
@@ -322,7 +312,9 @@ class _BMatching:
     column sets are built on first use; ``pi_row`` is None until then.
     ``repair`` never raises either; it narrows ``reach`` to a subgraph of g.
     :meth:`_search` reads the last fill's ``cut`` and ``room`` (see
-    :meth:`fill`); the cut is empty until the first fill.
+    :meth:`fill`); the cut is empty until the first fill.  Each
+    :meth:`raise_potentials` is a unit raise off that cut, and a solve
+    runs at most n of them.
     """
 
     def __init__(self, g: BipartiteGraph):
@@ -533,139 +525,59 @@ class _BMatching:
         if short and value >= n * b:
             raise VerificationError(f"flow {value} saturates level {b} said to fall short")
 
-    def raise_potentials(self, b: int) -> bool:
-        """Raise the potentials by the distances from the short rows; False if t is out of reach.
+    def raise_potentials(self, b: int) -> None:
+        """Lift every row and column outside the last fill's ``cut``, and t, by one.
 
-        Each potential rises by min(dist, dist(t)), dist measured in reduced
-        costs, which keeps every reduced cost >= 0 and brings a shortest
-        path to t to reduced cost 0.  The first raise reads the distances
-        off the last fill's cut where that cut shows dist(t) = 1
-        (:meth:`_raise_by_cut`); every other raise runs one Dijkstra
-        (:meth:`_raise_by_dijkstra`).  ``reach`` and ``classes`` are then
-        rebuilt from the new potentials.
+        The cut holds what the fill's failed searches reached from the short
+        rows over arcs of zero reduced cost, so every arc that leaves it has
+        reduced cost 1 or more: lifting the far side by one keeps every
+        reduced cost >= 0, and every path from a short row to t, which must
+        leave the cut, gets one cheaper.  With 0/1 costs, dist(t) such unit
+        raises, the fills between them adding nothing, give the potentials
+        of one Dijkstra raise by min(dist, dist(t)): the dual step of Kuhn's
+        Hungarian method.  ``classes`` and ``reach`` are then rebuilt from
+        the new potentials.
+
+        The cut must first show t out of reach at reduced cost 0, or the
+        raise refuses: it holds every short row and no column with room,
+        and no arc of reduced cost 0 leaves it, neither a pair (x, j) of g
+        outside H with pi(j) = pi(x), a pair outside g and H with
+        pi(j) = pi(x) + 1, nor a pair of H backward.  On such a cut each
+        column of class pi(x) + 1 outside it lies in g(x) or H(x), so that
+        check scans, per cut row, only as many columns as g(x) and H(x)
+        hold, and at zero potentials class 1 is empty.
         """
-        first = self.pi_row is None
         self._build_potentials()
-        if not ((first and self._raise_by_cut(b)) or self._raise_by_dijkstra(b)):
-            return False
-        pi_col = self.pi_col
-        self.classes = _classes(pi_col)
-        self.reach = [[j for j in cols if pi_col[j] == p] for cols, p in zip(self.adj, self.pi_row)]
-        return True
-
-    def _raise_by_cut(self, b: int) -> bool:
-        """The first raise, read off the last fill's ``cut``; False if the cut cannot tell.
-
-        At zero potentials a pair of g costs 0 and any other pair 1.  After
-        a maximum fill at level b, the nodes at distance 0 from the short
-        rows are those its failed searches reached, its cut, and every
-        other node lies at distance 1 or more.  A cut row x with a column j
-        of room outside H(x) puts t at distance 1: j is outside g(x), or
-        x's search would have taken it.  Then every node outside the cut,
-        reached or not, and t rise by min(dist, 1) = 1, with no heap.
-        Without such a row this returns False, and the Dijkstra runs.
-
-        The cut must first show t out of reach at reduced cost 0: it holds
-        every short row and no column with room, and no arc of reduced cost
-        0 leaves it, neither a pair of g outside H forward nor a pair of H
-        backward.  Otherwise the raise refuses, as the Dijkstra would.
-        """
         rows, cols = self.cut
-        adj, row_cols, col_rows = self.adj, self.row_cols, self.col_rows
-        room = [j for j, held in enumerate(col_rows) if len(held) < b]
-        if not any(j not in row_cols[x] for x in rows for j in room):
-            return False
+        adj, row_cols, col_rows, in_g = self.adj, self.row_cols, self.col_rows, self.in_g
+        pi_row, pi_col = self.pi_row, self.pi_col
+        needed = {pi_row[x] + 1 for x in rows}
+        outside = {c: [j for j in self.classes.get(c, ()) if j not in cols] for c in needed}
         if (
             any(len(held) < b and i not in rows for i, held in enumerate(row_cols))
             or any(len(col_rows[j]) < b for j in cols)
-            or any(j not in cols for x in rows for j in adj[x] if j not in row_cols[x])
-            or any(w not in rows for j in cols for w in col_rows[j])
+            or any(
+                j not in cols and pi_col[j] == pi_row[x] and j not in row_cols[x]
+                for x in rows
+                for j in adj[x]
+            )
+            or any(
+                j not in row_cols[x] and j not in in_g[x] for x in rows for j in outside[pi_row[x] + 1]
+            )
+            or any(
+                w not in rows and pi_col[j] - pi_row[w] == (j not in in_g[w])
+                for j in cols
+                for w in col_rows[j]
+            )
         ):
-            raise _open_path(b)
-        self.pi_row, self.pi_col, self.pi_t = [1] * len(row_cols), [1] * len(col_rows), 1
-        for i in rows:
-            self.pi_row[i] = 0
-        for j in cols:
-            self.pi_col[j] = 0
-        return True
-
-    def _raise_by_dijkstra(self, b: int) -> bool:
-        """One Dijkstra from the short rows in reduced costs; False if t is out of reach.
-
-        Arcs out of t are left out: what they reach lies at least dist(t)
-        away, and the update never adds more than dist(t).
-
-        A popped row x relaxes its columns in g one by one and each class q
-        up to pi(x) + 1 as a whole, by one heap entry at distance
-        d(x) + pi(x) + 1 - q.  When that entry pops, it settles the class's
-        unsettled columns outside g(x) and H(x) at that distance; the ones
-        it skips are charged to x's degree and b.  That is
-        O((|E| + n*b)*P + m) heap work for P classes, and the distances
-        are those of the dense scan.
-        """
-        n, m = self.g.n_left, self.g.n_right
-        adj, row_cols, col_rows, in_g = self.adj, self.row_cols, self.col_rows, self.in_g
-        pi_row, pi_col, pi_t = self.pi_row, self.pi_col, self.pi_t
-        inf = float("inf")
-        d_row = [0 if len(held) < b else inf for held in row_cols]
-        d_col = [inf] * m
-        d_t = inf
-        settled = [False] * m
-        unsettled = dict(self.classes)  # class -> columns not yet settled, ascending
-        # (dist, 0, row), (dist, 1, column), (dist, 2, 0) for t, (dist, 3, (class, row))
-        heap = [(0, 0, i) for i in range(n) if d_row[i] == 0]
-        while heap:
-            d, side, x = heapq.heappop(heap)
-            if side == 2:
-                break
-            if side == 0:
-                if d > d_row[x]:
-                    continue
-                held, base = row_cols[x], d + pi_row[x]
-                for j in adj[x]:
-                    if j not in held:
-                        nd = base - pi_col[j]
-                        if nd < d_col[j]:
-                            d_col[j] = nd
-                            heapq.heappush(heap, (nd, 1, j))
-                for q, cols in unsettled.items():
-                    nd = base + 1 - q
-                    # A class above pi(x) + 1 holds only columns of H(x).
-                    if cols and d <= nd < d_t:
-                        heapq.heappush(heap, (nd, 3, (q, x)))
-                continue
-            if side == 1:
-                if settled[x] or d > d_col[x]:
-                    continue
-                batch = (x,)
-            else:
-                q, r = x
-                held, mine, kept, batch = row_cols[r], in_g[r], [], []
-                for j in unsettled[q]:
-                    if not settled[j]:
-                        (kept if j in held or j in mine else batch).append(j)
-                unsettled[q] = kept
-            for j in batch:
-                settled[j] = True
-                d_col[j] = d
-                rows, base = col_rows[j], d + pi_col[j]
-                if len(rows) < b and base - pi_t < d_t:
-                    d_t = base - pi_t
-                    heapq.heappush(heap, (d_t, 2, 0))
-                for w in rows:
-                    nd = base - (j not in in_g[w]) - pi_row[w]
-                    if nd < d_row[w]:
-                        d_row[w] = nd
-                        heapq.heappush(heap, (nd, 0, w))
-        if d_t == inf:
-            return False
-        if d_t == 0:
-            # The fill before this raise was a max flow over these very arcs.
-            raise _open_path(b)
-        self.pi_row = [p + min(d, d_t) for p, d in zip(pi_row, d_row)]
-        self.pi_col = [p + min(d, d_t) for p, d in zip(pi_col, d_col)]
-        self.pi_t = pi_t + d_t
-        return True
+            raise VerificationError(
+                f"a path of reduced cost 0 remains at level {b}; the fill was not maximum"
+            )
+        self.pi_row = pi_row = [p + (i not in rows) for i, p in enumerate(pi_row)]
+        self.pi_col = pi_col = [q + (j not in cols) for j, q in enumerate(pi_col)]
+        self.pi_t += 1
+        self.classes = _classes(pi_col)
+        self.reach = [[j for j in row if pi_col[j] == p] for row, p in zip(adj, pi_row)]
 
     def certify(self, b: int) -> int:
         """Prove H a minimum-cost maximum flow by its potentials; return its cost.
@@ -772,27 +684,29 @@ def min_cost_b_matching(
 ) -> tuple[frozenset[tuple[int, int]], int]:
     """A b-matching of K(n, m) with every row at degree b and fewest pairs outside g.
 
-    Returns the pairs and how many lie outside g.  Phases of max flow over
-    the zero-reduced-cost arcs alternate with one raise of the potentials
-    each until no row is short; the first phase, at zero potentials, is the
-    maximum b-matching of g, so only the rows it leaves short cost a raise.
-    The first raise is read off that phase's cut where the cut shows t one
-    step away, with no Dijkstra; every later raise runs one.  A raise
-    brings a path to t to reduced cost 0, so the fill after it must add a
-    unit: one that adds none raises VerificationError, and at most n*b
-    phases run.  The final potentials certify the result.  The complement
-    of g is never listed, so the n*b pairs returned, not the n*m cells,
-    are held to the dense-size cap.
+    Returns the pairs and how many lie outside g.  Fills over the arcs of
+    zero reduced cost alternate with one unit raise of the potentials each,
+    off the fill's cut, until no row is short; the first fill, at zero
+    potentials, is the maximum b-matching of g, so only the rows it leaves
+    short cost a raise.  A fill after a raise adds a unit only once t is
+    at reduced cost 0, so some add none.  Each raise lifts t by one, and
+    t ends at the cost of the last augmenting path, at most n: a simple
+    path takes at most one pair of cost 1 per row.  So the r-th raise must
+    put t at r, with r <= n, or the solve raises VerificationError; at
+    most n raises run.  The final potentials certify the result.  The
+    complement of g is never listed, so the n*b pairs returned, not the
+    n*m cells, are held to the dense-size cap.
     """
     check_dense_size(g.n_left, b)
     h = _BMatching(g)
-    value = -1  # H's size after the last phase's fill
+    raises = 0
     while h.fill(b):
-        held = sum(map(len, h.row_cols))
-        if held == value:
-            raise VerificationError(f"the fill after a raise at level {b} added no unit")
-        if not h.raise_potentials(b):
-            break
-        value = held
+        raises += 1
+        h.raise_potentials(b)
+        if h.pi_t != raises or raises > g.n_left:
+            raise VerificationError(
+                f"raise {raises} at level {b} put t at {h.pi_t}; "
+                f"t rises by one a raise, at most n = {g.n_left} times"
+            )
     cost = h.certify(b)
     return frozenset((i, j) for i, held in enumerate(h.row_cols) for j in held), cost

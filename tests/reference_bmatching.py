@@ -9,10 +9,13 @@ pass per row, as the search's own first picks; the tests require the engine
 and :class:`SearchOnlyBMatching` to produce the same b-matchings, sweeps,
 costs and repairs.
 
-:class:`DijkstraOnlyBMatching` is ``sprank.flow._BMatching.raise_potentials``
-as it was before the first raise read its distances off the fill's cut:
-every raise runs the Dijkstra.  The tests require the engine and it to hold
-the same b-matching and potentials after every raise.
+:class:`DijkstraOnlyBMatching` is the reference the engine's unit raises are
+held to: every raise runs one Dijkstra from the short rows and lifts each
+potential by min(dist, dist(t)), as ``sprank.flow._BMatching`` did before
+its raises became unit raises off the fill's cut.  Where the Dijkstra puts
+t k steps up, the engine takes k unit raises, with fills between them that
+add nothing; the tests require it to reach the same potentials before the
+fill that adds a unit, and to hold the same b-matching after every fill.
 """
 
 from bisect import bisect_left

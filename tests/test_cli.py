@@ -158,6 +158,14 @@ class TestAugment:
         assert "delta_star: 2" in out
         assert "added: (1,3) (2,3)" in out
 
+    def test_target_two_unit_raises(self, tmp_path):
+        # Row 1 holds its one edge, so the fair 2-matching takes two unit
+        # raises, with a fill between them that adds nothing.
+        path = tmp_path / "cross.spm"
+        path.write_text("3 3\n* 0 *\n0 * 0\n* 0 *\n")
+        code, out = invoke(["augment", str(path), "--target", "1"])
+        assert (code, out) == (0, "delta_star: 2, achieved_resilience: 1\nadded: (1,2) (2,1)\n")
+
     def test_budget(self, fig7_file):
         code, out = invoke(["augment", fig7_file, "--budget", "1"])
         assert code == 0 and "achieved_resilience: 1" in out

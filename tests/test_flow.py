@@ -1,7 +1,6 @@
-import heapq
+from collections import Counter
 import itertools
 import random
-from types import SimpleNamespace
 from unittest.mock import patch
 
 import pytest
@@ -180,12 +179,12 @@ class TestMinCostMaxFlow:
 
 class TestFairFlowCertificate:
     # Fig 3 at b = 3 ends with potentials rows (0, 1, 1, 0), every column 1
-    # and t at 1, after one raise read off the first fill's cut, rows {0, 3}
+    # and t at 1, after one unit raise off the first fill's cut, rows {0, 3}
     # and no column.
     def solved(self, g, b):
         h = _BMatching(g)
-        while h.fill(b) and h.raise_potentials(b):
-            pass
+        while h.fill(b):
+            h.raise_potentials(b)
         return h
 
     def test_fig3_certified(self, fig3_graph):
@@ -221,23 +220,36 @@ class TestFairFlowCertificate:
         with pytest.raises(VerificationError, match="reduced cost"):
             h.certify(2)
 
-    def test_raise_that_frees_no_path_is_refused(self, monkeypatch, fig3_graph):
-        # A forged raise that lifts only pi(t) brings no path to reduced
-        # cost 0, so the next fill adds no unit.  The solve must refuse
-        # rather than raise again; the forgery gives up after 50 raises, so
-        # a solve that keeps raising fails here instead of hanging.
+    def forge_raise(self, monkeypatch, lift_t):
+        """Replace the raise by one that lifts t alone by ``lift_t``; returns the raise count."""
         raises = [0]
 
-        def lift_t_only(self, b):
+        def forged(self, b):
             raises[0] += 1
             if raises[0] > 50:
                 pytest.fail("min_cost_b_matching kept raising after fills that added nothing")
             self._build_potentials()
-            self.pi_t += 1
-            return True
+            self.pi_t += lift_t
 
-        monkeypatch.setattr(_BMatching, "raise_potentials", lift_t_only)
-        with pytest.raises(VerificationError, match="after a raise at level 3 added no unit"):
+        monkeypatch.setattr(_BMatching, "raise_potentials", forged)
+        return raises
+
+    def test_raise_that_frees_no_path_is_refused(self, monkeypatch, fig3_graph):
+        # A forged raise that lifts only pi(t) brings no path to reduced
+        # cost 0, so no fill after it adds a unit, and t climbs past n, the
+        # most an augmenting path costs.  The solve must refuse at raise
+        # n + 1; the forgery gives up after 50 raises, so a solve that
+        # keeps raising fails here instead of hanging.
+        raises = self.forge_raise(monkeypatch, 1)
+        with pytest.raises(VerificationError, match="raise 5 at level 3 put t at 5"):
+            flow_engine.min_cost_b_matching(fig3_graph, 3)
+        assert raises[0] == fig3_graph.n_left + 1 == 5
+
+    def test_raise_that_leaves_t_is_refused(self, monkeypatch, fig3_graph):
+        # Each raise lifts t by exactly one, so a raise that leaves t where
+        # it is ends the solve at once.
+        raises = self.forge_raise(monkeypatch, 0)
+        with pytest.raises(VerificationError, match="raise 1 at level 3 put t at 0"):
             flow_engine.min_cost_b_matching(fig3_graph, 3)
         assert raises[0] == 1
 
@@ -263,30 +275,17 @@ class TestFairFlowCertificate:
 
 
 class TestFirstRaise:
-    # The first raise of a fair b-matching reads its distances off the
-    # fill's cut where a cut row has a column of room outside its pairs;
-    # otherwise, and on every later raise, the Dijkstra runs.  Its result
-    # must be the Dijkstra's in either case.
-    @pytest.fixture
-    def heap_pops(self, monkeypatch):
-        """Count the heap entries the engine pops; the reference's heap is not counted."""
-        count = [0]
-
-        def heappop(heap):
-            count[0] += 1
-            return heapq.heappop(heap)
-
-        monkeypatch.setattr(
-            flow_engine, "heapq", SimpleNamespace(heappush=heapq.heappush, heappop=heappop)
-        )
-        return count
-
-    def test_every_raise_matches_the_dijkstra(self, heap_pops):
+    # Every raise lifts the nodes outside the last fill's cut, and t, by
+    # one.  Where the reference's one Dijkstra raise puts t k steps up, the
+    # engine takes k unit raises, with fills between them that add nothing,
+    # and must reach the same potentials.
+    def test_every_raise_matches_the_dijkstra(self):
         # Lockstep on random and dense square graphs, n <= 9, m <= 11, at
-        # every level b from 1 to m: the same H after every fill, the same
-        # potentials after every raise and the same certified cost.
+        # every level b from 1 to m: the same H after every fill, the
+        # reference's potentials before every fill that adds a unit, and
+        # the same certified cost.
         rng = random.Random(29)
-        paths = {"cut": 0, "dijkstra": 0}
+        steps = Counter()  # unit raises per reference raise -> how often
         for trial in range(200):
             n = rng.randint(1, 9)
             if trial % 4:
@@ -295,28 +294,34 @@ class TestFirstRaise:
                 g = random_graph(rng, n, n, 0.9)
             for b in range(1, g.n_right + 1):
                 h, ref = _BMatching(g), DijkstraOnlyBMatching(g)
-                first = True
-                while True:
-                    short = h.fill(b)
+                short = h.fill(b)
+                assert ref.fill(b) == short
+                assert h.row_cols == ref.row_cols
+                while short:
+                    assert ref.raise_potentials(b)
+                    raises = 0
+                    while True:
+                        h.raise_potentials(b)
+                        raises += 1
+                        assert raises <= n
+                        potentials = (h.pi_row, h.pi_col, h.pi_t)
+                        value = sum(map(len, h.row_cols))
+                        short = h.fill(b)
+                        if sum(map(len, h.row_cols)) > value:
+                            break
+                        assert h.row_cols == ref.row_cols
+                    assert potentials == (ref.pi_row, ref.pi_col, ref.pi_t)
                     assert ref.fill(b) == short
                     assert h.row_cols == ref.row_cols
-                    if not short:
-                        break
-                    before = heap_pops[0]
-                    assert h.raise_potentials(b) and ref.raise_potentials(b)
-                    assert (h.pi_row, h.pi_col, h.pi_t) == (ref.pi_row, ref.pi_col, ref.pi_t)
-                    if first:
-                        paths["dijkstra" if heap_pops[0] > before else "cut"] += 1
-                        first = False
+                    steps[raises] += 1
                 cost = h.certify(b)
                 assert ref.certify(b) == cost == flow_engine.min_cost_b_matching(g, b)[1]
-        assert paths["cut"] > 0 and paths["dijkstra"] > 0, paths
+        assert steps[2] > 0, steps
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_plan_solves_pop_no_heap_entry(self, monkeypatch, heap_pops, seed):
+    def test_plan_solves_raise_once(self, monkeypatch, seed):
         # A union of ell matchings plus noise, as the plan benchmark draws
-        # it, lifted to targets ell and ell + 2: the one raise each solve
-        # needs is read off the cut.
+        # it, lifted to targets ell and ell + 2: each solve needs one raise.
         rng = random.Random(seed)
         n = rng.choice((20, 30, 40))
         m, ell = n + rng.randint(2, n // 4 + 2), rng.choice((1, 2))
@@ -326,8 +331,7 @@ class TestFirstRaise:
         raises = count_calls(monkeypatch, _BMatching, "raise_potentials")
         for k in (ell, ell + 2):
             sp.fair_b_matching(g, k)
-        assert raises[0] >= 2
-        assert heap_pops[0] == 0
+        assert raises[0] == 2
 
     # Both rows of a 2 x 3 graph have column 0 alone: at level 1 row 1
     # falls short and its failed search records the cut rows {0, 1},
@@ -340,20 +344,55 @@ class TestFirstRaise:
     }
 
     @pytest.mark.parametrize("forge", FORGED_CUTS)
-    def test_forged_cut_is_refused(self, heap_pops, forge):
+    def test_forged_cut_is_refused(self, forge):
         h = _BMatching(sp.BipartiteGraph(2, 3, frozenset({(0, 0), (1, 0)})))
         assert h.fill(1) == 1
         assert h.cut == ({0, 1}, {0})
         h.cut = self.FORGED_CUTS[forge]
         with pytest.raises(VerificationError, match="reduced cost 0 remains at level 1"):
             h.raise_potentials(1)
-        assert heap_pops[0] == 0
 
-    def test_cut_raise_on_the_true_cut(self, heap_pops):
+    def test_cut_raise_on_the_true_cut(self):
         h = _BMatching(sp.BipartiteGraph(2, 3, frozenset({(0, 0), (1, 0)})))
         assert h.fill(1) == 1
-        assert h.raise_potentials(1)
-        assert (h.pi_row, h.pi_col, h.pi_t, heap_pops[0]) == ([0, 0], [0, 1, 1], 1, 0)
+        h.raise_potentials(1)
+        assert (h.pi_row, h.pi_col, h.pi_t) == ([0, 0], [0, 1, 1], 1)
+
+    # * 0 * / 0 * 0 / * 0 * at b = 2: g gives row 1 only column 1, which it
+    # holds, so the first fill leaves row 1 short and the reference's
+    # Dijkstra puts t two steps up.
+    CROSS = sp.BipartiteGraph(3, 3, frozenset({(0, 0), (0, 2), (1, 1), (2, 0), (2, 2)}))
+
+    def test_two_unit_raises_reach_the_dijkstra(self):
+        h, ref = _BMatching(self.CROSS), DijkstraOnlyBMatching(self.CROSS)
+        assert h.fill(2) == ref.fill(2) == 1
+        assert ref.raise_potentials(2) and ref.pi_t == 2
+        h.raise_potentials(2)
+        assert h.fill(2) == 1  # t still one step up: the fill adds nothing
+        assert h.row_cols == ref.row_cols
+        h.raise_potentials(2)
+        potentials = ([1, 0, 1], [1, 2, 1], 2)
+        assert (h.pi_row, h.pi_col, h.pi_t) == (ref.pi_row, ref.pi_col, ref.pi_t) == potentials
+        assert h.fill(2) == ref.fill(2) == 0
+        pairs = {(0, 1), (0, 2), (1, 0), (1, 1), (2, 0), (2, 2)}
+        assert {(i, j) for i, held in enumerate(h.row_cols) for j in held} == pairs
+        assert h.row_cols == ref.row_cols
+        assert h.certify(2) == 2
+        assert flow_engine.min_cost_b_matching(self.CROSS, 2) == (frozenset(pairs), 2)
+
+    def test_cut_without_a_class_column_is_refused(self):
+        # After the first raise and the fill that adds nothing, row 1 at
+        # potential 0 reaches column 0 of class 1 over (1, 0), outside g,
+        # at reduced cost 0.  A cut without column 0 breaks only the class
+        # condition: every other one still holds.
+        h = _BMatching(self.CROSS)
+        h.fill(2)
+        h.raise_potentials(2)
+        h.fill(2)
+        assert h.cut == ({0, 1, 2}, {0, 2})
+        h.cut = ({0, 1, 2}, {2})
+        with pytest.raises(VerificationError, match="reduced cost 0 remains at level 2"):
+            h.raise_potentials(2)
 
 
 class TestFirstFill:

@@ -172,3 +172,17 @@ def test_oracle_has_one_matching_search():
     assert len(generators) == 1, f"oracle.py defines generator functions {generators}"
     retired = {fn.name for fn in functions} & {"_adjacency", "_edge_index", "_edge_rows", "_left_perfect_matchings"}
     assert not retired, f"oracle.py still defines {sorted(retired)}"
+
+
+def test_the_engine_has_one_raise():
+    # Every raise of the fair b-matching's potentials is a unit raise off
+    # the fill's cut; the Dijkstra it replaced lives on only in the tests'
+    # reference, and no heap is left in the engine.
+    path = Path(sprank.__file__).parent / "flow.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "heapq" not in imported, "flow.py imports heapq"
+    functions = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    retired = functions & {"_raise_by_dijkstra", "_raise_by_cut"}
+    assert not retired, f"flow.py still defines {sorted(retired)}"
