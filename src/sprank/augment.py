@@ -33,9 +33,8 @@ from itertools import islice
 
 from . import flow as flow_engine
 from .errors import InvalidKError, PreconditionFailedError, VerificationError
-from .pattern import BipartiteGraph, _check_pattern_shape, check_dense_size
+from .pattern import BipartiteGraph, _check_pattern_shape, _checked, check_dense_size
 from .pattern import is_union_of_k_matchings
-from .resilience import _sweep
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,7 @@ def min_edges_for_target(g: BipartiteGraph, k_star: int) -> AugmentationPlan:
     current = min(g.left_degrees()) - 1
     if current >= k_star:
         # The bound settles nothing here.
-        current = _sweep(g).ell_star - 1
+        current = flow_engine.resilience_sweep(g).ell_star - 1
     return _plan(g, k_star, current)
 
 
@@ -99,8 +98,12 @@ def _plan(g: BipartiteGraph, k_star: int, current: int) -> AugmentationPlan:
         return AugmentationPlan((), 0, current, g, None)
     bm = fair_b_matching(g, k_star)
     added = tuple(sorted(bm.edges - g.edges))
-    result = BipartiteGraph(g.n_left, g.n_right, g.edges | bm.edges)
-    return AugmentationPlan(added, len(added), k_star, result, bm)
+    return AugmentationPlan(added, len(added), k_star, _on_nodes_of(g, g.edges | bm.edges), bm)
+
+
+def _on_nodes_of(g: BipartiteGraph, edges: frozenset) -> BipartiteGraph:
+    """A graph on g's nodes; ``edges`` are pairs of K(n, m), so not range-checked again."""
+    return _checked(BipartiteGraph, n_left=g.n_left, n_right=g.n_right, edges=edges)
 
 
 def delta_star(g: BipartiteGraph, k_star: int) -> int:
@@ -121,7 +124,7 @@ def best_within_budget(
     """
     if p < 0:
         raise ValueError("budget must be nonnegative")
-    current = _sweep(g).ell_star - 1
+    current = flow_engine.resilience_sweep(g).ell_star - 1
     best = _plan(g, current, current)
     for k in range(current + 1, g.n_right):
         plan = _plan(g, k, current)
@@ -135,7 +138,7 @@ def best_within_budget(
         cells = ((i, j) for i in range(g.n_left) for j in range(g.n_right))
         spare = islice((e for e in cells if e not in taken), p - best.delta_star)
         added = tuple(sorted(best.added_edges + tuple(spare)))
-        result = BipartiteGraph(g.n_left, g.n_right, g.edges | set(added))
+        result = _on_nodes_of(g, g.edges | set(added))
         return AugmentationPlan(
             added, len(added), best.achieved_resilience, result, best.b_matching
         )
@@ -172,7 +175,7 @@ def boost_by(
         raise VerificationError(
             f"lifting by {ell} must add exactly {ell * g.n_left} edges, not {cost}"
         )
-    return BipartiteGraph(g.n_left, g.n_right, edges), sorted(edges - g.edges)
+    return _on_nodes_of(g, edges), sorted(edges - g.edges)
 
 
 def complement_matching_structure(g: BipartiteGraph) -> int:

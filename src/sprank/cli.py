@@ -17,6 +17,7 @@ import os
 import sys
 
 from . import augment as augment_mod
+from . import flow as flow_engine
 from . import io as io_mod
 from . import oracle as oracle_mod
 from . import resilience as resilience_mod
@@ -92,7 +93,7 @@ def _cmd_resilience(args, out) -> int:
         else:
             out.write(f"weak_resilience: {value}\n")
         return EXIT_OK if value >= 0 else EXIT_NEGATIVE
-    sweep = resilience_mod._sweep(g)
+    sweep = flow_engine.resilience_sweep(g)
     strong = sweep.ell_star - 1
     if args.json:
         out.write(
@@ -180,7 +181,7 @@ def _cmd_verify(args, out) -> int:
 
     # The request's one sweep, its witness checked, gives the rank (its
     # level 1), the strong resilience and the weak bounds' starting point.
-    sweep = resilience_mod._sweep(g)
+    sweep = flow_engine.resilience_sweep(g)
     strong = sweep.ell_star - 1
     rank_brute = oracle_mod.brute_rank(g)
     checks.append(("rank flow vs oracle", sweep.rank == rank_brute))

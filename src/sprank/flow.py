@@ -27,7 +27,8 @@ the flow is the flow of the resilience network at level b:
 * :func:`matching_number` fills level 1 and checks its min cut;
 * :func:`resilience_sweep` raises the level one step at a time.  Raising
   the level only raises the source and sink capacities, so the flow at
-  ell stays feasible at ell+1 and is extended from the rows below it;
+  ell stays feasible at ell+1 and is extended from the rows below it.
+  It checks the first short level's min cut and the witness itself;
 * :func:`min_cost_b_matching` solves the 0/1-cost fair b-matching on the
   implicit complete graph by the primal-dual method: fills over the arcs
   of zero reduced cost, starting from the maximum b-matching of g itself,
@@ -44,8 +45,8 @@ the flow is the flow of the resilience network at level b:
   would pick first, and searches only for the units still missing;
 * weak resilience starts from the sweep and, where its bounds do not
   settle it, repairs per removal subset S one of the witness's matchings
-  by a level-1 fill of g - S (:meth:`_BMatching.repair`); the min cut of
-  g - S proves the first repair that falls short.
+  by a level-1 fill of g - S (:meth:`_BMatching.repair`), which checks
+  its matching, or proves by the min cut of g - S that it falls short.
 
 Within one fill, the rows and columns a failed search reached stay
 closed: no arc of zero reduced cost leaves them and no column among them
@@ -62,7 +63,8 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .errors import NotMaximalError, VerificationError
-from .pattern import BipartiteGraph, _checked, check_dense_size
+from .pattern import BipartiteGraph, _check_pattern_shape, _checked, check_dense_size
+from .pattern import is_union_of_k_matchings
 
 
 @dataclass(frozen=True)
@@ -481,15 +483,18 @@ class _BMatching:
                     break
         return short
 
-    def repair(self, match: list[int], removed) -> bool:
-        """Whether g minus ``removed`` keeps a left-perfect matching: one level-1 fill of it.
+    def repair(self, match: list[int], removed) -> list[tuple[int, int]] | None:
+        """A left-perfect matching of g minus ``removed``, as pairs; None if it has none.
 
         ``match[i]`` is row i's column in a left-perfect matching M of g,
         and ``removed`` is a combination of g's sorted edges.  H is reset to
         M less the removed pairs and ``reach`` to g's adjacency less them;
         then ``fill(1)`` re-augments the rows that lost their column, in
         ascending order.  H ends as a maximum flow of g minus ``removed``,
-        so a failure is proven by ``verify_min_cut(1, True, removed)``.
+        so a failure is proven by ``verify_min_cut(1, True, removed)``; a
+        wrong matching in the pool would pass every later subset that
+        misses it, so a success is checked: one column per row, n distinct
+        columns, every pair an edge of g, and none removed.
         """
         reach = self.reach = list(self.adj)
         self.row_cols = row_cols = [{j} for j in match]
@@ -501,7 +506,21 @@ class _BMatching:
             if match[i] == j:
                 row_cols[i] = set()
                 col_rows[j] = set()
-        return not self.fill(1)
+        if self.fill(1):
+            self.verify_min_cut(1, short=True, removed=removed)
+            return None
+        pairs = [(i, j) for i, held in enumerate(self.row_cols) for j in held]
+        rows, cols = {i for (i, _) in pairs}, {j for (_, j) in pairs}
+        if (
+            not len(pairs) == len(rows) == len(cols) == self.g.n_left
+            or not self.g.edges.issuperset(pairs)
+            or not set(removed).isdisjoint(pairs)
+        ):
+            raise VerificationError(
+                f"repair after removing {removed} left no left-perfect matching of the "
+                "reduced graph"
+            )
+        return pairs
 
     def verify_min_cut(self, b: int, short: bool, removed=()) -> None:
         """Check max-flow = min-cut in ``build_resilience_network`` of g less ``removed`` at b.
@@ -638,7 +657,7 @@ class ResilienceSweep:
     """What one ascending sweep over the resilience levels finds.
 
     ``witness`` is the saturated flow at level ``ell_star`` as a subgraph of
-    g: a union of ell* disjoint left-perfect matchings (empty if ell* = 0).
+    g, checked to be ell* disjoint left-perfect matchings (none if ell* = 0).
     """
 
     rank: int
@@ -655,15 +674,18 @@ def matching_number(g: BipartiteGraph) -> int:
 
 
 def resilience_sweep(g: BipartiteGraph) -> ResilienceSweep:
-    """Rank, ell* and a witness from one warm-started ascending sweep.
+    """Rank, ell* and a checked witness from one warm-started ascending sweep.
 
     Level 1 gives the rank.  With full rank each further level augments
     every row once more, until a row falls short; no level above the
     minimum left degree saturates, so the sweep ends there at the latest.
     The pairs H holds at each saturated level are listed as the witness
     before the next probe, because a failed probe changes H.  The failed
-    level ends as a maximum flow, and its min cut is checked.
+    level ends as a maximum flow, and its min cut is checked; the witness
+    must be n * ell* pairs of g that form ell* disjoint left-perfect
+    matchings.  ShapeError if g has fewer columns than rows.
     """
+    _check_pattern_shape(g.n_left, g.n_right)
     n = g.n_left
     h = _BMatching(g)
     short = h.fill(1)
@@ -674,8 +696,18 @@ def resilience_sweep(g: BipartiteGraph) -> ResilienceSweep:
         witness = [(i, j) for i in range(n) for j in h.row_cols[i]]
         short = h.fill(ell + 1)
     h.verify_min_cut(ell + 1, short=True)
-    # Pairs of g, so in range: not checked here, but by _sweep as a whole.
-    witness = _checked(BipartiteGraph, n_left=n, n_right=g.n_right, edges=frozenset(witness))
+    edges = frozenset(witness)
+    # Checked to be pairs of g, so in range, just below.
+    witness = _checked(BipartiteGraph, n_left=n, n_right=g.n_right, edges=edges)
+    if (
+        not edges <= g.edges
+        # n * ell* pairs: none at all when ell* = 0.
+        or len(edges) != n * ell
+        or (ell and not is_union_of_k_matchings(witness, ell))
+    ):
+        raise VerificationError(
+            f"the sweep's witness is not {ell} disjoint left-perfect matchings of g"
+        )
     return ResilienceSweep(rank, ell, witness)
 
 

@@ -259,14 +259,16 @@ def degree(g: BipartiteGraph, side: str, index: int) -> int:
 def is_union_of_k_matchings(g: BipartiteGraph, k: int) -> bool:
     """True iff g is a union of k disjoint left-perfect matchings.
 
-    Equivalent degree test: every left degree equals k and every right
-    degree is at most k.
+    Equivalent degree test, counted in one pass over the edges: every left
+    degree equals k and every right degree is at most k.
     """
     if not 1 <= k <= g.n_right:
         raise InvalidKError(f"k = {k} outside [1, {g.n_right}]")
-    return all(d == k for d in g.left_degrees()) and all(
-        d <= k for d in g.right_degrees()
-    )
+    left, right = [0] * g.n_left, [0] * g.n_right
+    for (i, j) in g.edges:
+        left[i] += 1
+        right[j] += 1
+    return all(d == k for d in left) and all(d <= k for d in right)
 
 
 def check_dense_size(n: int, m: int) -> None:

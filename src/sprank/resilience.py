@@ -2,19 +2,19 @@
 
 The degree of strong resilience of a graph is one less than the largest ell
 for which the resilience network admits a saturated flow of value n*ell.
-One ascending sweep of the flow engine, run once per request by ``_sweep``,
-finds that ell together with a saturated flow, checked to be a union of ell
-disjoint left-perfect matchings of g, which Koenig's edge-colouring theorem
-splits apart; the colouring checks its classes, and nothing checks them
-again.  Weak resilience has no known efficient algorithm.  Removal subsets
-are charged to a work budget by size, then in lexicographic order of the
-sorted edges.  The answer is ell* - 1 once the budget left past the sizes
-below ell* exceeds the least rank of the certified failing subsets of size
-ell*; otherwise subsets are enumerated from ell*.  A pool keeps the
-witness's ell* matchings and every matching found since.  Only a subset S
-that hits every pooled matching is checked, by repairing a matching in g - S
-with one level-1 fill on the weak engine; the repaired matching joins the
-pool, and the first failed repair decides, proven by that engine's min cut.
+One ascending sweep of the flow engine, run once per request, finds that ell
+and a saturated flow, checked by the sweep to be ell disjoint left-perfect
+matchings of g, which Koenig's edge-colouring theorem splits apart; the
+colouring checks its classes, and nothing checks them again.  Weak
+resilience has no known efficient algorithm.  Removal subsets are charged to
+a work budget by size, then in lexicographic order of the sorted edges.  The
+answer is ell* - 1 once the budget left past the sizes below ell* exceeds
+the least rank of the certified failing subsets of size ell*; otherwise
+subsets are enumerated from ell*.  A pool keeps the witness's ell* matchings
+and every matching found since.  Only a subset S that hits every pooled
+matching is checked, by repairing a matching in g - S with one level-1 fill
+on the weak engine, which checks it; the repaired matching joins the pool,
+and the first failed repair decides, proven by that engine's min cut.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from math import comb
 
 from . import flow as flow_engine
 from .errors import BudgetExceededError, NotDecomposableError, VerificationError
-from .pattern import BipartiteGraph, Matching, MatchingPool, _check_pattern_shape, _checked
+from .pattern import BipartiteGraph, Matching, MatchingPool, _checked
 from .pattern import is_union_of_k_matchings
 
 DEFAULT_WEAK_BUDGET = 10**6
@@ -47,27 +47,9 @@ def structural_rank(g: BipartiteGraph) -> int:
     return flow_engine.matching_number(g)
 
 
-def _sweep(g: BipartiteGraph) -> flow_engine.ResilienceSweep:
-    """The sweep of g; its witness must be ell* disjoint left-perfect matchings of g."""
-    _check_pattern_shape(g.n_left, g.n_right)
-    sweep = flow_engine.resilience_sweep(g)
-    ell, witness = sweep.ell_star, sweep.witness
-    if (
-        witness.n_left != g.n_left
-        or not witness.edges <= g.edges
-        # n * ell* edges: none at all when ell* = 0.
-        or len(witness.edges) != g.n_left * ell
-        or (ell and not is_union_of_k_matchings(witness, ell))
-    ):
-        raise VerificationError(
-            f"the sweep's witness is not {ell} disjoint left-perfect matchings of g"
-        )
-    return sweep
-
-
 def strong_resilience(g: BipartiteGraph) -> ResilienceReport:
     """Exact degree of strong resilience with a decomposition witness."""
-    sweep = _sweep(g)
+    sweep = flow_engine.resilience_sweep(g)
     ell = sweep.ell_star
     matchings = tuple(_colour_matchings(sweep.witness, ell))
     return ResilienceReport(sweep.rank, ell - 1, ell, matchings, sweep.witness)
@@ -159,15 +141,15 @@ def weak_resilience(g: BipartiteGraph, budget: int = DEFAULT_WEAK_BUDGET) -> int
     would.  Otherwise subsets are enumerated from size ell*.  A pool starts
     with the witness's ell* matchings, and an S that misses one passes at
     once; otherwise a matching of g less S is repaired in g - S by one
-    level-1 fill and, checked against g and S, joins the pool as the witness
-    that S passes.  The first S whose repair fails decides the answer,
-    proven by that fill's min cut in g - S.
+    level-1 fill and, checked there against g and S, joins the pool as the
+    witness that S passes.  The first S whose repair fails decides the
+    answer, proven there by that fill's min cut in g - S.
     """
-    return _weak_resilience(g, _sweep(g), budget)
+    return _weak_resilience(g, flow_engine.resilience_sweep(g), budget)
 
 
 def _weak_resilience(g: BipartiteGraph, sweep: flow_engine.ResilienceSweep, budget: int) -> int:
-    """Weak resilience of g from ``sweep``, g's sweep as ``_sweep`` returns it."""
+    """Weak resilience of g from ``sweep``, g's checked sweep."""
     ell = sweep.ell_star
     if not ell:
         return -1
@@ -203,11 +185,10 @@ def _weak_resilience(g: BipartiteGraph, sweep: flow_engine.ResilienceSweep, budg
             remaining -= 1
             if pool.spares(removed):
                 continue
-            if h.repair(match, removed):
-                pool.add(_repaired_matching(g, h.row_cols, removed))
-                continue
-            h.verify_min_cut(1, short=True, removed=removed)
-            return size - 1
+            pairs = h.repair(match, removed)
+            if pairs is None:
+                return size - 1
+            pool.add(pairs)
     # Unreachable for nonempty graphs: removing all edges kills the matching.
     return len(edges) - 1
 
@@ -228,25 +209,3 @@ def _exhausted(verified: int) -> BudgetExceededError:
         lower_bound=verified,
     )
 
-
-def _repaired_matching(
-    g: BipartiteGraph, row_cols: list[set[int]], removed
-) -> list[tuple[int, int]]:
-    """The pairs of a repaired H, checked to be a left-perfect matching of g - removed.
-
-    A wrong matching in the pool would pass every later subset that misses
-    it, so each one is checked before it joins: one column per row, n
-    distinct columns, every pair an edge of g, and none removed.
-    """
-    pairs = [(i, j) for i, held in enumerate(row_cols) for j in held]
-    rows, cols = {i for (i, _) in pairs}, {j for (_, j) in pairs}
-    if (
-        not len(pairs) == len(rows) == len(cols) == g.n_left
-        or not g.edges.issuperset(pairs)
-        or not set(removed).isdisjoint(pairs)
-    ):
-        raise VerificationError(
-            f"repair after removing {removed} left no left-perfect matching of the "
-            "reduced graph"
-        )
-    return pairs

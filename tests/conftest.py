@@ -166,29 +166,87 @@ def small_graphs(draw):
 differential = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
-# Witnesses for forge_sweep that a checked sweep of Fig 3 must refuse.
+def _witness_pair_outside_g(h, b, short):
+    if b == 2:
+        # Row 0 trades its last column for the first column outside g(0).
+        held = h.row_cols[0]
+        held.remove(max(held))
+        held.add(min(j for j in range(h.g.n_right) if j not in h.adj[0]))
+    return short
+
+
+def _witness_row_short(h, b, short):
+    if b == 2:
+        h.row_cols[0].remove(min(h.row_cols[0]))
+    return short
+
+
+def _witness_column_over(h, b, short):
+    if b == 2:
+        # A row trades a held column for a full column of g(i): every row
+        # keeps b pairs of g, but that column now has b + 1 rows.
+        i, j = next(
+            (i, j)
+            for i, held in enumerate(h.row_cols)
+            for j in h.adj[i]
+            if j not in held and len(h.col_rows[j]) == b
+        )
+        h.row_cols[i].remove(min(h.row_cols[i]))
+        h.row_cols[i].add(j)
+    return short
+
+
+def _level_1_said_short(h, b, short):
+    return 1 if b == 1 else short
+
+
+def _level_3_said_saturated(h, b, short):
+    return 0 if b == 3 else short
+
+
+WITNESS_REFUSED = "the sweep's witness is not"
+
+# Forgeries of the sweep's H on Fig 3, which saturates levels 1 and 2 and
+# falls short at 3, each with the message of the check that refuses it.
+# The witness listed at level 2 holds a pair outside g, has a column over
+# ell* = 2 or a row one short, or level 3 is reported saturated while a
+# row is short: the witness check refuses each.  Level 1 reported short
+# puts Fig 3's saturated flow under ell* = 0: its min cut refuses that.
 FORGED_WITNESSES = pytest.mark.parametrize(
-    "n_left, edges, ell_star",
+    "forge, message",
     [
-        # A union of 2 matchings, but (1, 2) is not an edge of Fig 3.
-        (4, {(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 4)}, 2),
-        # Edges of Fig 3, but row 3 has only one of them.
-        (4, {(0, 0), (0, 1), (1, 0), (1, 3), (2, 1), (2, 2), (3, 3)}, 2),
-        # 2 matchings of Fig 3's edges, but of rows 0-2 alone.
-        (3, {(0, 0), (0, 1), (1, 1), (1, 3), (2, 2), (2, 3)}, 2),
-        # Fig 3's own witness, but under ell* = 0, which promises no matching.
-        (4, {(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (2, 3), (3, 3), (3, 4)}, 0),
+        (_witness_pair_outside_g, WITNESS_REFUSED),
+        (_witness_column_over, WITNESS_REFUSED),
+        (_witness_row_short, WITNESS_REFUSED),
+        (_level_1_said_short, "flow 4 saturates level 1 said to fall short"),
+        (_level_3_said_saturated, WITNESS_REFUSED),
     ],
-    ids=["edge-outside-g", "not-2-matchings", "row-missing", "witness-under-ell-0"],
+    ids=[
+        "edge-outside-g",
+        "not-2-matchings",
+        "row-missing",
+        "witness-under-ell-0",
+        "short-level-saturated",
+    ],
 )
 
 
-def forge_sweep(monkeypatch, n_left, edges, ell_star):
-    """Make every sweep return Fig 3's rank 4 and ``ell_star``, with a forged witness."""
-    forged = flow_engine.ResilienceSweep(
-        4, ell_star, sp.BipartiteGraph(n_left, 5, frozenset(edges))
-    )
-    monkeypatch.setattr(flow_engine, "resilience_sweep", lambda g: forged)
+def forge_sweep(monkeypatch, forge):
+    """Make every fill tell its caller ``forge(h, b, short)``, after the forgery has changed H.
+
+    The next fill starts from the true H again, so of the sweep only the
+    witness it lists between the two fills is forged, and the min cut it
+    checks is the true one.
+    """
+    fill = flow_engine._BMatching.fill
+
+    def forged(self, b):
+        self.row_cols = getattr(self, "true_row_cols", self.row_cols)
+        short = fill(self, b)
+        self.true_row_cols = [set(held) for held in self.row_cols]
+        return forge(self, b, short)
+
+    monkeypatch.setattr(flow_engine._BMatching, "fill", forged)
 
 
 def _row_over(h, b):

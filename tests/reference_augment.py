@@ -9,8 +9,8 @@ to give the same plan, or the same exception type, as this function.
 
 from sprank.augment import _plan
 from sprank.errors import InvalidKError
+from sprank.flow import resilience_sweep
 from sprank.pattern import BipartiteGraph
-from sprank.resilience import _sweep
 
 
 def min_edges_for_target(g: BipartiteGraph, k_star: int):
@@ -19,4 +19,4 @@ def min_edges_for_target(g: BipartiteGraph, k_star: int):
         raise InvalidKError(
             f"target resilience {k_star} outside [0, {g.n_right - 1}]"
         )
-    return _plan(g, k_star, _sweep(g).ell_star - 1)
+    return _plan(g, k_star, resilience_sweep(g).ell_star - 1)

@@ -15,7 +15,7 @@ from itertools import combinations
 from sprank import flow as flow_engine
 from sprank.errors import BudgetExceededError, VerificationError
 from sprank.pattern import BipartiteGraph, MatchingPool
-from sprank.resilience import _repaired_matching, structural_rank
+from sprank.resilience import structural_rank
 
 
 def weak_resilience(g: BipartiteGraph, budget: int) -> int:
@@ -42,8 +42,9 @@ def weak_resilience(g: BipartiteGraph, budget: int) -> int:
             remaining -= 1
             if pool.spares(removed):
                 continue
-            if h.repair(match, removed):
-                pool.add(_repaired_matching(g, h.row_cols, removed))
+            pairs = h.repair(match, removed)
+            if pairs is not None:
+                pool.add(pairs)
                 continue
             reduced = BipartiteGraph(n, g.n_right, g.edges - set(removed))
             if structural_rank(reduced) == n:

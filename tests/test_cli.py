@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import os
@@ -287,6 +288,27 @@ class TestVerify:
         assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv", [["resilience"], ["resilience", "--weak"], ["verify"]], ids=["strong", "weak", "verify"]
+)
+def test_only_g_gets_a_row_layout(fig3_file, fig3_graph, monkeypatch, argv):
+    # The sweep checks its witness by degrees, and none of these requests
+    # colours it (on Fig 3 the bounds settle weak resilience), so the one
+    # row layout built is g's.
+    built = []
+    layout = sprank.BipartiteGraph._layout.func
+
+    def spy(graph):
+        built.append(graph)
+        return layout(graph)
+
+    counted = functools.cached_property(spy)
+    counted.__set_name__(sprank.BipartiteGraph, "_layout")
+    monkeypatch.setattr(sprank.BipartiteGraph, "_layout", counted)
+    assert invoke([argv[0], fig3_file, *argv[1:]])[0] == 0
+    assert built == [fig3_graph]
+
+
 class TestPinnedRuns:
     # Whole runs, pinned to their exit code, stdout and stderr.  The tests
     # also run under python -O, which strips assert statements, so these
@@ -473,12 +495,10 @@ class TestDispatch:
 class TestErrorPaths:
     @pytest.mark.parametrize("command", ["resilience", "verify", "decompose"])
     @FORGED_WITNESSES
-    def test_forged_witness_exits_1(
-        self, fig3_file, monkeypatch, command, n_left, edges, ell_star
-    ):
-        forge_sweep(monkeypatch, n_left, edges, ell_star)
-        code, _ = invoke([command, fig3_file])
-        assert code == 1
+    def test_forged_witness_exits_1(self, fig3_file, monkeypatch, capsys, command, forge, message):
+        forge_sweep(monkeypatch, forge)
+        assert invoke([command, fig3_file]) == (1, "")
+        assert message in capsys.readouterr().err
 
     @FORGED_PLANS
     @pytest.mark.parametrize(

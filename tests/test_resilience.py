@@ -104,16 +104,22 @@ class TestStrongResilience:
         ids=["strong_resilience", "min_edges_for_target", "best_within_budget"],
     )
     @FORGED_WITNESSES
-    def test_forged_witness_is_caught(
-        self, fig3_graph, monkeypatch, solve, n_left, edges, ell_star
-    ):
+    def test_forged_witness_is_caught(self, fig3_graph, monkeypatch, solve, forge, message):
         # Strong resilience and augmentation read ell* from the same checked
         # sweep as weak resilience, so a forged witness stops them too.  Fig 3
         # has d_min = 2, so at target 1 the bound strong <= d_min - 1 does not
         # settle the plan and the sweep is read.
-        forge_sweep(monkeypatch, n_left, edges, ell_star)
-        with pytest.raises(VerificationError):
+        forge_sweep(monkeypatch, forge)
+        with pytest.raises(VerificationError, match=message):
             solve(fig3_graph)
+
+    def test_levels_said_saturated_past_m_are_refused(self, fig3_graph, monkeypatch):
+        # Fig 3 has m = 5 columns.  A sweep told that every level up to 6
+        # saturates lists 10 pairs for ell* = 6, refused by their count
+        # before the degree test, which takes k <= m only, can run.
+        forge_sweep(monkeypatch, lambda h, b, short: 0 if b <= 6 else short)
+        with pytest.raises(VerificationError, match="witness is not 6 disjoint"):
+            flow_engine.resilience_sweep(fig3_graph)
 
     def test_wide_decomposition_allocates_per_edge(self):
         # 1 x 2000, every cell a star: ell* = 2000.  The colouring keeps a
@@ -132,12 +138,13 @@ class TestStrongResilience:
         "g", [sp.complete_graph(3, 4), weak_gap_graph()], ids=["complete-3x4", "weak-gap"]
     )
     def test_witness_checked_once(self, monkeypatch, g):
-        # _sweep checks the witness; the colouring that follows trusts it.
-        checked = count_calls(monkeypatch, resilience_mod, "is_union_of_k_matchings")
+        # The one sweep checks its witness; the colouring that follows trusts it.
+        swept = count_calls(monkeypatch, flow_engine, "resilience_sweep")
+        checked = count_calls(monkeypatch, flow_engine, "is_union_of_k_matchings")
         coloured = count_calls(monkeypatch, resilience_mod, "_colour_matchings")
         r = sp.strong_resilience(g)
         assert len(r.matchings) == r.ell_star > 0
-        assert checked == [1] and coloured == [1]
+        assert swept == checked == coloured == [1]
 
     @differential
     @given(small_graphs())
@@ -306,6 +313,22 @@ class TestExtractDisjointMatchings:
             assert sp.extract_disjoint_matchings(h, k) == expected
 
 
+def _repair_row_doubled(h, match, removed):
+    # Row 3 takes every column of g(3) not removed: on the weak gap's
+    # first repair, of g less (0, 0), it holds both 2 and 3.
+    short = flow_engine._BMatching.fill(h, 1)
+    h.row_cols[3] |= {j for j in h.adj[3] if (3, j) not in removed}
+    return short
+
+
+def _repair_pair_outside_g(h, match, removed):
+    # The weak gap's first repair, of g less (0, 0), ends with rows 2 and
+    # 3 on columns 3 and 2; they trade them, and (2, 2) is no edge of g.
+    short = flow_engine._BMatching.fill(h, 1)
+    h.row_cols[2], h.row_cols[3] = h.row_cols[3], h.row_cols[2]
+    return short
+
+
 class TestWeakResilience:
     def test_fig4_graph(self, fig3_graph):
         assert sp.weak_resilience(fig3_graph) == 1
@@ -354,49 +377,73 @@ class TestWeakResilience:
                     outcomes.append(("lower_bound", exc.lower_bound))
             assert outcomes[0] == outcomes[1], (budget, outcomes)
 
+    @staticmethod
+    def forge_repair(monkeypatch, forge):
+        """Make every repair run ``forge(h, match, removed)`` in place of its fill."""
+        repair = flow_engine._BMatching.repair
+
+        def forged(self, match, removed):
+            self.fill = lambda b: forge(self, match, removed)
+            return repair(self, match, removed)
+
+        monkeypatch.setattr(flow_engine._BMatching, "repair", forged)
+
     def test_forged_repair_failure_is_caught(self, monkeypatch):
         # In the weak-gap graph the bounds miss (ell* = 1 < d_min = 2), so
         # subsets are enumerated, and removing one edge keeps a left-perfect
         # matching: the min cut of g less the first subset that hits the
-        # pool contradicts a repair that reports failure.
-        monkeypatch.setattr(flow_engine._BMatching, "repair", lambda self, match, removed: False)
-        with pytest.raises(VerificationError):
+        # pool contradicts a fill that reports a row short.
+        def failed(h, match, removed):
+            return flow_engine._BMatching.fill(h, 1) or 1
+
+        self.forge_repair(monkeypatch, failed)
+        with pytest.raises(VerificationError, match="saturates level 1 said to fall short"):
             sp.weak_resilience(weak_gap_graph())
 
     def test_forged_narrowing_is_caught(self, monkeypatch):
-        # A repair that drops (1, 0) from reach as well as the subset fails
+        # A fill that drops (1, 0) from reach as well as the subset fails
         # wrongly on the first subset it sees, {(0, 0)}: column 0 loses its
-        # last edge.  The deciding min cut sums the cut its fill closed
+        # last edge.  The deciding min cut sums the cut that fill closed
         # over g less the true subset, from g's own adjacency, where the
         # pair (1, 0) leaves the cut and lifts its capacity above the flow.
-        repair = flow_engine._BMatching.repair
+        def narrowed(h, match, removed):
+            h.reach[1] = [j for j in h.reach[1] if j != 0]
+            return flow_engine._BMatching.fill(h, 1)
 
-        def forged(self, match, removed):
-            extra = () if (1, 0) in removed else ((1, 0),)
-            return repair(self, match, removed + extra)
-
-        monkeypatch.setattr(flow_engine._BMatching, "repair", forged)
+        self.forge_repair(monkeypatch, narrowed)
         with pytest.raises(VerificationError, match="max-flow 3 != min-cut 4 at level 1"):
             sp.weak_resilience(weak_gap_graph())
 
     def test_forged_repaired_matching_is_caught(self, monkeypatch):
-        # A repair that reports success but leaves H = M, removed pair and
-        # all, would pass every later subset that misses M's pairs; it must
-        # be refused before it joins the pool.
-        def forged(self, match, removed):
-            self.row_cols = [{j} for j in match]
-            return True
+        # A fill that reports success but leaves H = M, removed pair and
+        # all, would pass every later subset that misses M's pairs; the
+        # repair must refuse it before it joins the pool.
+        def kept(h, match, removed):
+            h.row_cols = [{j} for j in match]
+            return 0
 
-        monkeypatch.setattr(flow_engine._BMatching, "repair", forged)
-        with pytest.raises(VerificationError):
+        self.forge_repair(monkeypatch, kept)
+        with pytest.raises(VerificationError, match="left no left-perfect matching"):
+            sp.weak_resilience(weak_gap_graph())
+
+    @pytest.mark.parametrize(
+        "forge",
+        [_repair_row_doubled, _repair_pair_outside_g],
+        ids=["row-doubled", "pair-outside-g"],
+    )
+    def test_forged_repair_shape_is_caught(self, monkeypatch, forge):
+        # Each forgery keeps the removed pair out, so only the repair's
+        # own count or its edges-of-g check can refuse it.
+        self.forge_repair(monkeypatch, forge)
+        with pytest.raises(VerificationError, match="left no left-perfect matching"):
             sp.weak_resilience(weak_gap_graph())
 
     @FORGED_WITNESSES
-    def test_forged_witness_is_caught(self, fig3_graph, monkeypatch, n_left, edges, ell_star):
+    def test_forged_witness_is_caught(self, fig3_graph, monkeypatch, forge, message):
         # The lower bound strong <= weak rests on the sweep's witness alone,
         # so a witness that is not ell* disjoint matchings of g is refused.
-        forge_sweep(monkeypatch, n_left, edges, ell_star)
-        with pytest.raises(VerificationError):
+        forge_sweep(monkeypatch, forge)
+        with pytest.raises(VerificationError, match=message):
             sp.weak_resilience(fig3_graph)
 
     def test_budget_spent_below_ell_star_extracts_nothing(self, fig3_graph, monkeypatch):
@@ -447,11 +494,13 @@ class TestWeakResilience:
         assert built == [2]
 
     def test_enumeration_checks_witness_once(self, monkeypatch):
-        # The weak gap enumerates from the sweep's witness, checked once by _sweep.
-        checked = count_calls(monkeypatch, resilience_mod, "is_union_of_k_matchings")
+        # The weak gap enumerates from the witness of its one sweep, which
+        # the sweep checked.
+        swept = count_calls(monkeypatch, flow_engine, "resilience_sweep")
+        checked = count_calls(monkeypatch, flow_engine, "is_union_of_k_matchings")
         coloured = count_calls(monkeypatch, resilience_mod, "_colour_matchings")
         assert sp.weak_resilience(weak_gap_graph()) == 1
-        assert checked == [1] and coloured == [1]
+        assert swept == checked == coloured == [1]
 
     @differential
     @given(st.one_of(small_graphs(), hub_graphs(), planted_hubs()))
