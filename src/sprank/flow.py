@@ -679,24 +679,25 @@ def resilience_sweep(g: BipartiteGraph) -> ResilienceSweep:
     Level 1 gives the rank.  With full rank each further level augments
     every row once more, until a row falls short; no level above the
     minimum left degree saturates, so the sweep ends there at the latest.
-    The pairs H holds at each saturated level are listed as the witness
-    before the next probe, because a failed probe changes H.  The failed
-    level ends as a maximum flow, and its min cut is checked; the witness
-    must be n * ell* pairs of g that form ell* disjoint left-perfect
-    matchings.  ShapeError if g has fewer columns than rows.
+    H's rows at each saturated level are copied before the next probe,
+    because a failed probe changes H; the witness's pairs are listed once,
+    from the last copy.  The failed level ends as a maximum flow, and its
+    min cut is checked; the witness must be n * ell* pairs of g that form
+    ell* disjoint left-perfect matchings.  ShapeError if g has fewer
+    columns than rows.
     """
     _check_pattern_shape(g.n_left, g.n_right)
     n = g.n_left
     h = _BMatching(g)
     short = h.fill(1)
     rank = n - short
-    ell, witness = 0, []
+    ell, held = 0, []
     while not short:
         ell += 1
-        witness = [(i, j) for i in range(n) for j in h.row_cols[i]]
+        held = [*map(tuple, h.row_cols)]
         short = h.fill(ell + 1)
     h.verify_min_cut(ell + 1, short=True)
-    edges = frozenset(witness)
+    edges = frozenset((i, j) for i, cols in enumerate(held) for j in cols)
     # Checked to be pairs of g, so in range, just below.
     witness = _checked(BipartiteGraph, n_left=n, n_right=g.n_right, edges=edges)
     if (

@@ -5,9 +5,10 @@ tokens.  Every token is a single ``*`` (a star), ``0`` or ``.`` (a zero);
 tokens are separated by any character that ``str.isspace`` accepts (the
 ones ``str.split`` splits on), and lines end where ``str.splitlines``
 ends them (LF, CRLF, ...); a wrong row count names the first line break
-other than LF, CR or CRLF.  Lines starting with ``#`` are comments; they
-still count in the line numbers of a ``ParseError``, whose column is the
-index of the offending token in its row.  All serialized indices are
+other than LF, CR or CRLF.  An ASCII row is checked as bytes; any other
+row is split into tokens once.  Lines starting with ``#`` are comments;
+they still count in the line numbers of a ``ParseError``, whose column is
+the index of the offending token in its row.  All serialized indices are
 1-based to match the row/column labels used in documentation.
 """
 
@@ -25,7 +26,6 @@ from .pattern import (
     _check_positive_shape,
     _checked,
     pattern_from_stars,
-    to_bipartite,
 )
 
 # The 29 code points that str.isspace() accepts, which are the ones
@@ -34,11 +34,12 @@ from .pattern import (
 _SPACE = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004"
           "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
 
-# str.translate tables: delete the separators, delete the three cell
-# characters, and map each cell character to "x".
-_DROP_SPACE = str.maketrans("", "", _SPACE)
-_DROP_CELLS = str.maketrans("", "", "*0.")
-_MARK_CELLS = str.maketrans("*0.", "xxx")
+# For an ASCII row, as bytes: the separators to delete, and a table that
+# maps each cell character to "x".  For a row that is split, the tokens
+# that are cells.
+_SPACE_BYTES = _SPACE.encode("ascii", "ignore")
+_MARK_CELLS = bytes.maketrans(b"*0.", b"xxx")
+_CELLS = frozenset("*0.")
 
 # The line breaks of str.splitlines besides LF, CR and CRLF: VT, FF, the
 # three separators FS, GS and RS, NEL, and U+2028 and U+2029.
@@ -61,8 +62,9 @@ def _is_int(x) -> bool:
 def parse_text(src: str) -> SparsityPattern:
     """Parse the .spm text format.
 
-    Each row is checked by three ``str.translate`` passes; only a malformed
-    row is split into tokens, to name its fault.
+    An ASCII row is checked by three ``bytes.translate`` passes and any
+    other row by one ``str.split``; only a malformed row is looked at token
+    by token, to name its fault.
     """
     rows: list[tuple[int, str]] = []
     for lineno, raw in enumerate(src.splitlines(), start=1):
@@ -85,36 +87,41 @@ def parse_text(src: str) -> SparsityPattern:
         _raise_row_count(src, n, len(rows) - 1)
     stars = []
     for r, (lineno, line) in enumerate(rows[1:]):
-        # cells holds the row's non-space characters.  If there are m of
-        # them, all are cells ("*", "0" or "."), and no two cells touch in
-        # the line, then every token is exactly one cell, so the m tokens
-        # are the m characters of cells, in order.  A row of m one-cell
-        # tokens passes all three tests, so a row that fails one has a
-        # wrong token count or a bad token, and the split below raises.
-        cells = line.translate(_DROP_SPACE)
-        if (
-            len(cells) != m
-            or cells.translate(_DROP_CELLS)
-            or "xx" in line.translate(_MARK_CELLS)
-        ):
-            tokens = line.split()
-            if len(tokens) != m:
-                raise ParseError(
-                    f"expected {m} entries, found {len(tokens)}", line=lineno
-                )
-            for c, tok in enumerate(tokens, start=1):
-                if tok not in ("*", "0", "."):
-                    raise ParseError(
-                        f"unexpected token {tok!r}", line=lineno, column=c
-                    )
-        c = cells.find("*")
+        cells = _row_cells(line, m, lineno)
+        c = cells.find(b"*")
         while c >= 0:
             stars.append((r, c))
-            c = cells.find("*", c + 1)
+            c = cells.find(b"*", c + 1)
     # Each star is in range and found once, so pattern_from_stars would
     # only copy them.
     _check_pattern_shape(n, m)
     return _checked(SparsityPattern, n=n, m=m, stars=frozenset(stars))
+
+
+def _row_cells(line: str, m: int, lineno: int) -> bytes:
+    """The m cells of one stripped row, as bytes, or the ParseError naming its fault."""
+    if line.isascii():
+        # cells holds the row's non-space bytes.  If there are m of them,
+        # all are cells ("*", "0" or "."), and no two cells touch in the
+        # line, then every token is exactly one cell, so the m tokens are
+        # the m bytes of cells, in order.  A row of m one-cell tokens
+        # passes all three tests, so a row that fails one has a wrong
+        # token count or a bad token, and the split below raises.
+        row = line.encode()
+        cells = row.translate(None, _SPACE_BYTES)
+        if (
+            len(cells) == m
+            and not cells.translate(None, b"*0.")
+            and b"xx" not in row.translate(_MARK_CELLS)
+        ):
+            return cells
+    tokens = line.split()
+    if len(tokens) != m:
+        raise ParseError(f"expected {m} entries, found {len(tokens)}", line=lineno)
+    if not _CELLS.issuperset(tokens):
+        c, tok = next((c, tok) for c, tok in enumerate(tokens, start=1) if tok not in _CELLS)
+        raise ParseError(f"unexpected token {tok!r}", line=lineno, column=c)
+    return "".join(tokens).encode()
 
 
 def _raise_row_count(src: str, n: int, found: int):
@@ -137,13 +144,15 @@ def _raise_row_count(src: str, n: int, found: int):
 
 
 def serialize_text(p: SparsityPattern) -> str:
-    lines = [f"{p.n} {p.m}"]
-    for cols in to_bipartite(p)._layout.cols:
-        row = ["0"] * p.m
-        for j in cols:
-            row[j] = "*"
-        lines.append(" ".join(row))
-    return "\n".join(lines) + "\n"
+    """Write the .spm text format: "0 " cells, with each star stamped in place."""
+    n, m = p.n, p.m
+    cells = bytearray(b"0 ") * (n * m)
+    for i, j in p.stars:
+        cells[2 * (i * m + j)] = 42  # ord("*")
+    # The separator after each row's last cell is its line end.
+    cells[2 * m - 1::2 * m] = b"\n" * n
+    cells[:0] = f"{n} {m}\n".encode()
+    return cells.decode()
 
 
 def parse_json(src: str) -> SparsityPattern:
@@ -202,25 +211,21 @@ def export_dot(g: BipartiteGraph, matchings: list[Matching] | None = None) -> st
     each one's edges are colored from a fixed palette cycle; edges of g
     outside every matching stay black.
     """
-    color_of: dict[tuple[int, int], str] = {}
-    if matchings:
-        for idx, matching in enumerate(matchings):
-            extra = matching.edges - g.edges
-            if extra:
-                raise NotSubsetError(
-                    f"matching edges {sorted(extra)} are not edges of the graph"
-                )
-            for e in matching.sorted_edges:
-                color_of[e] = _PALETTE[idx % len(_PALETTE)]
-    lines = ["graph pattern {"]
-    for i in range(g.n_left):
-        lines.append(f'  a{i + 1} [shape=circle];')
-    for j in range(g.n_right):
-        lines.append(f'  b{j + 1} [shape=square];')
-    for (i, j) in g.sorted_edges:
-        attrs = f' [color={color_of[(i, j)]}]' if (i, j) in color_of else ""
-        lines.append(f"  a{i + 1} -- b{j + 1}{attrs};")
-    lines.append("}")
+    suffix: dict[tuple[int, int], str] = {}
+    for idx, matching in enumerate(matchings or ()):
+        extra = matching.edges - g.edges
+        if extra:
+            named = ", ".join(f"(a{i + 1}, b{j + 1})" for i, j in sorted(extra))
+            raise NotSubsetError(f"matching edges {named} are not edges of the graph")
+        # An edge in several matchings takes the last one's colour.
+        suffix.update(dict.fromkeys(matching.edges, f" [color={_PALETTE[idx % len(_PALETTE)]}]"))
+    lines = [
+        "graph pattern {",
+        *[f"  a{i} [shape=circle];" for i in range(1, g.n_left + 1)],
+        *[f"  b{j} [shape=square];" for j in range(1, g.n_right + 1)],
+        *[f"  a{i + 1} -- b{j + 1}{suffix.get((i, j), '')};" for i, j in g.sorted_edges],
+        "}",
+    ]
     return "\n".join(lines) + "\n"
 
 

@@ -85,11 +85,10 @@ _RowLayout = namedtuple("_RowLayout", "cols offsets")
 class BipartiteGraph:
     """Bipartite graph with left nodes 0..n_left-1 and right nodes 0..n_right-1.
 
-    ``_layout``, built on first use and kept, is its one row layout.  The
-    flow engine, weak resilience, the oracle, ``serialize_text``, the left
-    degrees and ``sorted_edges`` (so the colouring and the DOT export) read
-    it.  It holds only tuples; equality, hashing, ``repr``, copies and
-    pickles ignore it.
+    ``_layout``, built on first use and kept, is its one row layout.  The flow
+    engine, weak resilience, the oracle, the left degrees and ``sorted_edges``
+    (so the colouring and the DOT export) read it.  It holds only tuples;
+    equality, hashing, ``repr``, copies and pickles ignore it.
     """
 
     n_left: int

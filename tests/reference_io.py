@@ -1,15 +1,20 @@
-"""Reference ``.spm`` parser and serializer for the tests.
+"""Reference ``.spm`` parser and serializer, and DOT export, for the tests.
 
 These are the plain per-token and per-cell loops that ``sprank.io`` once
-used.  The library now checks each row with three ``str.translate`` passes
-and splits only a malformed row into tokens; the tests require it to give
-the same pattern, the same ``ParseError`` and the same bytes as these loops.
-A wrong row count names the first line break other than LF, CR or CRLF,
-found here by a scan of every character.
+used.  The library now checks each ASCII row with three ``bytes.translate``
+passes, splits any other row into tokens once, and writes a pattern into
+one byte buffer; the tests require it to give the same pattern, the same
+``ParseError`` and the same bytes as these loops.  A wrong row count names
+the first line break other than LF, CR or CRLF, found here by a scan of
+every character.  ``export_dot`` is the library's earlier DOT writer, which
+sorts every matching and looks each edge up twice; only its error message,
+which names 0-based pairs, differs from the library's.
 """
 
-from sprank.errors import ParseError, ShapeError
-from sprank.pattern import SparsityPattern, pattern_from_stars
+from sprank.errors import NotSubsetError, ParseError, ShapeError
+from sprank.pattern import BipartiteGraph, Matching, SparsityPattern, pattern_from_stars
+
+_PALETTE = ["red", "green", "blue", "orange", "purple", "brown", "cyan", "magenta"]
 
 
 def parse_text(src: str) -> SparsityPattern:
@@ -70,4 +75,33 @@ def serialize_text(p: SparsityPattern) -> str:
     stars = p.stars
     for i in range(p.n):
         lines.append(" ".join("*" if (i, j) in stars else "0" for j in range(p.m)))
+    return "\n".join(lines) + "\n"
+
+
+def export_dot(g: BipartiteGraph, matchings: list[Matching] | None = None) -> str:
+    """Undirected DOT text with deterministic ordering.
+
+    Left nodes are a1..an, right nodes b1..bm.  If matchings are given,
+    each one's edges are colored from a fixed palette cycle; edges of g
+    outside every matching stay black.
+    """
+    color_of: dict[tuple[int, int], str] = {}
+    if matchings:
+        for idx, matching in enumerate(matchings):
+            extra = matching.edges - g.edges
+            if extra:
+                raise NotSubsetError(
+                    f"matching edges {sorted(extra)} are not edges of the graph"
+                )
+            for e in matching.sorted_edges:
+                color_of[e] = _PALETTE[idx % len(_PALETTE)]
+    lines = ["graph pattern {"]
+    for i in range(g.n_left):
+        lines.append(f'  a{i + 1} [shape=circle];')
+    for j in range(g.n_right):
+        lines.append(f'  b{j + 1} [shape=square];')
+    for (i, j) in g.sorted_edges:
+        attrs = f' [color={color_of[(i, j)]}]' if (i, j) in color_of else ""
+        lines.append(f"  a{i + 1} -- b{j + 1}{attrs};")
+    lines.append("}")
     return "\n".join(lines) + "\n"

@@ -131,17 +131,39 @@ class TestTextContract:
 
     def test_parse_peak_below_8_bytes_per_cell(self):
         # One 200,000-cell row of zeros.  A list of one token per cell
-        # alone takes 8 bytes a cell; the translate passes take about 5.
+        # alone takes 8 bytes a cell; the row's bytes and the translate
+        # passes take about 7.
         m = 200_000
-        src = f"1 {m}\n" + " ".join(["0"] * m) + "\n"
-        tracemalloc.start()
-        try:
-            p = io_mod.parse_text(src)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert (p.n, p.m, p.dim()) == (1, m, 0)
-        assert peak < 8 * m
+        assert _parse_peak(" ", m) < 8 * m
+
+    def test_non_ascii_parse_peak_below_13_bytes_per_cell(self):
+        # The same row separated by U+00A0 is split once: the token list
+        # takes 8 bytes a cell, the row's copy 2 and its joined cells 2,
+        # about 12.1 in all.
+        m = 200_000
+        assert _parse_peak("\u00a0", m) < 13 * m
+
+    @pytest.mark.parametrize("text", [FIG3_TEXT, "2 3\n* 0 .\n0 * 0\n", "1 4\n. * 0 *\n"])
+    def test_ideographic_space_document(self, text):
+        # Every separator, the header's included, is U+3000, so every row
+        # takes the split route.
+        src = text.replace(" ", "\u3000")
+        assert not any(line.isascii() for line in src.splitlines())
+        assert io_mod.parse_text(src) == io_mod.parse_text(text)
+        assert _outcome(io_mod.parse_text, src) == _outcome(reference_io.parse_text, src)
+
+
+def _parse_peak(separator: str, m: int) -> int:
+    """The tracemalloc peak of parsing one row of m zeros joined by ``separator``."""
+    src = f"1 {m}\n" + separator.join(["0"] * m) + "\n"
+    tracemalloc.start()
+    try:
+        p = io_mod.parse_text(src)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (p.n, p.m, p.dim()) == (1, m, 0)
+    return peak
 
 
 _GOOD_TOKENS = st.sampled_from(["*", "0", "."])
@@ -240,6 +262,21 @@ class TestTextDifferential:
         text = io_mod.serialize_text(p)
         assert text == reference_io.serialize_text(p)
         assert io_mod.parse_text(text) == p
+
+    def test_serialize_peak_below_8_bytes_per_cell(self):
+        # One 10**6-cell row with three stars.  The "0 " buffer and the
+        # decoded text take 2 bytes a cell each; a list of one string per
+        # cell, or a second copy of the text, would pass 8.
+        m = 10**6
+        p = sp.pattern_from_stars(1, m, [(1, 1), (1, m // 2), (1, m)])
+        tracemalloc.start()
+        try:
+            text = io_mod.serialize_text(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text.startswith(f"1 {m}\n* 0 ") and text.count("*") == 3 and text.endswith(" *\n")
+        assert peak < 8 * m
 
 
 # Documents on which json.loads raises RecursionError or ValueError rather
@@ -375,9 +412,53 @@ class TestDotExport:
         assert "a1" in dot and "b2" in dot and "--" not in dot
 
     def test_non_subset_matching(self, fig7_graph):
+        # The pairs are named 1-based, as every error message names them.
         bad = sp.Matching(frozenset({(0, 2)}))
-        with pytest.raises(NotSubsetError):
+        with pytest.raises(NotSubsetError) as err:
             io_mod.export_dot(fig7_graph, [bad])
+        assert str(err.value) == "matching edges (a1, b3) are not edges of the graph"
 
     def test_deterministic(self, fig3_graph):
         assert io_mod.export_dot(fig3_graph) == io_mod.export_dot(fig3_graph)
+
+    def test_overlapping_partial_and_wrapping_match_reference(self, fig3_graph):
+        # Ten matchings of Fig 3, so the palette wraps; most are partial,
+        # and (0, 0), (1, 1), (2, 2) and (3, 4) each lie in several.
+        pairs = [
+            [(0, 0), (1, 1), (2, 2), (3, 4)], [(0, 0)], [(1, 1), (2, 3)], [],
+            [(0, 1), (1, 0), (3, 4)], [(2, 2)], [(1, 3), (3, 4)], [(0, 0), (2, 1)],
+            [(1, 1)], [(0, 1), (3, 4)],
+        ]
+        matchings = [sp.Matching(frozenset(m)) for m in pairs]
+        dot = io_mod.export_dot(fig3_graph, matchings)
+        assert dot == reference_io.export_dot(fig3_graph, matchings)
+        # The last matching through an edge gives its colour.
+        assert "  a1 -- b1 [color=magenta];" in dot and "  a4 -- b5 [color=green];" in dot
+
+    def test_none_and_no_matchings_match_reference(self, fig3_graph):
+        dots = {f(fig3_graph, ms) for f in (io_mod.export_dot, reference_io.export_dot) for ms in (None, [])}
+        assert dots == {io_mod.export_dot(fig3_graph)} and "color" not in dots.pop()
+
+    @differential
+    @given(st.data())
+    def test_matches_reference(self, data):
+        g = data.draw(small_graphs())
+        matchings = data.draw(st.one_of(st.none(), st.lists(_matchings_of(g), max_size=10)))
+        assert io_mod.export_dot(g, matchings) == reference_io.export_dot(g, matchings)
+
+
+def _matchings_of(g):
+    """Matchings of g, often partial: a greedy pass over drawn edges of g."""
+    if not g.edges:
+        return st.just(sp.Matching(frozenset()))
+
+    def greedy(edges):
+        rows, cols, kept = set(), set(), set()
+        for i, j in edges:
+            if i not in rows and j not in cols:
+                rows.add(i)
+                cols.add(j)
+                kept.add((i, j))
+        return sp.Matching(frozenset(kept))
+
+    return st.lists(st.sampled_from(sorted(g.edges)), unique=True).map(greedy)
