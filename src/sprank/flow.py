@@ -60,7 +60,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain
 
 from .errors import NotMaximalError, VerificationError
 from .pattern import BipartiteGraph, _check_pattern_shape, _checked, check_dense_size
@@ -300,12 +300,11 @@ class _BMatching:
     reduced cost 0 the columns of ``reach[u]``, which is only g's
     adjacency at u's potential, and then the columns of class pi(u) + 1
     outside g(u).  Every search scans them in that order, g first and the
-    class ascending, and that scan order is the contract that fixes which
-    b-matching comes out.  :meth:`fill` gives each short row, in one pass,
-    the columns of its own ``reach`` with room before the first raise, or
-    after it, while the row's class is that of t, the columns of ``room``:
-    those are the search's own first picks, so the contract holds, and
-    :meth:`_search` runs only for the units the pass leaves.
+    class ascending, and takes a column with room where the scan meets it.
+    That scan order and that one stop rule are the contract that fixes
+    which b-matching comes out.  :meth:`fill` gives each short row, in one
+    pass in the same order, the columns its search would stop at first,
+    and :meth:`_search` runs only for the units the pass leaves.
 
     ``adj`` is g's row layout, read and never copied.  Before the first
     raise every potential is 0, ``reach`` is ``adj``, no pair outside g has
@@ -313,10 +312,9 @@ class _BMatching:
     Rank and the sweep never raise, so the potentials, the classes and g's
     column sets are built on first use; ``pi_row`` is None until then.
     ``repair`` never raises either; it narrows ``reach`` to a subgraph of g.
-    :meth:`_search` reads the last fill's ``cut`` and ``room`` (see
-    :meth:`fill`); the cut is empty until the first fill.  Each
-    :meth:`raise_potentials` is a unit raise off that cut, and a solve
-    runs at most n of them.
+    :meth:`_search` reads the last fill's ``cut``, empty until the first
+    fill; each :meth:`raise_potentials` is a unit raise off that cut, and
+    a solve runs at most n of them.
     """
 
     def __init__(self, g: BipartiteGraph):
@@ -325,7 +323,7 @@ class _BMatching:
         self.row_cols = [set() for _ in range(g.n_left)]
         self.col_rows = [set() for _ in range(g.n_right)]
         self.cut = (set(), set())
-        self.pi_row = self.pi_col = self.in_g = self.classes = self.room = None
+        self.pi_row = self.pi_col = self.in_g = self.classes = None
 
     def _build_potentials(self) -> None:
         """Zero potentials and g's column set per row, unless already built."""
@@ -350,17 +348,17 @@ class _BMatching:
         or the potentials change, and skipping it keeps the order in which
         every other node is found.
 
-        Once ``room`` is a list, row u goes on to its class c = pi(u) + 1.
-        A column with room sits at pi(t), so if c is pi(t), the first
-        column of ``room`` outside g(u) and H(u) is where an ascending scan
-        of the class would stop.  Otherwise the search visits the columns
-        of ``classes[c]`` outside the cut that it has not reached yet,
-        ascending, narrowed per search in ``unvisited``: each is visited
-        once per search, and row u skips only those of g(u) and H(u).
+        Once the potentials exist, row u goes on to its class c = pi(u) + 1:
+        the columns of ``classes[c]`` outside the cut, ascending, narrowed
+        in ``unvisited`` so each is visited once per search; row u skips
+        only those of g(u) and H(u).  As in ``reach[u]``, the first column
+        with room ends the search.  Only class pi(t) has such columns, and
+        the narrowing never drops one: reaching it ends the search, and
+        the cut holds none.
         """
         reach, row_cols, col_rows = self.reach, self.row_cols, self.col_rows
         pi_row, pi_col, in_g = self.pi_row, self.pi_col, self.in_g
-        (rows, closed), room = self.cut, self.room
+        rows, closed = self.cut
         via = {}  # column -> the row that reached it over a pair outside H
         parent = {r: -1}  # row -> the column that reached it over a pair of H
         unvisited = {}  # class -> its columns this search has not reached
@@ -383,35 +381,28 @@ class _BMatching:
                         parent[w] = j
                         queue.append(w)
             else:
-                if room is None:
+                if pi_row is None:
                     continue
                 mine, c = in_g[u], pi_row[u] + 1
-                j = -1
-                if c == self.pi_t:
-                    for k in room:
-                        if k not in held and k not in mine:
-                            j = k
-                            break
-                if j < 0:
-                    kept = []
-                    for j in unvisited.get(c, self.classes.get(c, ())):
-                        if j in via or j in closed:
-                            continue
-                        if j in held or j in mine:
-                            kept.append(j)
-                            continue
-                        via[j] = u
-                        for w in col_rows[j]:
-                            if w not in parent and pi_col[j] - pi_row[w] == (j not in in_g[w]):
-                                parent[w] = j
-                                queue.append(w)
+                kept = []
+                for j in unvisited.get(c, self.classes.get(c, ())):
+                    if j in via or j in closed:
+                        continue
+                    if j in held or j in mine:
+                        kept.append(j)
+                        continue
+                    via[j] = u
+                    if len(col_rows[j]) < b:
+                        break
+                    for w in col_rows[j]:
+                        if w not in parent and pi_col[j] - pi_row[w] == (j not in in_g[w]):
+                            parent[w] = j
+                            queue.append(w)
+                else:
                     unvisited[c] = kept
                     continue
-                via[j] = u
             # Column j has room: flip the path, each row taking its new
             # column and dropping the column it was reached through.
-            if room is not None and len(col_rows[j]) == b - 1:
-                room.remove(j)
             while j >= 0:
                 u = via[j]
                 row_cols[u].add(j)
@@ -436,47 +427,42 @@ class _BMatching:
         skipped for the rest of this call only, since a raise changes which
         arcs have reduced cost 0.  ``cut`` starts empty and gathers the
         rows and columns of this call's failed searches: with no raise
-        since, the min cut :meth:`verify_min_cut` checks.  ``room``, None
-        until the potentials exist, lists the columns of class pi(t) with
-        room, ascending, and drops each as it fills.
+        since, the min cut :meth:`verify_min_cut` checks.
 
-        Each short row i first takes, in one pass, the columns the search
-        would pick first from i.  Before the first raise these are the
-        columns of ``reach[i]`` it does not hold and that have room.  After
-        a raise, a short row has been a source of every raise and is
-        still at potential 0, below t, so ``reach[i]`` holds only full
-        columns; where pi(i) + 1 is pi(t) the search then stops at the
-        columns of ``room`` outside g(i) and H(i), ascending.  Only the
-        units still missing cost a search.  Within one fill no column's
-        degree falls and H(i) only grows, so a column the pass skipped
-        stays ineligible and a successful search makes none eligible again:
-        the pass picks what a search per unit would.
+        Each short row i first takes, in one pass, the columns its search
+        would stop at first, and searches only for the units still missing:
+        those of ``reach[i]``, then, where pi(i) + 1 is pi(t), those of
+        ``room`` outside g(i), each if i does not hold it and it has room.
+        ``room`` lists class pi(t)'s columns with room when the fill starts,
+        ascending (none before the first raise), less the full ones the
+        pass drops from its front.  After a raise, a short row, a source of
+        every raise, is still at potential 0, below t, so ``reach[i]`` holds
+        only full columns.  Within one fill no column's degree falls and
+        H(i) only grows, so a skipped column stays ineligible, ``room``
+        holds every column that later has room, and a successful search
+        makes none eligible again: the pass picks what a search per unit would.
         """
-        reach, row_cols, col_rows = self.reach, self.row_cols, self.col_rows
+        reach, row_cols, col_rows, pi_row = self.reach, self.row_cols, self.col_rows, self.pi_row
         self.cut = (set(), set())
-        room = self.room = None
-        if self.pi_row is not None:
-            room = self.room = [j for j in self.classes.get(self.pi_t, ()) if len(col_rows[j]) < b]
+        room = ()
+        if pi_row is not None:
+            room = deque(j for j in self.classes.get(self.pi_t, ()) if len(col_rows[j]) < b)
         short = 0
         for i in range(self.g.n_left):
             held = row_cols[i]
             if len(held) >= b:
                 continue
-            if room is None:
-                for j in reach[i]:
-                    if j not in held and len(col_rows[j]) < b:
-                        held.add(j)
-                        col_rows[j].add(i)
-                        if len(held) == b:
-                            break
-            elif self.pi_row[i] + 1 == self.pi_t:
-                mine = self.in_g[i]
-                outside = (j for j in room if j not in held and j not in mine)
-                for j in list(islice(outside, b - len(held))):
+            cols = reach[i]
+            if room and pi_row[i] + 1 == self.pi_t:
+                while room and len(col_rows[room[0]]) == b:
+                    room.popleft()
+                cols = chain(cols, (j for j in room if j not in self.in_g[i]))
+            for j in cols:
+                if j not in held and len(col_rows[j]) < b:
                     held.add(j)
                     col_rows[j].add(i)
-                    if len(col_rows[j]) == b:
-                        room.remove(j)
+                    if len(held) == b:
+                        break
             while len(held) < b:
                 if not self._search(i, b):
                     short += 1

@@ -153,20 +153,20 @@ def _weak_resilience(g: BipartiteGraph, sweep: flow_engine.ResilienceSweep, budg
     ell = sweep.ell_star
     if not ell:
         return -1
-    edges = g.sorted_edges
+    e = len(g.edges)
     remaining = budget
     for size in range(1, ell):
-        remaining -= comb(len(edges), size)
+        remaining -= comb(e, size)
         if remaining < 0:
             raise _exhausted(size - 1)
-    # The certified failing subsets of size ell, as indices into edges: the
-    # rows of degree ell, each the run of edges from its offset in g's row
-    # layout.  They exist only where ell = d_min, and the first ranks least,
-    # so only it is ranked.  A test of every subset in order stops at the
-    # least-ranked candidate or earlier, so a budget left above its rank
-    # answers ell - 1.
+    # The certified failing subsets of size ell, as indices into g's sorted
+    # edges: the rows of degree ell, each the run of edges from its offset
+    # in g's row layout.  They exist only where ell = d_min, and the first
+    # ranks least, so only it is ranked.  A test of every subset in order
+    # stops at the least-ranked candidate or earlier, so a budget left
+    # above its rank answers ell - 1.
     first = next((range(p, q) for p, q in pairwise(g._layout.offsets) if q - p == ell), None)
-    if first and remaining > _lex_rank(first, len(edges)):
+    if first and remaining > _lex_rank(first, e):
         return ell - 1
     if remaining <= 0:
         # What the first subset below would raise, before the witness is
@@ -178,7 +178,8 @@ def _weak_resilience(g: BipartiteGraph, sweep: flow_engine.ResilienceSweep, budg
         pool.add(m.edges)
     match = [j for (_, j) in matchings[0].sorted_edges]
     h = flow_engine._BMatching(g)
-    for size in range(ell, len(edges) + 1):
+    edges = g.sorted_edges
+    for size in range(ell, e + 1):
         for removed in combinations(edges, size):
             if remaining <= 0:
                 raise _exhausted(size - 1)
@@ -190,7 +191,7 @@ def _weak_resilience(g: BipartiteGraph, sweep: flow_engine.ResilienceSweep, budg
                 return size - 1
             pool.add(pairs)
     # Unreachable for nonempty graphs: removing all edges kills the matching.
-    return len(edges) - 1
+    return e - 1
 
 
 def _lex_rank(indices, n: int) -> int:

@@ -4,10 +4,15 @@
 before the direct picks: every unit a short row needs runs the
 breadth-first search, even when the row's own ``reach`` has a column with
 room, or, after a raise, when its class is that of t and ``room`` has a
-column outside g(r) and H(r).  The engine's fill takes those columns in one
-pass per row, as the search's own first picks; the tests require the engine
-and :class:`SearchOnlyBMatching` to produce the same b-matchings, sweeps,
-costs and repairs.
+column outside g(r) and H(r).  Its search also keeps the shortcut the
+engine's search no longer has: ``room`` is the list of class pi(t)'s
+columns with room, edited as they fill, and a row whose class is that of
+t jumps to the first of them outside g(r) and H(r).  The engine's search
+scans the class instead and stops at the first column with room it meets,
+so the shortcut is the reference for that stop.  The engine's fill takes
+the same columns in one pass per row, as the search's own first picks; the
+tests require the engine and :class:`SearchOnlyBMatching` to produce the
+same b-matchings, sweeps, costs and repairs.
 
 :class:`DijkstraOnlyBMatching` is the reference the engine's unit raises are
 held to: every raise runs one Dijkstra from the short rows and lifts each

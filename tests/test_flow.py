@@ -555,7 +555,7 @@ class TestDirectStep:
         search = _BMatching._search
 
         def spy(self, r, b):
-            if self.room is not None:
+            if self.pi_row is not None:
                 searched.append((self.pi_t, self.pi_row[r] + 1 == self.pi_t))
             return search(self, r, b)
 
@@ -578,8 +578,12 @@ class TestDirectStep:
             # row 0 at column 2 and fills it: row 3's direct picks must then
             # skip column 2 and take column 3.
             ({(0, 3), (3, 0), (3, 1)}, 4, 3, [(1, True)]),
+            # The empty 5 x 5 pattern: row 4's search reaches row 1, whose
+            # scan of class pi(t) passes the full column 3, outside g(1) and
+            # H(1), before it stops at column 4, which has room.
+            (set(), 5, 3, [(1, True), (1, True)]),
         ],
-        ids=["pi_t-2", "pi_t-2-b3", "room-held", "search-fills-room"],
+        ids=["pi_t-2", "pi_t-2-b3", "room-held", "search-fills-room", "scan-passes-full"],
     )
     def test_post_raise_fallback_matches_reference(self, edges, n, b, expected):
         # Where the direct step after a raise cannot serve the row, the

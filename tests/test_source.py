@@ -179,3 +179,15 @@ def test_the_engine_has_one_raise():
     functions = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
     retired = functions & {"_raise_by_dijkstra", "_raise_by_cut"}
     assert not retired, f"flow.py still defines {sorted(retired)}"
+
+
+def test_the_engine_keeps_no_room_list():
+    # Every scan of the engine takes a column with room where it meets one,
+    # so no list of the columns with room is kept on the engine for the
+    # search and the fill to edit; a fill's snapshot is a local.
+    path = Path(sprank.__file__).parent / "flow.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    rooms = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "room"]
+    assert not rooms, f"flow.py reads or sets a .room attribute at lines {rooms}"
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert "islice" not in imported, "flow.py imports islice"
