@@ -33,7 +33,7 @@ from itertools import islice
 
 from . import flow as flow_engine
 from .errors import InvalidKError, PreconditionFailedError, VerificationError
-from .pattern import BipartiteGraph, _check_pattern_shape, _checked, check_dense_size
+from .pattern import BipartiteGraph, _check_pattern_shape, _checked, _k_matchings, check_dense_size
 from .pattern import is_union_of_k_matchings
 
 
@@ -186,9 +186,8 @@ def complement_matching_structure(g: BipartiteGraph) -> int:
     """
     if g.n_left != g.n_right:
         raise PreconditionFailedError("graph must be square (n_left == n_right)")
-    degs = g.left_degrees()
-    k = degs[0]
-    if any(d != k for d in degs) or (k > 0 and not is_union_of_k_matchings(g, k)):
+    k = len(g.edges) // g.n_left
+    if not _k_matchings(g.edges, g, k):
         raise PreconditionFailedError(
             "graph is not a union of disjoint perfect matchings"
         )

@@ -1,7 +1,7 @@
 """Integer-capacity flow networks and the two resilience constructions.
 
-The paper's two networks share one node layout: 0 = s, 1 = t, 2 + i =
-row i and 2 + n + j = column j.
+The paper's two networks share one builder, :func:`_network`, and its node
+layout: 0 = s, 1 = t, 2 + i = row i and 2 + n + j = column j.
 
 * :func:`build_resilience_network` routes flow s -> rows -> columns -> t
   through the pattern's own edges, with source/sink capacity ``ell``.  A
@@ -10,10 +10,10 @@ row i and 2 + n + j = column j.
   edges, with sink capacities (k+1) - deg(column); a flow of value n picks
   n complement edges that lift a union of k matchings to k+1.
 
-:func:`max_flow`, the one network solver, is deterministic: nodes and arcs
-are scanned in ascending index order, so repeated runs on the same network
-produce identical flows.  It checks max-flow = min-cut before it returns
-and raises :class:`~sprank.errors.VerificationError` if the two differ.
+:func:`max_flow` is deterministic: its paths and :func:`min_cut`'s source
+side are read off one residual search, which scans nodes and arcs in
+ascending index order.  It checks max-flow = min-cut before it returns and
+raises :class:`~sprank.errors.VerificationError` if the two differ.
 
 No library solve builds either network: they are the paper's constructions
 and the reference the tests check the engine below against.  Structural
@@ -63,8 +63,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .errors import NotMaximalError, VerificationError
-from .pattern import BipartiteGraph, _check_pattern_shape, _checked, check_dense_size
-from .pattern import is_union_of_k_matchings
+from .pattern import BipartiteGraph, _check_pattern_shape, _checked, _k_matchings, check_dense_size
 
 
 @dataclass(frozen=True)
@@ -145,23 +144,13 @@ class Cut:
 def build_resilience_network(g: BipartiteGraph, ell: int) -> FlowNetwork:
     """Directed network whose saturated flows certify ell disjoint matchings.
 
-    Node layout: 0 = s, 1 = t, 2..2+n-1 = left nodes, then right nodes.
-    Source and sink arcs have capacity ell; each pattern edge becomes a
-    unit-capacity middle arc.
+    Source and sink arcs have capacity ell; each pattern edge, in sorted
+    order, becomes a unit-capacity middle arc.  The node layout is that
+    of :func:`_network`, which both networks share.
     """
     if ell < 0:
         raise ValueError("ell must be nonnegative")
-    n, m = g.n_left, g.n_right
-    left = lambda i: 2 + i
-    right = lambda j: 2 + n + j
-    arcs = []
-    for i in range(n):
-        arcs.append(Arc(0, left(i), ell))
-    for (i, j) in g.sorted_edges:
-        arcs.append(Arc(left(i), right(j), 1))
-    for j in range(m):
-        arcs.append(Arc(right(j), 1, ell))
-    return FlowNetwork(2 + n + m, 0, 1, tuple(arcs))
+    return _network([ell] * g.n_left, g.sorted_edges, [ell] * g.n_right)
 
 
 def build_augmentation_network(g: BipartiteGraph, k: int) -> FlowNetwork:
@@ -174,20 +163,21 @@ def build_augmentation_network(g: BipartiteGraph, k: int) -> FlowNetwork:
         raise ValueError("k must be nonnegative")
     check_dense_size(g.n_left, g.n_right)
     n, m = g.n_left, g.n_right
-    left = lambda i: 2 + i
-    right = lambda j: 2 + n + j
-    right_deg = g.right_degrees()
-    arcs = []
-    for i in range(n):
-        arcs.append(Arc(0, left(i), 1))
-    for i in range(n):
-        for j in range(m):
-            if (i, j) not in g.edges:
-                arcs.append(Arc(left(i), right(j), 1))
-    for j in range(m):
-        cap = max(0, (k + 1) - right_deg[j])
-        arcs.append(Arc(right(j), 1, cap))
-    return FlowNetwork(2 + n + m, 0, 1, tuple(arcs))
+    missing = ((i, j) for i in range(n) for j in range(m) if (i, j) not in g.edges)
+    return _network([1] * n, missing, [max(0, (k + 1) - d) for d in g.right_degrees()])
+
+
+def _network(sources: list[int], middle, sinks: list[int]) -> FlowNetwork:
+    """The paper's node layout: 0 = s, 1 = t, 2 + i = row i, 2 + n + j = column j.
+
+    Arcs in order: s -> row i at ``sources[i]``, a unit arc row i -> column j
+    per pair (i, j) of ``middle``, and column j -> t at ``sinks[j]``.
+    """
+    n = len(sources)
+    arcs = [Arc(0, 2 + i, c) for i, c in enumerate(sources)]
+    arcs += [Arc(2 + i, 2 + n + j, 1) for (i, j) in middle]
+    arcs += [Arc(2 + n + j, 1, c) for j, c in enumerate(sinks)]
+    return FlowNetwork(2 + n + len(sinks), 0, 1, tuple(arcs))
 
 
 def _residual_adjacency(net: FlowNetwork):
@@ -201,36 +191,48 @@ def _residual_adjacency(net: FlowNetwork):
     return adj
 
 
+def _residual_search(net: FlowNetwork, adj, values) -> list:
+    """``prev`` of a breadth-first walk from s over residual arcs, smallest index first.
+
+    prev[v] is (the node before v, the arc, forward?), None where v is not
+    reached.  The walk stops when it pops t, so it is a full walk if t is unreached.
+    """
+    prev = [None] * net.node_count
+    prev[net.source] = (net.source, -1, True)
+    queue = deque([net.source])
+    while queue:
+        u = queue.popleft()
+        if u == net.sink:
+            break
+        for (v, idx, fwd) in adj[u]:
+            if prev[v] is not None:
+                continue
+            residual = net.arcs[idx].capacity - values[idx] if fwd else values[idx]
+            if residual > 0:
+                prev[v] = (u, idx, fwd)
+                queue.append(v)
+    return prev
+
+
+def _augmenting_path(net: FlowNetwork, adj, values) -> list[tuple[int, bool]]:
+    """The arcs (index, forward?) of a shortest residual s-t path, t's end first; [] if none."""
+    prev = _residual_search(net, adj, values)
+    path, v = [], net.sink
+    while prev[v] is not None and v != net.source:
+        v, idx, fwd = prev[v]
+        path.append((idx, fwd))
+    return path
+
+
 def max_flow(net: FlowNetwork) -> Flow:
-    """Integral maximum flow via shortest augmenting paths (Edmonds-Karp)."""
+    """Integral maximum flow via shortest augmenting paths (Edmonds-Karp).
+
+    Each path is read off :func:`_residual_search`, as is :func:`min_cut`.
+    """
     adj = _residual_adjacency(net)
     values = [0] * len(net.arcs)
     total = 0
-    while True:
-        # BFS for a shortest residual s-t path, smallest-index tie-break.
-        prev = [None] * net.node_count
-        prev[net.source] = (net.source, -1, True)
-        queue = deque([net.source])
-        while queue:
-            u = queue.popleft()
-            if u == net.sink:
-                break
-            for (v, idx, fwd) in adj[u]:
-                if prev[v] is not None:
-                    continue
-                residual = net.arcs[idx].capacity - values[idx] if fwd else values[idx]
-                if residual > 0:
-                    prev[v] = (u, idx, fwd)
-                    queue.append(v)
-        if prev[net.sink] is None:
-            break
-        # Bottleneck and augmentation.
-        path = []
-        v = net.sink
-        while v != net.source:
-            u, idx, fwd = prev[v]
-            path.append((idx, fwd))
-            v = u
+    for path in iter(lambda: _augmenting_path(net, adj, values), []):
         bottleneck = min(
             net.arcs[idx].capacity - values[idx] if fwd else values[idx]
             for (idx, fwd) in path
@@ -244,30 +246,21 @@ def max_flow(net: FlowNetwork) -> Flow:
 
 
 def min_cut(net: FlowNetwork, f: Flow) -> Cut:
-    """Source side of a minimum cut: residual-reachable nodes from s."""
+    """Source side of a minimum cut: what :func:`_residual_search` reaches; NotMaximalError if t."""
     return _min_cut(net, _residual_adjacency(net), f.arc_values)
 
 
 def _min_cut(net: FlowNetwork, adj, values) -> Cut:
-    reachable = {net.source}
-    queue = deque([net.source])
-    while queue:
-        u = queue.popleft()
-        for (v, idx, fwd) in adj[u]:
-            if v in reachable:
-                continue
-            residual = net.arcs[idx].capacity - values[idx] if fwd else values[idx]
-            if residual > 0:
-                reachable.add(v)
-                queue.append(v)
-    if net.sink in reachable:
+    prev = _residual_search(net, adj, values)
+    if prev[net.sink] is not None:
         raise NotMaximalError("a residual augmenting path exists; flow is not maximum")
+    reachable = frozenset(v for v, p in enumerate(prev) if p is not None)
     capacity = sum(
         a.capacity
         for a in net.arcs
         if a.tail in reachable and a.head not in reachable
     )
-    return Cut(frozenset(reachable), capacity)
+    return Cut(reachable, capacity)
 
 
 def _verify_min_cut(net: FlowNetwork, adj, flow: Flow) -> None:
@@ -479,8 +472,8 @@ class _BMatching:
         ascending order.  H ends as a maximum flow of g minus ``removed``,
         so a failure is proven by ``verify_min_cut(1, True, removed)``; a
         wrong matching in the pool would pass every later subset that
-        misses it, so a success is checked: one column per row, n distinct
-        columns, every pair an edge of g, and none removed.
+        misses it, so a success is checked: every pair an edge of g, none
+        removed, and one pair at each row and at most one at each column.
         """
         reach = self.reach = list(self.adj)
         self.row_cols = row_cols = [{j} for j in match]
@@ -496,11 +489,10 @@ class _BMatching:
             self.verify_min_cut(1, short=True, removed=removed)
             return None
         pairs = [(i, j) for i, held in enumerate(self.row_cols) for j in held]
-        rows, cols = {i for (i, _) in pairs}, {j for (_, j) in pairs}
-        if (
-            not len(pairs) == len(rows) == len(cols) == self.g.n_left
-            or not self.g.edges.issuperset(pairs)
-            or not set(removed).isdisjoint(pairs)
+        if not (
+            self.g.edges.issuperset(pairs)
+            and set(removed).isdisjoint(pairs)
+            and _k_matchings(pairs, self.g, 1)
         ):
             raise VerificationError(
                 f"repair after removing {removed} left no left-perfect matching of the "
@@ -668,9 +660,9 @@ def resilience_sweep(g: BipartiteGraph) -> ResilienceSweep:
     H's rows at each saturated level are copied before the next probe,
     because a failed probe changes H; the witness's pairs are listed once,
     from the last copy.  The failed level ends as a maximum flow, and its
-    min cut is checked; the witness must be n * ell* pairs of g that form
-    ell* disjoint left-perfect matchings.  ShapeError if g has fewer
-    columns than rows.
+    min cut is checked; the witness must be pairs of g that form ell*
+    disjoint left-perfect matchings, none at all when ell* = 0.
+    ShapeError if g has fewer columns than rows.
     """
     _check_pattern_shape(g.n_left, g.n_right)
     n = g.n_left
@@ -684,17 +676,11 @@ def resilience_sweep(g: BipartiteGraph) -> ResilienceSweep:
         short = h.fill(ell + 1)
     h.verify_min_cut(ell + 1, short=True)
     edges = frozenset((i, j) for i, cols in enumerate(held) for j in cols)
-    # Checked to be pairs of g, so in range, just below.
-    witness = _checked(BipartiteGraph, n_left=n, n_right=g.n_right, edges=edges)
-    if (
-        not edges <= g.edges
-        # n * ell* pairs: none at all when ell* = 0.
-        or len(edges) != n * ell
-        or (ell and not is_union_of_k_matchings(witness, ell))
-    ):
+    if not (edges <= g.edges and _k_matchings(edges, g, ell)):
         raise VerificationError(
             f"the sweep's witness is not {ell} disjoint left-perfect matchings of g"
         )
+    witness = _checked(BipartiteGraph, n_left=n, n_right=g.n_right, edges=edges)
     return ResilienceSweep(rank, ell, witness)
 
 

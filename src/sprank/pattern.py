@@ -258,13 +258,19 @@ def degree(g: BipartiteGraph, side: str, index: int) -> int:
 def is_union_of_k_matchings(g: BipartiteGraph, k: int) -> bool:
     """True iff g is a union of k disjoint left-perfect matchings.
 
-    Equivalent degree test, counted in one pass over the edges: every left
-    degree equals k and every right degree is at most k.
+    Equivalent degree test, :func:`_k_matchings`, which also checks the flow
+    engine's sweep witness and repaired matchings (``sprank.flow``) and the
+    square union of :func:`sprank.augment.complement_matching_structure`.
     """
     if not 1 <= k <= g.n_right:
         raise InvalidKError(f"k = {k} outside [1, {g.n_right}]")
+    return _k_matchings(g.edges, g, k)
+
+
+def _k_matchings(pairs, g: BipartiteGraph, k: int) -> bool:
+    """Whether distinct ``pairs`` in g's ranges give every row k and every column at most k."""
     left, right = [0] * g.n_left, [0] * g.n_right
-    for (i, j) in g.edges:
+    for (i, j) in pairs:
         left[i] += 1
         right[j] += 1
     return all(d == k for d in left) and all(d <= k for d in right)

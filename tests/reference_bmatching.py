@@ -53,8 +53,13 @@ class SearchOnlyBMatching(_BMatching):
     def _push(self, r: int, b: int, closed: set, room, free) -> bool:
         """Push one unit s -> r -> ... -> t over arcs of zero reduced cost; False if none.
 
-        ``closed``, ``room`` and ``free`` mean what they mean to
-        :meth:`sprank.flow._BMatching._search`.
+        ``closed`` holds the columns of the fill's cut, which
+        :meth:`sprank.flow._BMatching._search` skips too.  ``room`` and
+        ``free`` are this class's own, both None before the first raise:
+        ``room`` lists class pi(t)'s columns with room, edited as they
+        fill, for the shortcut the module docstring names, and ``free``
+        maps each potential to its columns that no failed search of the
+        fill has closed.
         """
         reach, row_cols, col_rows = self.reach, self.row_cols, self.col_rows
         pi_row, pi_col, in_g = self.pi_row, self.pi_col, self.in_g

@@ -347,6 +347,20 @@ class TestBoostBy:
         with pytest.raises(InvalidKError):
             sp.boost_by(fig7_graph, 2, 2)
 
+    def test_forged_cost_is_refused(self, monkeypatch):
+        # The solve's true pairs, with one pair more said to lie outside g
+        # than the lift from 1 to 3 matchings of the 3x3 diagonal adds.
+        solve = flow_engine.min_cost_b_matching
+
+        def forged(g, b):
+            edges, cost = solve(g, b)
+            return edges, cost + 1
+
+        monkeypatch.setattr(flow_engine, "min_cost_b_matching", forged)
+        g = sp.BipartiteGraph(3, 3, frozenset({(0, 0), (1, 1), (2, 2)}))
+        with pytest.raises(VerificationError, match="must add exactly 6 edges, not 7"):
+            sp.boost_by(g, 1, 2)
+
     def test_every_ell_matches_reference_lifts(self):
         # The reference lifts one step at a time: a max flow of value n on
         # the augmentation network, whose flow subgraph joins the union.
@@ -403,6 +417,23 @@ class TestComplementMatchingStructure:
         # past the dense-size cap, and is never built.
         g = sp.BipartiteGraph(1100, 1100, frozenset((i, i) for i in range(1100)))
         assert sp.complement_matching_structure(g) == 1099
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (
+            lambda: sp.best_within_budget(sp.complete_graph(2, 2), -1),
+            ValueError,
+            "budget must be nonnegative",
+        ),
+    ],
+    ids=["negative-budget"],
+)
+def test_input_guards(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert exc.type is error and str(exc.value) == message
 
 
 class TestOracleAgreement:

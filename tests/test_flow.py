@@ -10,6 +10,7 @@ import sprank as sp
 from sprank import flow as flow_engine
 from sprank.errors import NotMaximalError, VerificationError
 from sprank.flow import Arc, FlowNetwork, _BMatching
+from sprank.pattern import _checked
 
 from conftest import (
     count_calls,
@@ -125,6 +126,16 @@ class TestMinCut:
         zero = sp.Flow(net, (0,) * len(net.arcs), 0)
         with pytest.raises(NotMaximalError):
             sp.min_cut(net, zero)
+
+    def test_verify_min_cut_refuses_a_value_below_the_cut(self):
+        # max_flow's arc values carry 2 units, but the forged flow says 1:
+        # the residual cut of those values, capacity 2, must refuse it.
+        g = sp.BipartiteGraph(2, 3, frozenset({(0, 0), (0, 1), (1, 2)}))
+        net = sp.build_resilience_network(g, 1)
+        values = sp.max_flow(net).arc_values
+        forged = _checked(sp.Flow, network=net, arc_values=values, value=1)
+        with pytest.raises(VerificationError, match="max-flow 1 != min-cut 2"):
+            flow_engine._verify_min_cut(net, flow_engine._residual_adjacency(net), forged)
 
     def test_lemma2_on_random_networks(self):
         rng = random.Random(99)
@@ -633,6 +644,38 @@ class TestFlowInvariants:
             net = sp.build_resilience_network(g, rng.randint(1, 3))
             f = sp.max_flow(net)  # Flow.__post_init__ checks the invariants
             assert all(isinstance(v, int) for v in f.arc_values)
+
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: FlowNetwork(3, 0, 1, (Arc(0, 3, 1),)), ValueError, "arc (0, 3) out of range"),
+            (
+                lambda: sp.Flow(FlowNetwork(3, 0, 1, (Arc(0, 2, 1), Arc(2, 1, 1))), (0,), 0),
+                ValueError,
+                "one flow value per arc required",
+            ),
+            (
+                lambda: sp.Flow(FlowNetwork(3, 0, 1, (Arc(0, 2, 1), Arc(2, 1, 1))), (2, 2), 2),
+                ValueError,
+                "flow 2 violates capacity 1",
+            ),
+            (
+                lambda: sp.build_resilience_network(sp.complete_graph(2, 2), -1),
+                ValueError,
+                "ell must be nonnegative",
+            ),
+            (
+                lambda: sp.build_augmentation_network(sp.complete_graph(2, 2), -1),
+                ValueError,
+                "k must be nonnegative",
+            ),
+        ],
+        ids=["arc-out-of-range", "value-count", "over-capacity", "resilience-ell", "augmentation-k"],
+    )
+    def test_input_guards(self, build, error, message):
+        with pytest.raises(error) as exc:
+            build()
+        assert exc.type is error and str(exc.value) == message
 
     def test_network_validation(self):
         with pytest.raises(ValueError):

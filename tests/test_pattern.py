@@ -268,3 +268,58 @@ def test_complement_involution(stars):
     g = sp.BipartiteGraph(3, 4, stars)
     assert sp.complement(sp.complement(g)) == g
     assert len(g.edges) + len(sp.complement(g).edges) == 12
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (
+            lambda: sp.SparsityPattern(2, 3, frozenset({(0, 3)})),
+            OutOfRangeError,
+            "star (1, 4) outside the 2x3 grid",
+        ),
+        (
+            lambda: sp.BipartiteGraph(0, 2, frozenset()),
+            ShapeError,
+            "node counts must be positive, got (0, 2)",
+        ),
+        (
+            lambda: sp.BipartiteGraph(2, 2, frozenset({(2, 0)})),
+            OutOfRangeError,
+            "edge (a3, b1) outside graph with 2 left and 2 right nodes",
+        ),
+        (
+            lambda: sp.Matching(frozenset({(0, 0), (1, 0)})),
+            ValueError,
+            "matching edges must have pairwise-distinct endpoints",
+        ),
+        (
+            lambda: sp.degree(sp.complete_graph(2, 3), "right", 3),
+            OutOfRangeError,
+            "right node b4 out of range",
+        ),
+        (
+            lambda: sp.degree(sp.complete_graph(2, 3), "up", 0),
+            ValueError,
+            "side must be 'left' or 'right', got 'up'",
+        ),
+        (
+            lambda: sp.union_disjoint(sp.complete_graph(2, 2), sp.BipartiteGraph(2, 3, frozenset())),
+            ShapeError,
+            "node sets differ: (2, 2) vs (2, 3)",
+        ),
+    ],
+    ids=[
+        "star-out-of-range",
+        "zero-nodes",
+        "edge-out-of-range",
+        "repeated-endpoint",
+        "right-node-out-of-range",
+        "unknown-side",
+        "union-of-shapes",
+    ],
+)
+def test_input_guards(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert exc.type is error and str(exc.value) == message

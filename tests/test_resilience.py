@@ -115,8 +115,8 @@ class TestStrongResilience:
 
     def test_levels_said_saturated_past_m_are_refused(self, fig3_graph, monkeypatch):
         # Fig 3 has m = 5 columns.  A sweep told that every level up to 6
-        # saturates lists 10 pairs for ell* = 6, refused by their count
-        # before the degree test, which takes k <= m only, can run.
+        # saturates lists 10 pairs for ell* = 6, refused by the degree test:
+        # no row can hold 6 distinct columns of 5.
         forge_sweep(monkeypatch, lambda h, b, short: 0 if b <= 6 else short)
         with pytest.raises(VerificationError, match="witness is not 6 disjoint"):
             flow_engine.resilience_sweep(fig3_graph)
@@ -140,7 +140,7 @@ class TestStrongResilience:
     def test_witness_checked_once(self, monkeypatch, g):
         # The one sweep checks its witness; the colouring that follows trusts it.
         swept = count_calls(monkeypatch, flow_engine, "resilience_sweep")
-        checked = count_calls(monkeypatch, flow_engine, "is_union_of_k_matchings")
+        checked = count_calls(monkeypatch, flow_engine, "_k_matchings")
         coloured = count_calls(monkeypatch, resilience_mod, "_colour_matchings")
         r = sp.strong_resilience(g)
         assert len(r.matchings) == r.ell_star > 0
@@ -261,6 +261,15 @@ class TestExtractDisjointMatchings:
         with pytest.raises(NotDecomposableError):
             sp.extract_disjoint_matchings(fig3_graph, 2)
 
+    def test_colouring_refuses_a_class_with_a_row_left_out(self):
+        # Row 1 has one edge, so at ell = 2 its colour-1 slot stays empty.
+        # The ell slots of each row still hold distinct columns, so only
+        # the class check, not the partition check, can refuse the colouring.
+        h = sp.BipartiteGraph(2, 3, frozenset({(0, 0), (0, 1), (1, 2)}))
+        message = "colour class 1 is not a left-perfect matching of h"
+        with pytest.raises(VerificationError, match=message):
+            resilience_mod._colour_matchings(h, 2)
+
     def test_random_unions_round_trip(self):
         rng = random.Random(59)
         for _ in range(30):
@@ -318,6 +327,29 @@ def _repair_row_doubled(h, match, removed):
     # first repair, of g less (0, 0), it holds both 2 and 3.
     short = flow_engine._BMatching.fill(h, 1)
     h.row_cols[3] |= {j for j in h.adj[3] if (3, j) not in removed}
+    return short
+
+
+def _repair_row_doubled_row_empty(h, match, removed):
+    # The weak gap's first repair, of g less (0, 0), ends with rows 2 and
+    # 3 on columns 3 and 2; row 3 takes column 3 as well and row 2 holds
+    # none: n pairs of g on n distinct columns.  Later repairs are left
+    # true, so only a wrong pool could change the answer.
+    short = flow_engine._BMatching.fill(h, 1)
+    if removed == ((0, 0),):
+        h.row_cols[3] |= h.row_cols[2]
+        h.row_cols[2] = set()
+    return short
+
+
+def _repair_column_shared(h, match, removed):
+    # The weak gap's first repair, of g less (0, 0), ends with row 0 on
+    # column 1 and row 2 on column 3; row 2 moves to column 1, and (2, 1)
+    # is an edge of g: one pair of g per row, two at column 1.  Later
+    # repairs are left true.
+    short = flow_engine._BMatching.fill(h, 1)
+    if removed == ((0, 0),):
+        h.row_cols[2] = set(h.row_cols[0])
     return short
 
 
@@ -428,12 +460,18 @@ class TestWeakResilience:
 
     @pytest.mark.parametrize(
         "forge",
-        [_repair_row_doubled, _repair_pair_outside_g],
-        ids=["row-doubled", "pair-outside-g"],
+        [
+            _repair_row_doubled,
+            _repair_row_doubled_row_empty,
+            _repair_column_shared,
+            _repair_pair_outside_g,
+        ],
+        ids=["row-doubled", "row-doubled-row-empty", "column-shared", "pair-outside-g"],
     )
     def test_forged_repair_shape_is_caught(self, monkeypatch, forge):
         # Each forgery keeps the removed pair out, so only the repair's
-        # own count or its edges-of-g check can refuse it.
+        # own degree test or its edges-of-g check can refuse it.  The two
+        # of exactly n pairs of g pass any test of the pair count alone.
         self.forge_repair(monkeypatch, forge)
         with pytest.raises(VerificationError, match="left no left-perfect matching"):
             sp.weak_resilience(weak_gap_graph())
@@ -495,12 +533,39 @@ class TestWeakResilience:
 
     def test_enumeration_checks_witness_once(self, monkeypatch):
         # The weak gap enumerates from the witness of its one sweep, which
-        # the sweep checked.
+        # the sweep checked.  The degree predicate that checks the witness
+        # also checks each repaired matching, so its calls are told apart
+        # by whether a sweep is running.
         swept = count_calls(monkeypatch, flow_engine, "resilience_sweep")
-        checked = count_calls(monkeypatch, flow_engine, "is_union_of_k_matchings")
         coloured = count_calls(monkeypatch, resilience_mod, "_colour_matchings")
+        sweep, k_matchings, repair = (
+            flow_engine.resilience_sweep, flow_engine._k_matchings, flow_engine._BMatching.repair
+        )
+        sweeping, checks, repaired = [False], [], []
+
+        def in_sweep(g):
+            sweeping[0] = True
+            try:
+                return sweep(g)
+            finally:
+                sweeping[0] = False
+
+        def checked(pairs, g, k):
+            checks.append(sweeping[0])
+            return k_matchings(pairs, g, k)
+
+        def counted_repair(self, match, removed):
+            pairs = repair(self, match, removed)
+            repaired.append(pairs is not None)
+            return pairs
+
+        monkeypatch.setattr(flow_engine, "resilience_sweep", in_sweep)
+        monkeypatch.setattr(flow_engine, "_k_matchings", checked)
+        monkeypatch.setattr(flow_engine._BMatching, "repair", counted_repair)
         assert sp.weak_resilience(weak_gap_graph()) == 1
-        assert swept == checked == coloured == [1]
+        assert swept == coloured == [1]
+        assert checks.count(True) == 1
+        assert checks.count(False) == repaired.count(True) > 0
 
     @differential
     @given(st.one_of(small_graphs(), hub_graphs(), planted_hubs()))

@@ -191,3 +191,34 @@ def test_the_engine_keeps_no_room_list():
     assert not rooms, f"flow.py reads or sets a .room attribute at lines {rooms}"
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
     assert "islice" not in imported, "flow.py imports islice"
+
+
+def _is_column_offset(node) -> bool:
+    """Whether node is ``2 + n``, the first column's node in the paper's network layout."""
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Add)
+        and isinstance(node.left, ast.Constant)
+        and node.left.value == 2
+        and isinstance(node.right, ast.Name)
+        and node.right.id == "n"
+    )
+
+
+def test_flow_does_each_check_once():
+    # max_flow and min_cut read one residual search, both networks are laid
+    # out by one builder, and every matching family the engine checks goes
+    # through pattern's one degree predicate.
+    path = Path(sprank.__file__).parent / "flow.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    functions = [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    loops = [
+        fn.name
+        for fn in functions
+        if fn.name in ("max_flow", "_min_cut") and any(isinstance(node, ast.While) for node in ast.walk(fn))
+    ]
+    assert not loops, f"flow.py functions with a while loop of their own: {loops}"
+    layouts = sorted({fn.name for fn in functions if any(map(_is_column_offset, ast.walk(fn)))})
+    assert len(layouts) == 1, f"flow.py lays out the network in {layouts}"
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "is_union_of_k_matchings" not in imported, "flow.py imports is_union_of_k_matchings"
