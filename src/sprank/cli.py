@@ -2,6 +2,9 @@
 
 Subcommands: rank, resilience, decompose, augment, verify.
 
+Text and --json print the same result: each subcommand returns it, and run
+writes it once, in the route asked for, and picks the exit code from it.
+
 Exit codes: 0 success; 1 parse/shape errors, JSON headers claiming more
 rows and columns than their stars allow, patterns over the dense-size cap
 (n*m cells where they are built one by one, as by augment --out; n*(K+1)
@@ -62,56 +65,46 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _edges_1based(edges) -> list[list[int]]:
-    return [[i + 1, j + 1] for (i, j) in sorted(edges)]
+def _edges_1based(edges) -> list[tuple[int, int]]:
+    return [(i + 1, j + 1) for (i, j) in sorted(edges)]
 
 
 def _format_edges(edges) -> str:
-    return " ".join(f"({i + 1},{j + 1})" for (i, j) in sorted(edges))
+    """Join the 1-based, sorted edge list of a result as ``(i,j) ...``."""
+    return " ".join([f"({i},{j})" for (i, j) in edges])
 
 
-def _cmd_rank(args, out) -> int:
+def _cmd_rank(args):
     g = to_bipartite(io_mod.load_pattern(args.file))
     rank = resilience_mod.structural_rank(g)
     full = rank == g.n_left
-    if args.json:
-        out.write(json.dumps({"rank": rank, "full_rank": full}) + "\n")
-    else:
-        out.write(f"rank: {rank} ({'full' if full else 'deficient'})\n")
-    return EXIT_OK if full else EXIT_NEGATIVE
+    return full, {"rank": rank, "full_rank": full}
 
 
-def _cmd_resilience(args, out) -> int:
+def _rank_text(r) -> str:
+    return f"rank: {r['rank']} ({'full' if r['full_rank'] else 'deficient'})\n"
+
+
+def _cmd_resilience(args):
     if args.budget is not None and not args.weak:
         raise _UsageError("--budget needs --weak: it caps the weak-resilience subset tests")
     g = to_bipartite(io_mod.load_pattern(args.file))
     if args.weak:
         budget = args.budget if args.budget is not None else resilience_mod.DEFAULT_WEAK_BUDGET
         value = resilience_mod.weak_resilience(g, budget=budget)
-        if args.json:
-            out.write(json.dumps({"weak_resilience": value}) + "\n")
-        else:
-            out.write(f"weak_resilience: {value}\n")
-        return EXIT_OK if value >= 0 else EXIT_NEGATIVE
+        return value >= 0, {"weak_resilience": value}
     sweep = flow_engine.resilience_sweep(g)
     strong = sweep.ell_star - 1
-    if args.json:
-        out.write(
-            json.dumps(
-                {
-                    "rank": sweep.rank,
-                    "strong_resilience": strong,
-                    "ell_star": sweep.ell_star,
-                }
-            )
-            + "\n"
-        )
-    else:
-        out.write(f"strong_resilience: {strong}, ell_star: {sweep.ell_star}\n")
-    return EXIT_OK if strong >= 0 else EXIT_NEGATIVE
+    return strong >= 0, {"rank": sweep.rank, "strong_resilience": strong, "ell_star": sweep.ell_star}
 
 
-def _cmd_decompose(args, out) -> int:
+def _resilience_text(r) -> str:
+    if "weak_resilience" in r:
+        return f"weak_resilience: {r['weak_resilience']}\n"
+    return f"strong_resilience: {r['strong_resilience']}, ell_star: {r['ell_star']}\n"
+
+
+def _cmd_decompose(args):
     g = to_bipartite(io_mod.load_pattern(args.file))
     report = resilience_mod.strong_resilience(g)
     if args.dot:
@@ -119,27 +112,19 @@ def _cmd_decompose(args, out) -> int:
         dot = io_mod.export_dot(report.witness_subgraph, list(report.matchings))
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(dot)
-    if args.json:
-        out.write(
-            json.dumps(
-                {
-                    "ell_star": report.ell_star,
-                    "strong_resilience": report.strong_resilience,
-                    "matchings": [
-                        _edges_1based(m.edges) for m in report.matchings
-                    ],
-                }
-            )
-            + "\n"
-        )
-    else:
-        out.write(f"ell_star: {report.ell_star}\n")
-        for idx, m in enumerate(report.matchings, start=1):
-            out.write(f"matching {idx}: {_format_edges(m.edges)}\n")
-    return EXIT_OK if report.ell_star > 0 else EXIT_NEGATIVE
+    return report.ell_star > 0, {
+        "ell_star": report.ell_star,
+        "strong_resilience": report.strong_resilience,
+        "matchings": [_edges_1based(m.edges) for m in report.matchings],
+    }
 
 
-def _cmd_augment(args, out) -> int:
+def _decompose_text(r) -> str:
+    lines = (f"matching {idx}: {_format_edges(e)}\n" for idx, e in enumerate(r["matchings"], start=1))
+    return f"ell_star: {r['ell_star']}\n" + "".join(lines)
+
+
+def _cmd_augment(args):
     g = to_bipartite(io_mod.load_pattern(args.file))
     if args.out:
         # The written pattern has n * m tokens.
@@ -153,28 +138,21 @@ def _cmd_augment(args, out) -> int:
         augmented = from_bipartite(plan.result_graph)
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(io_mod.serialize_text(augmented))
-    if args.json:
-        out.write(
-            json.dumps(
-                {
-                    "delta_star": plan.delta_star,
-                    "achieved_resilience": plan.achieved_resilience,
-                    "added_edges": _edges_1based(plan.added_edges),
-                }
-            )
-            + "\n"
-        )
-    else:
-        out.write(
-            f"delta_star: {plan.delta_star}, "
-            f"achieved_resilience: {plan.achieved_resilience}\n"
-        )
-        if plan.added_edges:
-            out.write(f"added: {_format_edges(plan.added_edges)}\n")
-    return EXIT_OK if plan.achieved_resilience >= 0 else EXIT_NEGATIVE
+    return plan.achieved_resilience >= 0, {
+        "delta_star": plan.delta_star,
+        "achieved_resilience": plan.achieved_resilience,
+        "added_edges": _edges_1based(plan.added_edges),
+    }
 
 
-def _cmd_verify(args, out) -> int:
+def _augment_text(r) -> str:
+    text = f"delta_star: {r['delta_star']}, achieved_resilience: {r['achieved_resilience']}\n"
+    if r["added_edges"]:
+        text += f"added: {_format_edges(r['added_edges'])}\n"
+    return text
+
+
+def _cmd_verify(args):
     g = to_bipartite(io_mod.load_pattern(args.file))
     budget = _oracle_budget()
     checks = []
@@ -193,13 +171,14 @@ def _cmd_verify(args, out) -> int:
     weak_brute = oracle_mod.brute_weak_resilience(g, budget)
     checks.append(("weak resilience enumeration vs oracle", weak_enum == weak_brute))
     checks.append(("weak >= strong sandwich", weak_enum >= strong))
+    return all(passed for _, passed in checks), checks
 
-    ok = True
-    for name, passed in checks:
-        out.write(f"{'PASS' if passed else 'FAIL'}: {name}\n")
-        ok = ok and passed
-    out.write("all checks passed\n" if ok else "checks failed\n")
-    return EXIT_OK if ok else EXIT_NEGATIVE
+
+def _verify_text(checks) -> str:
+    lines = [f"{'PASS' if passed else 'FAIL'}: {name}\n" for name, passed in checks]
+    ok = all(passed for _, passed in checks)
+    lines.append("all checks passed\n" if ok else "checks failed\n")
+    return "".join(lines)
 
 
 def build_parser() -> _ArgumentParser:
@@ -209,20 +188,20 @@ def build_parser() -> _ArgumentParser:
     p_rank = sub.add_parser("rank", help="structural rank of a pattern")
     p_rank.add_argument("file")
     p_rank.add_argument("--json", action="store_true")
-    p_rank.set_defaults(func=_cmd_rank)
+    p_rank.set_defaults(func=_cmd_rank, text=_rank_text)
 
     p_res = sub.add_parser("resilience", help="strong (default) or weak resilience")
     p_res.add_argument("file")
     p_res.add_argument("--weak", action="store_true")
     p_res.add_argument("--budget", type=_nonnegative_int, default=None)
     p_res.add_argument("--json", action="store_true")
-    p_res.set_defaults(func=_cmd_resilience)
+    p_res.set_defaults(func=_cmd_resilience, text=_resilience_text)
 
     p_dec = sub.add_parser("decompose", help="disjoint left-perfect matchings")
     p_dec.add_argument("file")
     p_dec.add_argument("--dot", default=None, metavar="OUT")
     p_dec.add_argument("--json", action="store_true")
-    p_dec.set_defaults(func=_cmd_decompose)
+    p_dec.set_defaults(func=_cmd_decompose, text=_decompose_text)
 
     p_aug = sub.add_parser("augment", help="plan minimum edge additions")
     p_aug.add_argument("file")
@@ -231,11 +210,11 @@ def build_parser() -> _ArgumentParser:
     group.add_argument("--budget", type=_nonnegative_int, default=None, metavar="P")
     p_aug.add_argument("--out", default=None, metavar="FILE")
     p_aug.add_argument("--json", action="store_true")
-    p_aug.set_defaults(func=_cmd_augment)
+    p_aug.set_defaults(func=_cmd_augment, text=_augment_text)
 
     p_ver = sub.add_parser("verify", help="cross-check flow results against the oracle")
     p_ver.add_argument("file")
-    p_ver.set_defaults(func=_cmd_verify)
+    p_ver.set_defaults(func=_cmd_verify, json=False, text=_verify_text)
 
     # Each subcommand's own parser, by name, for run to call directly.
     parser._commands = sub.choices
@@ -256,7 +235,11 @@ def run(argv, out=None) -> int:
         # print only their message, so both routes print the same bytes.
         command = argv and _PARSER._commands.get(argv[0])
         args = command.parse_args(argv[1:]) if command else _PARSER.parse_args(argv)
-        return args.func(args, out)
+        ok, result = args.func(args)
+        # The one write of a result: --json prints the result itself, and
+        # only the route asked for is built.
+        out.write(json.dumps(result) + "\n" if args.json else args.text(result))
+        return EXIT_OK if ok else EXIT_NEGATIVE
     except _UsageError as exc:
         print(f"sprank: {exc}", file=sys.stderr)
         return EXIT_USAGE

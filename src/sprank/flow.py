@@ -90,6 +90,10 @@ class FlowNetwork:
     arcs: tuple[Arc, ...]
 
     def __post_init__(self):
+        if not (0 <= self.source < self.node_count and 0 <= self.sink < self.node_count):
+            raise ValueError(f"source {self.source} or sink {self.sink} out of range")
+        if self.source == self.sink:
+            raise ValueError("source and sink must differ")
         seen = set()
         for a in self.arcs:
             if not (0 <= a.tail < self.node_count and 0 <= a.head < self.node_count):

@@ -5,8 +5,9 @@ values, 0-entries are identically zero.  Each pattern corresponds one-to-one
 to a bipartite graph whose left nodes are rows and right nodes are columns,
 with an edge wherever the pattern has a star.
 
-Coordinates are 0-based everywhere inside the library.  The 1-based
-convention of the file formats and error messages lives in :mod:`sprank.io`.
+Coordinates are 0-based everywhere inside the library.  What a user sees is
+1-based: the file formats and DOT in :mod:`sprank.io`, the CLI's results in
+:mod:`sprank.cli`, and the error messages here and in :mod:`sprank.io`.
 """
 
 from __future__ import annotations

@@ -77,12 +77,7 @@ def extract_disjoint_matchings(h: BipartiteGraph, ell: int) -> list[Matching]:
 
 
 def _colour_matchings(h: BipartiteGraph, ell: int) -> list[Matching]:
-    """The colouring of ``extract_disjoint_matchings``, for h of n * ell edges.
-
-    The decomposition's one check: each class holds one column per row, n
-    distinct columns and only pairs of h, and each row's ell slots hold
-    distinct columns, so the classes partition h.
-    """
+    """The colouring of ``extract_disjoint_matchings``, for h of n * ell edges."""
     # at_row[i][c] is the column of row i's colour-c edge, -1 if none, and
     # at_col[j].get(c, -1) its row.  A column keys only the colours it has
     # held, so all columns together keep at most 2|h| slots, not m * ell.
@@ -108,6 +103,16 @@ def _colour_matchings(h: BipartiteGraph, ell: int) -> list[Matching]:
                 j, row[a], row[b] = row[b], row[b], row[a]
         at_row[u][a] = v
         at_col[v][a] = u
+    return _colour_classes(h, at_row, ell)
+
+
+def _colour_classes(h: BipartiteGraph, at_row, ell: int) -> list[Matching]:
+    """The ell colour classes that the row slots ``at_row`` give h, checked.
+
+    The decomposition's one check: each class holds one column per row, n
+    distinct columns and only pairs of h, and each row's ell slots hold
+    distinct columns, so the classes partition h.
+    """
     matchings = []
     for c in range(ell):
         edges = frozenset((i, at_row[i][c]) for i in range(h.n_left))

@@ -236,6 +236,18 @@ class TestVerify:
         assert "all checks passed" in out
         assert out.count("PASS") == 4
 
+    def test_a_failed_check_is_printed_and_exits_3(self, fig7_file, monkeypatch):
+        # An oracle that disagrees on the rank: every check is still
+        # printed, and the run ends in "checks failed".
+        monkeypatch.setattr(cli.oracle_mod, "brute_rank", lambda g: g.n_left - 1)
+        assert invoke(["verify", fig7_file]) == (3, (
+            "FAIL: rank flow vs oracle\n"
+            "PASS: strong resilience flow vs oracle\n"
+            "PASS: weak resilience enumeration vs oracle\n"
+            "PASS: weak >= strong sandwich\n"
+            "checks failed\n"
+        ))
+
     def test_one_sweep_serves_every_check(self, fig3_file, monkeypatch):
         # Rank, strong resilience and the weak bounds all read the same
         # checked sweep; on Fig 3 the bounds meet, so nothing is extracted.
@@ -372,6 +384,27 @@ class TestPinnedRuns:
              "delta_star: 1, achieved_resilience: 0\nadded: (2,2)\n", ""),
             (FIG7_TEXT, ["augment", "--target", "abc"], 2, "",
              "sprank: argument --target: expected a nonnegative integer, got 'abc'\n"),
+            # Both routes of every subcommand that takes --json.
+            (FIG3_TEXT, ["rank"], 0, "rank: 4 (full)\n", ""),
+            (FIG3_TEXT, ["rank", "--json"], 0, '{"rank": 4, "full_rank": true}\n', ""),
+            (FIG3_TEXT, ["resilience"], 0, "strong_resilience: 1, ell_star: 2\n", ""),
+            (FIG3_TEXT, ["resilience", "--json"], 0,
+             '{"rank": 4, "strong_resilience": 1, "ell_star": 2}\n', ""),
+            (FIG3_TEXT, ["decompose"], 0,
+             "ell_star: 2\nmatching 1: (1,2) (2,1) (3,3) (4,4)\n"
+             "matching 2: (1,1) (2,2) (3,4) (4,5)\n", ""),
+            (FIG3_TEXT, ["decompose", "--json"], 0,
+             '{"ell_star": 2, "strong_resilience": 1, "matchings": '
+             '[[[1, 2], [2, 1], [3, 3], [4, 4]], [[1, 1], [2, 2], [3, 4], [4, 5]]]}\n', ""),
+            (FIG3_TEXT, ["augment", "--target", "2", "--json"], 0,
+             '{"delta_star": 2, "achieved_resilience": 2, "added_edges": [[1, 3], [4, 1]]}\n', ""),
+            (FIG3_TEXT, ["augment", "--budget", "3", "--json"], 0,
+             '{"delta_star": 2, "achieved_resilience": 2, "added_edges": [[1, 3], [4, 1]]}\n', ""),
+            (DEF23_TEXT, ["rank"], 3, "rank: 1 (deficient)\n", ""),
+            (DEF23_TEXT, ["resilience"], 3, "strong_resilience: -1, ell_star: 0\n", ""),
+            (DEF23_TEXT, ["decompose"], 3, "ell_star: 0\n", ""),
+            (DEF23_TEXT, ["decompose", "--json"], 3,
+             '{"ell_star": 0, "strong_resilience": -1, "matchings": []}\n', ""),
         ],
         ids=[
             "fig7-verify", "k66-verify", "k77-weak-budget", "k77-weak",
@@ -379,7 +412,10 @@ class TestPinnedRuns:
             "fig3-weak-budget", "row2-weak-budget-30", "row2-weak-budget-31",
             "fig3-target-1", "fig3-target-2", "p36-target-4", "p36-target-5",
             "fig7-target-2", "fig7-budget-1", "fig7-budget-2", "def23-budget-0",
-            "def23-budget-1", "fig7-target-abc",
+            "def23-budget-1", "fig7-target-abc", "fig3-rank", "fig3-rank-json",
+            "fig3-strong", "fig3-strong-json", "fig3-decompose", "fig3-decompose-json",
+            "fig3-target-2-json", "fig3-budget-3-json", "def23-rank", "def23-strong",
+            "def23-decompose", "def23-decompose-json",
         ],
     )
     def test_run(self, tmp_path, capsys, text, args, code, out, err):
@@ -387,6 +423,12 @@ class TestPinnedRuns:
         path.write_text(text)
         assert invoke([args[0], str(path), *args[1:]]) == (code, out)
         assert capsys.readouterr().err == err
+
+    def test_budget_without_weak_is_refused_before_the_file_is_read(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.spm")
+        assert invoke(["resilience", missing, "--budget", "3"]) == (2, "")
+        err = capsys.readouterr().err
+        assert err == "sprank: --budget needs --weak: it caps the weak-resilience subset tests\n"
 
     @pytest.mark.parametrize(
         "name, text, budget, err",

@@ -649,6 +649,9 @@ class TestFlowInvariants:
         "build, error, message",
         [
             (lambda: FlowNetwork(3, 0, 1, (Arc(0, 3, 1),)), ValueError, "arc (0, 3) out of range"),
+            (lambda: FlowNetwork(2, 5, 1, ()), ValueError, "source 5 or sink 1 out of range"),
+            (lambda: FlowNetwork(2, 0, -1, ()), ValueError, "source 0 or sink -1 out of range"),
+            (lambda: FlowNetwork(2, 0, 0, ()), ValueError, "source and sink must differ"),
             (
                 lambda: sp.Flow(FlowNetwork(3, 0, 1, (Arc(0, 2, 1), Arc(2, 1, 1))), (0,), 0),
                 ValueError,
@@ -670,7 +673,10 @@ class TestFlowInvariants:
                 "k must be nonnegative",
             ),
         ],
-        ids=["arc-out-of-range", "value-count", "over-capacity", "resilience-ell", "augmentation-k"],
+        ids=[
+            "arc-out-of-range", "source-out-of-range", "sink-out-of-range", "source-is-sink",
+            "value-count", "over-capacity", "resilience-ell", "augmentation-k",
+        ],
     )
     def test_input_guards(self, build, error, message):
         with pytest.raises(error) as exc:

@@ -270,6 +270,14 @@ class TestExtractDisjointMatchings:
         with pytest.raises(VerificationError, match=message):
             resilience_mod._colour_matchings(h, 2)
 
+    def test_colouring_refuses_classes_that_share_an_edge(self):
+        # Forged slots that give both colours row 0's edge to column 0:
+        # each class is a left-perfect matching of h, so only the partition
+        # check can refuse them.
+        h = sp.BipartiteGraph(1, 2, frozenset({(0, 0), (0, 1)}))
+        with pytest.raises(VerificationError, match="the colour classes of h share an edge"):
+            resilience_mod._colour_classes(h, [[0, 0]], 2)
+
     def test_random_unions_round_trip(self):
         rng = random.Random(59)
         for _ in range(30):

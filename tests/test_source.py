@@ -222,3 +222,31 @@ def test_flow_does_each_check_once():
     assert len(layouts) == 1, f"flow.py lays out the network in {layouts}"
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert "is_union_of_k_matchings" not in imported, "flow.py imports is_union_of_k_matchings"
+
+
+def test_cli_writes_each_result_once():
+    # Each subcommand returns its result and run writes it, as JSON or as
+    # the command's text, and picks the exit code; so a flag that every
+    # subcommand takes has one place to go.
+    path = Path(sprank.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    functions = [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    writers = [
+        fn.name
+        for fn in functions
+        if fn.name.startswith("_cmd_") and "out" in [a.arg for a in fn.args.args + fn.args.kwonlyargs]
+    ]
+    assert not writers, f"cli.py subcommands that take an out parameter: {writers}"
+    dumps = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "dumps"
+    ]
+    assert len(dumps) == 1, f"cli.py calls json.dumps at lines {dumps}"
+    readers = sorted({
+        fn.name
+        for fn in functions
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Name) and node.id == "EXIT_NEGATIVE" and isinstance(node.ctx, ast.Load)
+    })
+    assert readers == ["run"], f"cli.py reads EXIT_NEGATIVE in {readers}"
